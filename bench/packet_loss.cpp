@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "bench/battery.hpp"
+#include "channel/spec.hpp"
 #include "exp/builder.hpp"
 
 int main(int argc, char** argv) {
@@ -34,8 +35,9 @@ int main(int argc, char** argv) {
   // -- Uniform vs Gilbert-Elliott channel sweep ------------------------------------
   // Same average corruption rate, two very different loss processes:
   // independent per-frame drops vs correlated bad-state bursts.  The GE
-  // rows fix p_bad_good (sojourn length) and solve p_good_bad for the
-  // target average, so the curves are comparable point by point.
+  // rows fix p_bad_good (sojourn length, per 20 ms chain tick) and solve
+  // p_good_bad for the target average, so the curves are comparable point
+  // by point.
   const std::vector<double> targets{0.005, 0.01, 0.02, 0.05, 0.1};
   const double p_bad_good = 0.02;
   const double loss_bad = 0.85;
@@ -56,16 +58,14 @@ int main(int argc, char** argv) {
                      curve_base().wireless_p_loss(p).build()});
   }
   for (const double p : targets) {
-    auto b = curve_base().wireless_p_loss(0.0);
     const double f_bad = p / loss_bad;  // stationary bad-state fraction
-    auto& ge = b.fault_spec().ge;
-    ge.enabled = true;
-    ge.p_good_bad = p_bad_good * f_bad / (1.0 - f_bad);
-    ge.p_bad_good = p_bad_good;
-    ge.loss_good = loss_good;
-    ge.loss_bad = loss_bad;
-    solved_p_good_bad.push_back(ge.p_good_bad);
-    items.push_back({"ge p=" + std::to_string(p), b.build()});
+    const double p_good_bad = p_bad_good * f_bad / (1.0 - f_bad);
+    solved_p_good_bad.push_back(p_good_bad);
+    items.push_back({"ge p=" + std::to_string(p),
+                     curve_base()
+                         .channel(channel::ChannelSpec::two_state(
+                             p_good_bad, p_bad_good, loss_good, loss_bad))
+                         .build()});
   }
   const auto sweep = bench::run_battery(items, opts);
 
@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
         .cell("loss-bad", loss_bad, 2)
         .cell("avg-loss%", exp::average_loss_pct(r.clients), 3)
         .cell("avg-saved%", exp::summarize_all(r.clients).avg, 2)
-        .cell("schedules-missed", miss_sum(r))
-        .cell("ge-bad-entries", r.fault_stats.ge_bad_entries);
+        .cell("schedules-missed", miss_sum(r));
   }
   rep.note(
       "same average rate, different process: correlated GE bursts take out "

@@ -1,5 +1,5 @@
-// Degradation report: run a deliberately hostile scenario — Gilbert-Elliott
-// bursty corruption plus one window of every typed fault (deep fade, AP
+// Degradation report: run a deliberately hostile scenario — a Gilbert-Elliott
+// bursty channel plus one window of every typed fault (deep fade, AP
 // stall, link flap, proxy pause) — with the graceful-degradation hardening
 // on (schedule k-repeat, client miss escalation), then render what the
 // fault layer did and what it cost: the fault windows recovered, per-client
@@ -96,10 +96,10 @@ void render_strip(const std::vector<obs::TimelineEvent>& events,
 int main(int argc, char** argv) {
   const double duration_s = argc > 1 ? std::atof(argv[1]) : 40.0;
 
-  // The hostile everything-at-once preset: GE corruption plus one window
-  // of every typed fault, hardening (k=2 repeats, escalation) on.  The
-  // scenario keeps its observer, so the sweep engine always runs it live
-  // and hands back the full result, timeline included.
+  // The hostile everything-at-once preset: a Gilbert-Elliott channel plus
+  // one window of every typed fault, hardening (k=2 repeats, escalation)
+  // on.  The scenario keeps its observer, so the sweep engine always runs
+  // it live and hands back the full result, timeline included.
   auto opts = pp::bench::parse_args(argc, argv);
   opts.progress = false;
   std::vector<exp::sweep::Item> items;
@@ -140,12 +140,16 @@ int main(int argc, char** argv) {
       open.erase(key);
     }
   }
+  const auto counter = [&rep](const char* name) {
+    const auto* c = rep.find_counter(name);
+    return static_cast<unsigned long long>(c ? c->value : 0);
+  };
   std::printf("  activated=%llu recovered=%llu ge_bad_entries=%llu "
               "(ge=%llu fade=%llu losses)\n",
               static_cast<unsigned long long>(res.fault_stats.windows_activated),
               static_cast<unsigned long long>(res.fault_stats.windows_recovered),
-              static_cast<unsigned long long>(res.fault_stats.ge_bad_entries),
-              static_cast<unsigned long long>(res.fault_stats.ge_losses),
+              counter("channel.state.worse_entries"),
+              counter("channel.state.losses"),
               static_cast<unsigned long long>(res.fault_stats.fade_losses));
 
   // -- Per-client degradation ------------------------------------------------------

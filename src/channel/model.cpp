@@ -11,22 +11,27 @@ namespace pp::channel {
 namespace {
 
 // Stream tag folded into the run seed so channel draws are independent of
-// the simulator's shared stream and of the fault stream (which has its own
+// the simulator's shared stream and of the churn stream (which has its own
 // tag).  Changing this constant changes every channel-modeled run.
 constexpr std::uint64_t kChannelStreamTag = 0xC4A77E10'5AD1E5CULL;
 // Odd multiplier decorrelating per-client child seeds before splitmix64.
 constexpr std::uint64_t kClientSeedMix = 0x9E3779B97F4A7C15ULL;
 
-}  // namespace
-
-sim::Rng channel_stream(std::uint64_t run_seed) {
-  return sim::Rng{run_seed ^ kChannelStreamTag};
-}
-
+// The per-client child seed: each channel's stream is independent of the
+// simulator's shared stream, of the other channels and of the churn stream.
 std::uint64_t client_stream_seed(std::uint64_t run_seed, std::uint32_t raw_ip) {
   return (run_seed ^ kChannelStreamTag) +
          kClientSeedMix * (static_cast<std::uint64_t>(raw_ip) + 1);
 }
+
+// The wireless channel belongs to the (client, AP) pair: downlink frames
+// carry the client as receiver; uplink frames reach the AP radio (address
+// 0.0.0.0), so the transmitting client identifies the channel.
+net::Ipv4Addr station_of(const net::Packet& pkt, net::Ipv4Addr receiver) {
+  return receiver.raw() != 0 ? receiver : pkt.src;
+}
+
+}  // namespace
 
 ChannelSpec ChannelSpec::two_state(double p_good_bad, double p_bad_good,
                                    double loss_good, double loss_bad,
@@ -45,7 +50,7 @@ ChannelSpec ChannelSpec::ladder(int n, double burstiness,
   ChannelSpec s;
   s.enabled = true;
   s.rungs.reserve(static_cast<std::size_t>(n));
-  // The ladder fades in wall-clock time (20 ms chain tick), not per
+  // The ladder fades in wall-clock time (the model's chain tick), not per
   // attempt: a client that is not being served still sees its fade end,
   // which is the physical premise behind deferring bad-channel clients
   // (DESIGN.md §12.3).  Higher burstiness: degraded rungs are entered more
@@ -53,7 +58,6 @@ ChannelSpec ChannelSpec::ladder(int n, double burstiness,
   // loses nearly everything.  Exit rates put fades on the order of a
   // second — long enough to be a real fade, short enough that a
   // deadline-bounded deferral can outwait one.
-  s.tick_s = 0.02;
   const double worst_loss = 0.55 + 0.4 * burstiness;
   for (int i = 0; i < n; ++i) {
     const double t = n > 1 ? static_cast<double>(i) / (n - 1) : 0.0;
@@ -69,15 +73,7 @@ ChannelSpec ChannelSpec::ladder(int n, double burstiness,
 }
 
 ChannelModel::ChannelModel(ChannelSpec spec, std::uint64_t run_seed)
-    : spec_{std::move(spec)},
-      seed_{run_seed},
-      shared_{channel_stream(run_seed)} {
-  PP_CHECK(!spec_.rungs.empty(), "channel.spec.rungs");
-}
-
-ChannelModel::ChannelModel(ChannelSpec spec, sim::Rng stream)
-    : spec_{std::move(spec)}, shared_{stream} {
-  spec_.per_client_streams = false;
+    : spec_{std::move(spec)}, seed_{run_seed} {
   PP_CHECK(!spec_.rungs.empty(), "channel.spec.rungs");
 }
 
@@ -93,22 +89,17 @@ void ChannelModel::set_obs(obs::Hook hook) {
 ChannelModel::Station& ChannelModel::station(std::uint32_t raw) {
   auto it = stations_.find(raw);
   if (it != stations_.end()) return it->second;
-  Station st;
-  if (spec_.per_client_streams) {
-    st.rng.emplace(client_stream_seed(seed_, raw));
-  }
-  return stations_.emplace(raw, std::move(st)).first->second;
+  return stations_.emplace(raw, Station{client_stream_seed(seed_, raw)})
+      .first->second;
 }
 
-// One transition draw: exactly one uniform per step (the legacy
-// Gilbert-Elliott discipline; a two-rung ladder consumes the identical
-// draw sequence the fault layer always has).  Returns true when the chain
-// moved to a worse rung.
-bool ChannelModel::step(Station& st, sim::Rng& rng) {
+// One transition draw: exactly one uniform per step.  Returns true when the
+// chain moved to a worse rung.
+bool ChannelModel::step(Station& st) {
   const int last = spec_.num_states() - 1;
   if (last == 0) return false;
   const ChannelRung& r = spec_.rungs[static_cast<std::size_t>(st.state)];
-  const double u = rng.uniform();
+  const double u = st.rng.uniform();
   if (st.state == 0) {
     if (u < r.p_down) {
       ++st.state;
@@ -127,16 +118,25 @@ bool ChannelModel::step(Station& st, sim::Rng& rng) {
   return false;
 }
 
-ChannelModel::Attempt ChannelModel::finish_attempt(Station& st, sim::Rng& rng,
-                                                   bool worsened) {
+ChannelModel::Attempt ChannelModel::attempt(net::Ipv4Addr client,
+                                            sim::Time now) {
+  Station& st = station(client.raw());
+  // Catch the chain up: one transition draw per tick elapsed since the
+  // station's epoch.  The chain thus evolves in wall-clock time whether or
+  // not the client is being served — a fade ends while a deferred client
+  // sleeps.  The draw count is a pure function of `now`, so replay stays
+  // deterministic and salt-invariant.
+  const std::int64_t target = now.count_ns() / kTick.count_ns();
   Attempt a;
-  a.worsened = worsened;
+  for (; st.ticks_done < target; ++st.ticks_done) {
+    a.worsened = step(st) || a.worsened;
+  }
   a.state = st.state;
 
-  // Loss draw from the post-transition rung, only when it can lose (a zero
-  // probability must not consume randomness — digest compatibility).
+  // Loss draw from the caught-up rung, only when it can lose (a zero
+  // probability must not consume randomness).
   const double p = spec_.rungs[static_cast<std::size_t>(st.state)].loss;
-  a.lost = p > 0 && rng.chance(p);
+  a.lost = p > 0 && st.rng.chance(p);
   st.ewma += spec_.ewma_alpha * ((a.lost ? 1.0 : 0.0) - st.ewma);
 
   ++stats_.attempts;
@@ -150,35 +150,9 @@ ChannelModel::Attempt ChannelModel::finish_attempt(Station& st, sim::Rng& rng,
   return a;
 }
 
-ChannelModel::Attempt ChannelModel::attempt(net::Ipv4Addr client) {
-  Station& st = station(client.raw());
-  sim::Rng& rng = st.rng ? *st.rng : shared_;
-  return finish_attempt(st, rng, step(st, rng));
-}
-
-ChannelModel::Attempt ChannelModel::attempt_at(net::Ipv4Addr client,
-                                               sim::Time now) {
-  if (spec_.tick_s <= 0.0) return attempt(client);
-  Station& st = station(client.raw());
-  sim::Rng& rng = st.rng ? *st.rng : shared_;
-  // Catch the chain up: one transition draw per tick elapsed since the
-  // station's epoch.  The chain thus evolves in wall-clock time whether or
-  // not the client is being served — a fade ends while a deferred client
-  // sleeps.  The draw count is a pure function of `now`, so replay stays
-  // deterministic and salt-invariant.
-  const auto tick_ns =
-      static_cast<std::int64_t>(spec_.tick_s * 1e9);
-  const std::int64_t target = now.count_ns() / tick_ns;
-  bool worsened = false;
-  for (; st.ticks_done < target; ++st.ticks_done) {
-    worsened = step(st, rng) || worsened;
-  }
-  return finish_attempt(st, rng, worsened);
-}
-
 bool ChannelModel::corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
                              sim::Time now) {
-  return attempt_at(station_of(pkt, receiver), now).lost;
+  return attempt(station_of(pkt, receiver), now).lost;
 }
 
 ChannelView ChannelModel::view_of(net::Ipv4Addr client) const {

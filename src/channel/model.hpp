@@ -1,26 +1,18 @@
 // ChannelModel: the runtime half of the per-client channel subsystem.
 //
-// Owns every client's Markov quality chain plus the RNG that drives it, in
-// one of two stream modes:
-//
-//  * per-client streams (the default): each client's chain draws from an
-//    independent stream derived from the run seed and the client address,
-//    so one client's traffic volume can never shift another's draws and
-//    replay digests stay salt-invariant (state lives in an ordered map);
-//  * one shared stream: all clients draw from a single stream in attempt
-//    order — the exact draw sequence fault::FaultPlan has always produced,
-//    kept so Gilbert-Elliott runs delegated from the fault layer reproduce
-//    their pre-promotion replay digests bit for bit.
+// Owns every client's Markov quality chain plus the RNG that drives it.
+// Each client's chain draws from an independent stream derived from the
+// run seed and the client address, so one client's traffic volume can
+// never shift another's draws and replay digests stay salt-invariant
+// (state lives in an ordered map).
 //
 // The model is both a net::ChannelLossModel (install it on the medium to
 // corrupt frames) and a ChannelObserver (schedulers query per-client
-// quality).  fault::FaultPlan instead calls attempt() directly and keeps
-// its own stats/obs, so the delegated chain never double-publishes.
+// quality).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 
 #include "channel/observer.hpp"
 #include "channel/spec.hpp"
@@ -38,37 +30,29 @@ struct ChannelStats {
 
 class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
  public:
+  // The chain clock: every client's chain takes one transition step per
+  // tick of sim time, caught up lazily at its next delivery attempt.
+  static constexpr sim::Duration kTick = sim::Time::ms(20);
+
   // What one delivery attempt did to a client's channel.
   struct Attempt {
     bool lost = false;
-    int state = 0;        // rung after the transition step
-    bool worsened = false;  // this attempt moved the chain to a worse rung
+    int state = 0;        // rung after the catch-up steps
+    bool worsened = false;  // a catch-up step moved the chain to a worse rung
   };
 
-  // Per-client streams derived from `run_seed` (spec.per_client_streams
-  // must be true).
+  // Per-client streams derived from `run_seed`.
   ChannelModel(ChannelSpec spec, std::uint64_t run_seed);
-  // Shared-stream mode with an explicit pre-seeded stream (FaultPlan
-  // delegation; forces spec.per_client_streams = false).
-  ChannelModel(ChannelSpec spec, sim::Rng stream);
 
   ChannelModel(const ChannelModel&) = delete;
   ChannelModel& operator=(const ChannelModel&) = delete;
 
-  // Advance `client`'s chain one step and draw frame corruption from the
-  // resulting rung.  Exactly one transition draw per attempt, plus one loss
-  // draw when the rung's loss probability is positive (the legacy
-  // Gilbert-Elliott draw discipline).
-  Attempt attempt(net::Ipv4Addr client);
+  // Catch `client`'s chain up with one transition draw per tick elapsed
+  // before `now`, then draw corruption from the resulting rung (a loss
+  // draw only when the rung's loss probability is positive).
+  Attempt attempt(net::Ipv4Addr client, sim::Time now);
 
-  // Time-aware attempt: when the spec has a chain tick, first catch the
-  // client's chain up with one transition draw per tick elapsed, then draw
-  // corruption.  With tick_s == 0 this is exactly attempt().  `worsened`
-  // reports whether any catch-up step moved to a worse rung.
-  Attempt attempt_at(net::Ipv4Addr client, sim::Time now);
-
-  // net::ChannelLossModel: attempt_at() on the frame's station-side
-  // channel.
+  // net::ChannelLossModel: attempt() on the frame's station-side channel.
   bool corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
                  sim::Time now) override;
 
@@ -83,19 +67,18 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
 
  private:
   struct Station {
+    explicit Station(std::uint64_t seed) : rng{seed} {}
     int state = 0;  // every channel starts in the best rung
     double ewma = 0.0;
-    std::int64_t ticks_done = 0;  // chain ticks consumed (tick_s > 0 mode)
-    std::optional<sim::Rng> rng;  // per-client mode only
+    std::int64_t ticks_done = 0;  // chain ticks consumed
+    sim::Rng rng;
   };
 
   Station& station(std::uint32_t raw);
-  bool step(Station& st, sim::Rng& rng);
-  Attempt finish_attempt(Station& st, sim::Rng& rng, bool worsened);
+  bool step(Station& st);
 
   ChannelSpec spec_;
   std::uint64_t seed_ = 0;
-  sim::Rng shared_;  // shared-stream mode draws; unused per-client
   // Ordered map: chain state and stream creation must never follow
   // hash-bucket layout.
   std::map<std::uint32_t, Station> stations_;
@@ -106,20 +89,5 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
   obs::Counter* ctr_losses_ = nullptr;
   obs::Counter* ctr_worse_ = nullptr;
 };
-
-// The wireless channel belongs to the (client, AP) pair: downlink frames
-// carry the client as receiver; uplink frames reach the AP radio (address
-// 0.0.0.0), so the transmitting client identifies the channel.
-inline net::Ipv4Addr station_of(const net::Packet& pkt,
-                                net::Ipv4Addr receiver) {
-  return receiver.raw() != 0 ? receiver : pkt.src;
-}
-
-// The named channel RNG stream: independent of the simulator's shared
-// stream and of the fault stream.  Exposed so tests can reproduce draws
-// without constructing a model.
-sim::Rng channel_stream(std::uint64_t run_seed);
-// The per-client child seed (per_client_streams mode).
-std::uint64_t client_stream_seed(std::uint64_t run_seed, std::uint32_t raw_ip);
 
 }  // namespace pp::channel

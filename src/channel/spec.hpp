@@ -3,19 +3,15 @@
 //
 // A ChannelSpec describes a multi-state Markov quality ladder for every
 // client's wireless channel, as pure data: rung 0 is the best state and
-// higher rungs are progressively worse.  The chain steps in one of two
-// clocks.  With tick_s == 0 each delivery attempt advances the chain one
-// step (one transition draw) and then corrupts the frame with the rung's
-// own loss probability — the two-rung special case is exactly the
-// Gilbert-Elliott model that used to live privately inside
-// fault::FaultPlan, preserved draw for draw.  With tick_s > 0 the chain
-// instead evolves on that wall-clock tick: each delivery attempt first
-// catches the chain up with one transition draw per elapsed tick, then
-// draws corruption.  Time-based fading is what makes *reacting* to channel
-// state meaningful — a deferred client's fade can end while it sleeps,
-// which per-attempt stepping (no attempts => frozen chain) cannot express.
-// The N-rung generalization is the rate-ladder channel of the joint
-// queue/channel-aware scheduling literature (arXiv:1807.10128).
+// higher rungs are progressively worse.  The chain evolves on a fixed
+// wall-clock tick (ChannelModel::kTick): each delivery attempt first
+// catches the client's chain up with one transition draw per elapsed
+// tick, then draws corruption from the resulting rung.  Time-based fading
+// is what makes *reacting* to channel state meaningful — a deferred
+// client's fade can end while it sleeps.  The two-rung special case is the
+// classic Gilbert-Elliott channel; the N-rung generalization is the
+// rate-ladder channel of the joint queue/channel-aware scheduling
+// literature (arXiv:1807.10128).
 //
 // Deliberately light on dependencies (plain numbers only) so config-level
 // code can embed a spec without pulling in the network stack.  The runtime
@@ -27,9 +23,9 @@
 
 namespace pp::channel {
 
-// One quality state.  Transition probabilities are per delivery attempt:
-// p_up moves toward rung 0 (better), p_down toward the last rung (worse).
-// The stepper ignores p_up on rung 0 and p_down on the last rung.
+// One quality state.  Transition probabilities are per chain tick: p_up
+// moves toward rung 0 (better), p_down toward the last rung (worse).  The
+// stepper ignores p_up on rung 0 and p_down on the last rung.
 struct ChannelRung {
   double p_up = 0.0;
   double p_down = 0.0;
@@ -39,24 +35,16 @@ struct ChannelRung {
 
 struct ChannelSpec {
   bool enabled = false;
-  // true: every client draws from its own stream derived from the run seed
-  // and its address, so adding or removing one client's traffic can never
-  // shift another client's draw sequence.  false: all clients share one
-  // stream in attempt order — the legacy FaultPlan draw sequence, kept so
-  // delegated Gilbert-Elliott runs reproduce their pre-promotion digests.
-  bool per_client_streams = true;
   // Recent-loss EWMA smoothing per attempt (observer surface only).
   double ewma_alpha = 0.05;
-  // Chain clock: 0 = legacy per-attempt stepping (transition probabilities
-  // are per delivery attempt); > 0 = time-based stepping (probabilities are
-  // per tick of this many seconds, caught up lazily at each attempt).
-  double tick_s = 0.0;
   std::vector<ChannelRung> rungs;  // index 0 = best; needs >= 2 when enabled
 
   int num_states() const { return static_cast<int>(rungs.size()); }
 
   // -- Presets ----------------------------------------------------------------------
-  // The classic two-state Gilbert-Elliott channel (rung 0 = good).
+  // The classic two-state Gilbert-Elliott channel (rung 0 = good).  The
+  // transition probabilities are per chain tick, so the mean sojourn in a
+  // state is 1/p_exit ticks.
   static ChannelSpec two_state(double p_good_bad, double p_bad_good,
                                double loss_good, double loss_bad,
                                double goodput_bps = 4e6);

@@ -5,7 +5,7 @@
 // history — none of which are part of the simulation's deterministic
 // contract (net::set_hash_salt exists precisely to perturb them).  Any
 // loop whose side effects depend on visit order must iterate through one
-// of these helpers instead; pp_lint rejects direct range-for over
+// of these helpers instead; pp_analyze rejects direct range-for over
 // unordered containers outside an explicit allowlist.
 //
 // The helpers materialize a vector of pointers and sort it by key, so the

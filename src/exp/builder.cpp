@@ -240,16 +240,7 @@ ScenarioConfig ScenarioBuilder::build() const {
   check_web("web_pages must be positive", c.web_pages > 0);
   check_web("web_think_mean_s must be positive", c.web_think_mean_s > 0);
   check_web("ftp_bytes must be positive", c.ftp_bytes > 0);
-  const auto& ge = c.fault.ge;
-  for (const double p :
-       {ge.p_good_bad, ge.p_bad_good, ge.loss_good, ge.loss_bad}) {
-    if (p < 0 || p > 1.0) fail("Gilbert-Elliott probabilities must be in [0, 1]");
-  }
   if (c.channel.enabled) {
-    if (c.fault.any()) {
-      fail("channel model and fault injection are mutually exclusive (the "
-           "FaultPlan owns the loss model on faulted runs)");
-    }
     if (c.channel.rungs.size() < 2) {
       fail("channel model needs at least 2 quality rungs");
     }
@@ -393,15 +384,13 @@ ScenarioBuilder ScenarioBuilder::degradation(double duration_s) {
                           .policy(IntervalPolicy::Fixed500)
                           .seed(7)
                           .duration_s(duration_s)
-                          .wireless_p_loss(0.0)
+                          .channel(channel::ChannelSpec::two_state(
+                              /*p_good_bad=*/0.01, /*p_bad_good=*/0.02,
+                              /*loss_good=*/0.001, /*loss_bad=*/0.9))
                           .keep_obs()
                           .schedule_repeats(2)
                           .miss_escalation();
   auto& f = b.fault_spec();
-  f.ge.enabled = true;
-  f.ge.p_good_bad = 0.01;
-  f.ge.p_bad_good = 0.02;
-  f.ge.loss_bad = 0.9;
   f.fade(testbed_client_ip(0), Time::seconds(8.0), Time::ms(1800));
   f.ap_stall(Time::seconds(16.0), Time::ms(900));
   f.link_flap(Time::seconds(24.0), Time::ms(500));

@@ -77,8 +77,7 @@ class ScenarioBuilder {
   ScenarioBuilder& fault(fault::FaultSpec spec);
   // Mutable access for incremental window building (validated at build()).
   fault::FaultSpec& fault_spec() { return cfg_.fault; }
-  // Channel-quality model (mutually exclusive with fault injection: the
-  // FaultPlan owns the loss model on faulted runs).
+  // Channel-quality model; composes with fault windows and churn storms.
   ScenarioBuilder& channel(channel::ChannelSpec spec);
   channel::ChannelSpec& channel_spec() { return cfg_.channel; }
   ScenarioBuilder& keep_trace(bool on = true);
@@ -105,7 +104,8 @@ class ScenarioBuilder {
   static ScenarioBuilder fault_battery(int clients, double duration_s,
                                        bool faulted);
   // Hostile everything-at-once scenario (examples/degradation_report):
-  // GE corruption + one window of every typed fault, hardening on.
+  // Gilbert-Elliott channel + one window of every typed fault, hardening
+  // on.
   static ScenarioBuilder degradation(double duration_s);
 
  private:

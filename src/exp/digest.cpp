@@ -10,10 +10,10 @@ std::uint64_t fold_string(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-// "sim."-prefixed counters are event-engine meta-metrics (pooled-callback
-// and slab accounting, see Testbed::publish_sim_metrics).  They describe
-// how the engine executed a run, not what the simulated system did, and
-// they shift with engine internals (SBO threshold, pool sizing) — so the
+// "sim."-prefixed counters are event-engine meta-metrics (event and slab
+// accounting, see Testbed::publish_sim_metrics).  They describe how the
+// engine executed a run, not what the simulated system did, and they shift
+// with engine internals (cancellation pruning, slab sizing) — so the
 // behavioral fingerprint must not fold them in.
 bool engine_meta_metric(const std::string& name) {
   return name.rfind("sim.", 0) == 0;

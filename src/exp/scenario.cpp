@@ -141,6 +141,8 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
 
   bed_ = std::make_unique<Testbed>(tp, make_scheduler(cfg));
   Testbed& bed = *bed_;
+  // The sniffer costs a trace record per frame; attach it only when asked.
+  if (cfg.keep_trace) bed.monitor();
   apps_ = std::make_unique<Apps>();
   Apps& a = *apps_;
 

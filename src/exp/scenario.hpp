@@ -90,12 +90,13 @@ struct ScenarioConfig {
   std::optional<net::AccessPointParams> ap;
   bool video_adaptive = true;  // RealServer loss adaptation on/off
   // -- Fault injection & graceful degradation (see src/fault/) -------------------
-  // Gilbert–Elliott channel and typed fault windows; empty = no faults.
+  // Typed fault windows and churn storms; empty = no faults.
   fault::FaultSpec fault{};
   // -- Channel-quality model (see src/channel/) ----------------------------------
-  // Per-client multi-state loss ladder with deterministic per-client RNG
-  // streams; mutually exclusive with `fault` (the FaultPlan owns the loss
-  // model on faulted runs).  Disabled = the flat wireless_p_loss above.
+  // Per-client multi-state loss ladder (e.g. the Gilbert-Elliott two_state
+  // preset) with deterministic per-client RNG streams; composes with
+  // `fault`, whose deep fades override it on the faded channel.  Disabled =
+  // the flat wireless_p_loss above.
   channel::ChannelSpec channel{};
   // Proxy schedule hardening: SRP broadcast transmissions per interval.
   int schedule_repeats = 1;

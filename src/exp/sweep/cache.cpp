@@ -102,8 +102,7 @@ void write_record(std::ostream& os, const RunRecord& r) {
      << p.churn_dropped_bytes << '\n';
   const fault::FaultStats& f = r.fault_stats;
   os << "fault " << f.windows_activated << ' ' << f.windows_recovered << ' '
-     << f.ge_losses << ' ' << f.fade_losses << ' ' << f.base_losses << ' '
-     << f.ge_bad_entries << '\n';
+     << f.fade_losses << '\n';
   os << "clients " << r.clients.size() << '\n';
   for (const ClientResult& c : r.clients) {
     os << "c " << c.ip.raw() << ' ' << c.role << ' ' << fmt_f(c.saved_pct)
@@ -155,9 +154,7 @@ bool read_record(std::istream& is, RunRecord& out) {
   }
   fault::FaultStats& f = out.fault_stats;
   if (!expect_tok(is, "fault") || !read_u64(is, f.windows_activated) ||
-      !read_u64(is, f.windows_recovered) || !read_u64(is, f.ge_losses) ||
-      !read_u64(is, f.fade_losses) || !read_u64(is, f.base_losses) ||
-      !read_u64(is, f.ge_bad_entries)) {
+      !read_u64(is, f.windows_recovered) || !read_u64(is, f.fade_losses)) {
     return false;
   }
   std::uint64_t n = 0;

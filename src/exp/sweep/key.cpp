@@ -91,11 +91,6 @@ std::string canonical_config(const ScenarioConfig& cfg) {
     put_u64(out, "ap.queue_limit_bytes", a.queue_limit_bytes);
   }
   put_b(out, "video_adaptive", cfg.video_adaptive);
-  put_b(out, "fault.ge.enabled", cfg.fault.ge.enabled);
-  put_f(out, "fault.ge.p_good_bad", cfg.fault.ge.p_good_bad);
-  put_f(out, "fault.ge.p_bad_good", cfg.fault.ge.p_bad_good);
-  put_f(out, "fault.ge.loss_good", cfg.fault.ge.loss_good);
-  put_f(out, "fault.ge.loss_bad", cfg.fault.ge.loss_bad);
   put_u64(out, "fault.windows", cfg.fault.windows.size());
   for (const auto& w : cfg.fault.windows) {
     std::string line = std::to_string(static_cast<int>(w.kind)) + ',' +
@@ -123,9 +118,7 @@ std::string canonical_config(const ScenarioConfig& cfg) {
   put_b(out, "miss_escalation", cfg.miss_escalation);
   put_b(out, "channel.enabled", cfg.channel.enabled);
   if (cfg.channel.enabled) {
-    put_b(out, "channel.per_client_streams", cfg.channel.per_client_streams);
     put_f(out, "channel.ewma_alpha", cfg.channel.ewma_alpha);
-    put_f(out, "channel.tick_s", cfg.channel.tick_s);
     put_u64(out, "channel.rungs", cfg.channel.rungs.size());
     for (const auto& r : cfg.channel.rungs) {
       put_f(out, "channel.rung.p_up", r.p_up);
@@ -141,7 +134,7 @@ std::string canonical_config(const ScenarioConfig& cfg) {
 // extend canonical_config above and bump kCodeVersionSalt, then update the
 // pinned size.  Other ABIs skip the check rather than pin a wrong number.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(ScenarioConfig) == 464,
+static_assert(sizeof(ScenarioConfig) == 416,
               "ScenarioConfig changed: update canonical_config() and bump "
               "kCodeVersionSalt");
 #endif
@@ -171,7 +164,7 @@ std::string canonical_multicell_config(const MultiCellConfig& cfg) {
 // MultiCellConfig grows, reminding you to extend
 // canonical_multicell_config() and bump kCodeVersionSalt.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(MultiCellConfig) == 512,
+static_assert(sizeof(MultiCellConfig) == 464,
               "MultiCellConfig changed: update canonical_multicell_config() "
               "and bump kCodeVersionSalt");
 #endif

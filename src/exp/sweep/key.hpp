@@ -46,7 +46,11 @@ namespace pp::exp::sweep {
 // adaptive-compensation run (new canonical_config field jitter_guard);
 // measured_goodput composes with all demand-driven policies; replay
 // digests re-pinned.
-inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0006ULL;
+// 0007: one frame-loss model — Gilbert-Elliott moves from the fault layer
+// to the ChannelSpec::two_state preset (per-client streams, 20 ms tick);
+// fault.ge.* and channel.{per_client_streams,tick_s} leave canonical_config;
+// the fault RunRecord line drops ge_losses/base_losses/ge_bad_entries.
+inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0007ULL;
 
 // Deterministic text rendering of every config field ("k=v\n" lines).
 std::string canonical_config(const ScenarioConfig& cfg);

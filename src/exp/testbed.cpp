@@ -23,8 +23,7 @@ Testbed::Testbed(TestbedParams params,
       proxy_{std::make_unique<proxy::TransparentProxy>(
           sim_, std::move(scheduler), params.proxy)},
       medium_{sim_, params.wireless},
-      ap_{sim_, medium_, params.ap},
-      monitor_{medium_} {
+      ap_{sim_, medium_, params.ap} {
   // Bridge port: all LAN traffic to unknown (wireless) addresses lands here.
   bridge_port_ = lan_.attach_default(proxy_->wired_sink());
   proxy_->set_wired_tx([this](net::Packet pkt) {
@@ -72,8 +71,7 @@ Testbed::Testbed(TestbedParams params,
 
   // Fault plan: wired to every faultable component; windows arm at start().
   if (params_.fault.any()) {
-    fault_ = std::make_unique<fault::FaultPlan>(sim_, params_.fault,
-                                                params_.seed);
+    fault_ = std::make_unique<fault::FaultPlan>(sim_, params_.fault);
     fault_->attach_medium(medium_);
     fault_->attach_access_point(ap_);
     fault_->attach_wired_link(proxy_ap_link_->a_to_b(),
@@ -104,17 +102,13 @@ Testbed::Testbed(TestbedParams params,
   }
 
   // Channel-quality model: replaces the medium's flat p_loss with the
-  // per-client state ladder and gives the proxy a quality observer.  On
-  // faulted runs the FaultPlan owns the loss model instead, but its GE
-  // chain (when present) still serves the proxy as a read-only observer.
+  // per-client state ladder and gives the proxy a quality observer.  It
+  // composes with fault windows: a deep fade overrides it on the medium.
   if (params_.channel.enabled) {
-    PP_CHECK(!params_.fault.any(), "exp.testbed.channel_vs_fault");
     channel_ = std::make_unique<channel::ChannelModel>(params_.channel,
                                                        params_.seed);
     medium_.set_loss_model(channel_.get());
     proxy_->set_channel_observer(channel_.get());
-  } else if (fault_ && fault_->channel_observer() != nullptr) {
-    proxy_->set_channel_observer(fault_->channel_observer());
   }
 
   // Clients.  Energy state lives in the shared fleet ledger (one SoA row
@@ -146,6 +140,11 @@ Testbed::Testbed(TestbedParams params,
       for (auto& c : clients_) c->set_obs(hook);
   }
 #endif
+}
+
+trace::MonitoringStation& Testbed::monitor() {
+  if (!monitor_) monitor_.emplace(medium_);
+  return *monitor_;
 }
 
 net::Node& Testbed::add_server(const std::string& name) {
@@ -198,10 +197,6 @@ void Testbed::publish_sim_metrics() {
   m->counter("sim.events.stale_pruned")->inc(qs.stale_pruned);
   m->counter("sim.events.slab_slots")
       ->inc(static_cast<std::uint64_t>(sim_.queue_slab_slots()));
-  m->counter("sim.alloc.callbacks_inline")->inc(qs.alloc.callbacks_inline);
-  m->counter("sim.alloc.callbacks_pooled")->inc(qs.alloc.callbacks_pooled);
-  m->counter("sim.alloc.pool_reuses")->inc(qs.alloc.pool_reuses);
-  m->counter("sim.alloc.pool_allocs")->inc(qs.alloc.pool_allocs);
 #endif
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,8 @@ struct TestbedParams {
   fault::FaultSpec fault{};
   // Channel-quality model (see src/channel/).  When enabled a ChannelModel
   // with per-client deterministic streams replaces the medium's flat p_loss
-  // and the proxy observes per-client state at each SRP.  Mutually
-  // exclusive with `fault` — the FaultPlan owns the loss model on faulted
-  // runs (its GE chain is exposed to the proxy as a read-only observer).
+  // and the proxy observes per-client state at each SRP.  Composes with
+  // `fault`: deep-fade windows override it on the faded client's channel.
   channel::ChannelSpec channel{};
   // Attach a MetricsRegistry + Timeline to every component.  Disable to
   // run with all instrumentation hooks detached (near-zero overhead; see
@@ -74,7 +74,10 @@ class Testbed {
   sim::Simulator& sim() { return sim_; }
   net::WirelessMedium& medium() { return medium_; }
   proxy::TransparentProxy& proxy() { return *proxy_; }
-  trace::MonitoringStation& monitor() { return monitor_; }
+  // The monitoring station, attached to the medium on first call: it
+  // records only the frames sent from then on, so call it before running
+  // when the trace is wanted.
+  trace::MonitoringStation& monitor();
   net::AccessPoint& access_point() { return ap_; }
 
   // The unified observer (null when params.observe is false or the build
@@ -107,7 +110,7 @@ class Testbed {
   // aborts (or throws under a test handler) on the first violation.
   void finalize_audit(sim::Time horizon);
 
-  // Snapshot the event engine's sim.events.* / sim.alloc.* counters into
+  // Snapshot the event engine's sim.events.* counters into
   // the metrics registry (no-op when not observing; idempotent).  Called
   // by finalize_audit; exposed for drivers that skip the audit.
   void publish_sim_metrics();
@@ -129,7 +132,7 @@ class Testbed {
   net::AccessPoint ap_;
   std::unique_ptr<net::PointToPointLink> proxy_ap_link_;
   std::unique_ptr<net::ChannelSink> ap_uplink_sink_;
-  trace::MonitoringStation monitor_;
+  std::optional<trace::MonitoringStation> monitor_;
   std::unique_ptr<fault::FaultPlan> fault_;
   std::unique_ptr<channel::ChannelModel> channel_;
   std::shared_ptr<obs::Observer> observer_;

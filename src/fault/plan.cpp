@@ -12,13 +12,13 @@ namespace pp::fault {
 
 namespace {
 
-// Stream tag folded into the run seed so fault draws are independent of the
-// simulator's shared stream (and of any future named stream with its own
-// tag).  Changing this constant changes every faulted run.
-constexpr std::uint64_t kFaultStreamTag = 0xFA011E57'0DD5EEDEULL;
+bool per_client(FaultKind k) {
+  return k == FaultKind::DeepFade || k == FaultKind::ClientChurn;
+}
 
-// Separate stream for churn-storm expansion: storm timing must not perturb
-// (or be perturbed by) the corruption draw sequence above.
+// Stream tag folded into the run seed so churn-storm expansion is
+// independent of the simulator's shared stream and of the channel streams.
+// Changing this constant changes every churn-storm run.
 constexpr std::uint64_t kChurnStreamTag = 0xC1108A17'F1A55EEDULL;
 
 }  // namespace
@@ -37,10 +37,6 @@ const char* to_string(FaultKind k) {
       return "client_churn";
   }
   return "?";
-}
-
-sim::Rng fault_stream(std::uint64_t run_seed) {
-  return sim::Rng{run_seed ^ kFaultStreamTag};
 }
 
 sim::Rng churn_stream(std::uint64_t run_seed) {
@@ -90,26 +86,8 @@ std::vector<FaultWindow> expand_churn_storm(
   return windows;
 }
 
-FaultPlan::FaultPlan(sim::Simulator& sim, FaultSpec spec,
-                     std::uint64_t run_seed)
-    : sim_{sim}, spec_{std::move(spec)}, rng_{fault_stream(run_seed)} {
-  if (spec_.ge.enabled) {
-    // Delegate the chain to the channel subsystem in shared-stream mode,
-    // seeded with the same named fault stream the private implementation
-    // used: the draw sequence (one transition draw per attempt, a loss
-    // draw only when the rung can lose) is reproduced bit for bit.
-    ge_chain_ = std::make_unique<channel::ChannelModel>(
-        channel::ChannelSpec::two_state(spec_.ge.p_good_bad,
-                                        spec_.ge.p_bad_good,
-                                        spec_.ge.loss_good, spec_.ge.loss_bad),
-        fault_stream(run_seed));
-  }
-}
-
-void FaultPlan::attach_medium(net::WirelessMedium& medium) {
-  base_p_loss_ = medium.params().p_loss;
-  medium.set_loss_model(this);
-}
+FaultPlan::FaultPlan(sim::Simulator& sim, FaultSpec spec)
+    : sim_{sim}, spec_{std::move(spec)} {}
 
 void FaultPlan::attach_wired_link(net::Channel& downlink,
                                   net::Channel& uplink) {
@@ -122,8 +100,6 @@ void FaultPlan::set_obs(obs::Hook hook) {
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
     ctr_activated_ = m->counter("fault.windows_activated");
     ctr_recovered_ = m->counter("fault.windows_recovered");
-    ctr_ge_losses_ = m->counter("fault.ge_losses");
-    ctr_fade_losses_ = m->counter("fault.fade_losses");
     hist_window_us_ = m->histogram("fault.window_us");
   });
 }
@@ -140,9 +116,9 @@ void FaultPlan::arm() {
 void FaultPlan::activate(const FaultWindow& w) {
   ++stats_.windows_activated;
   const int depth = ++depth_[w.kind];
-  // System-wide kinds nest (only the outermost edge applies); churn windows
-  // target distinct clients, so every window's own edges must fire.
-  if (depth == 1 || w.kind == FaultKind::ClientChurn) apply(w, true);
+  // System-wide kinds nest (only the outermost edge applies); per-client
+  // windows target distinct clients, so every window's own edges fire.
+  if (depth == 1 || per_client(w.kind)) apply(w, true);
   PP_OBS(if (ctr_activated_) ctr_activated_->inc();
          if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::FaultStart, w.client.raw(),
@@ -156,7 +132,7 @@ void FaultPlan::recover(const FaultWindow& w) {
               sim_.now());
   const bool closed = --it->second == 0;
   if (closed) depth_.erase(it);
-  if (closed || w.kind == FaultKind::ClientChurn) apply(w, false);
+  if (closed || per_client(w.kind)) apply(w, false);
   PP_OBS(if (ctr_recovered_) ctr_recovered_->inc();
          if (hist_window_us_) hist_window_us_->observe(
              static_cast<std::uint64_t>(w.duration.count_us()));
@@ -168,7 +144,7 @@ void FaultPlan::recover(const FaultWindow& w) {
 void FaultPlan::apply(const FaultWindow& w, bool on) {
   switch (w.kind) {
     case FaultKind::DeepFade:
-      // No component effect: corrupted() consults the open windows.
+      if (medium_ != nullptr) medium_->set_faded(w.client, on);
       break;
     case FaultKind::ApStall:
       if (ap_ != nullptr) ap_->set_stalled(on);
@@ -191,42 +167,10 @@ bool FaultPlan::active(FaultKind kind) const {
   return it != depth_.end() && it->second > 0;
 }
 
-bool FaultPlan::corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
-                          sim::Time now) {
-  // The wireless channel belongs to the (client, AP) pair: downlink frames
-  // carry the client as receiver; uplink frames reach the AP radio (address
-  // 0.0.0.0), so the transmitting client identifies the channel.
-  const net::Ipv4Addr chan = channel::station_of(pkt, receiver);
-
-  // Deep fades dominate: total loss on the faded channel, no RNG consumed,
-  // so fade windows never perturb the draw sequence of other channels.
-  for (const auto& w : spec_.windows) {
-    if (w.kind != FaultKind::DeepFade) continue;
-    if (w.client == chan && now >= w.start && now < w.end()) {
-      ++stats_.fade_losses;
-      PP_OBS(if (ctr_fade_losses_) ctr_fade_losses_->inc());
-      return true;
-    }
-  }
-
-  if (ge_chain_) {
-    // One chain step per delivery attempt; the delegated model keeps no obs
-    // hook of its own here, so fault counters stay the only publication.
-    const channel::ChannelModel::Attempt a = ge_chain_->attempt(chan);
-    if (a.worsened) ++stats_.ge_bad_entries;
-    if (a.lost) {
-      ++stats_.ge_losses;
-      PP_OBS(if (ctr_ge_losses_) ctr_ge_losses_->inc());
-      return true;
-    }
-    return false;
-  }
-
-  if (base_p_loss_ > 0 && rng_.chance(base_p_loss_)) {
-    ++stats_.base_losses;
-    return true;
-  }
-  return false;
+FaultStats FaultPlan::stats() const {
+  FaultStats s = stats_;
+  if (medium_ != nullptr) s.fade_losses = medium_->fade_losses();
+  return s;
 }
 
 }  // namespace pp::fault

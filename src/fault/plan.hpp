@@ -1,27 +1,19 @@
 // FaultPlan: the runtime half of the fault-injection layer.
 //
-// Constructed from a FaultSpec plus the run seed, a FaultPlan
-//
-//  * implements net::ChannelLossModel, replacing the medium's uniform
-//    per-frame corruption with Gilbert-Elliott correlated loss plus
-//    per-client deep-fade windows (falling back to the medium's configured
-//    p_loss when the GE chain is disabled);
-//  * schedules every fault window on the simulator, applying and reverting
-//    the component effect (AP stall, link flap, proxy pause) at the window
-//    edges and recording FaultStart/FaultEnd timeline events that the
-//    check::Auditor pairs up;
-//  * draws every random number from its own named RNG stream, derived
-//    deterministically from the run seed -- never from the simulator's
-//    shared stream -- so a faulted run stays a pure function of its config
-//    and replay digests keep holding under different hash salts.
+// Constructed from a FaultSpec, a FaultPlan schedules every fault window
+// on the simulator, applies and reverts the component effect at the window
+// edges (deep fade on the medium, AP stall, link flap, proxy pause, client
+// churn), and records FaultStart/FaultEnd timeline events that the
+// check::Auditor pairs up.  It draws no random numbers: window edges are
+// pure data, so a faulted run stays a pure function of its config and
+// replay digests keep holding under different hash salts.  Frame
+// corruption is the medium's loss model, never the plan's.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 
-#include "channel/model.hpp"
 #include "fault/spec.hpp"
 #include "net/link.hpp"
 #include "net/wireless.hpp"
@@ -38,23 +30,19 @@ namespace pp::fault {
 struct FaultStats {
   std::uint64_t windows_activated = 0;
   std::uint64_t windows_recovered = 0;
-  std::uint64_t ge_losses = 0;       // frames corrupted by the GE chain
-  std::uint64_t fade_losses = 0;     // frames killed by a deep-fade window
-  std::uint64_t base_losses = 0;     // uniform fallback corruption
-  std::uint64_t ge_bad_entries = 0;  // transitions into the bad state
+  std::uint64_t fade_losses = 0;  // frames killed by a deep-fade window
 };
 
-class FaultPlan : public net::ChannelLossModel {
+class FaultPlan {
  public:
-  FaultPlan(sim::Simulator& sim, FaultSpec spec, std::uint64_t run_seed);
+  FaultPlan(sim::Simulator& sim, FaultSpec spec);
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
   // -- Wiring (all optional; unwired effects are skipped) -------------------------
-  // Registers this plan as the medium's loss model and adopts the medium's
-  // p_loss as the fallback corruption probability when GE is disabled.
-  void attach_medium(net::WirelessMedium& medium);
+  // DeepFade windows fade the client's channel on this medium.
+  void attach_medium(net::WirelessMedium& medium) { medium_ = &medium; }
   void attach_access_point(net::AccessPoint& ap) { ap_ = &ap; }
   // Both directions of the proxy <-> AP wired link (flapped together).
   void attach_wired_link(net::Channel& downlink, net::Channel& uplink);
@@ -76,22 +64,11 @@ class FaultPlan : public net::ChannelLossModel {
   // Schedule every window on the simulator.  Call once, before running.
   void arm();
 
-  // net::ChannelLossModel: one call per (frame, receiver) delivery attempt.
-  bool corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
-                 sim::Time now) override;
-
-  const FaultStats& stats() const { return stats_; }
+  // Window counters, plus the attached medium's fade losses.
+  FaultStats stats() const;
   const FaultSpec& spec() const { return spec_; }
   // True while any window of `kind` is open (diagnostics / tests).
   bool active(FaultKind kind) const;
-
-  // Query surface over the delegated Gilbert-Elliott chain (null when the
-  // chain is disabled).  The proxy's channel-aware policies consume this on
-  // faulted runs; querying never draws RNG, so wiring it cannot perturb
-  // replay digests.
-  const channel::ChannelObserver* channel_observer() const {
-    return ge_chain_.get();
-  }
 
  private:
   void activate(const FaultWindow& w);
@@ -100,20 +77,14 @@ class FaultPlan : public net::ChannelLossModel {
 
   sim::Simulator& sim_;
   FaultSpec spec_;
-  sim::Rng rng_;  // named stream: fault draws only, never sim_.rng()
-  double base_p_loss_ = 0.0;
 
+  net::WirelessMedium* medium_ = nullptr;
   net::AccessPoint* ap_ = nullptr;
   net::Channel* link_down_ = nullptr;
   net::Channel* link_up_ = nullptr;
   std::function<void(bool)> proxy_pause_;
   std::function<void(net::Ipv4Addr, bool)> churn_;
 
-  // The Gilbert-Elliott chain, delegated to the channel subsystem in
-  // shared-stream mode: the model replays the exact per-attempt draw
-  // sequence this class produced when it owned the chain privately, so
-  // faulted-run digests are unchanged.  Null when spec_.ge is disabled.
-  std::unique_ptr<channel::ChannelModel> ge_chain_;
   // Open-window depth per kind, so overlapping windows of one kind nest.
   std::map<FaultKind, int> depth_;
 
@@ -121,18 +92,11 @@ class FaultPlan : public net::ChannelLossModel {
   obs::Hook obs_;
   obs::Counter* ctr_activated_ = nullptr;
   obs::Counter* ctr_recovered_ = nullptr;
-  obs::Counter* ctr_ge_losses_ = nullptr;
-  obs::Counter* ctr_fade_losses_ = nullptr;
   obs::Histogram* hist_window_us_ = nullptr;
 };
 
-// The named fault RNG stream: an independent generator derived from the run
-// seed and a fixed stream tag.  Exposed so tests can prove fault draws
-// reproduce without constructing a plan.
-sim::Rng fault_stream(std::uint64_t run_seed);
-
-// The named churn RNG stream, consumed only by expand_churn_storm — its
-// own tag so storm timing never correlates with the corruption draws.
+// The named churn RNG stream, consumed only by expand_churn_storm:
+// derived from the run seed and its own tag, never the simulator's stream.
 sim::Rng churn_stream(std::uint64_t run_seed);
 
 // Expand a churn storm into concrete per-client ClientChurn windows over

@@ -1,12 +1,14 @@
 // Fault specifications: the declarative half of the fault-injection layer.
 //
 // A FaultSpec describes everything that can go wrong during a run, as pure
-// data: a Gilbert-Elliott two-state channel model (correlated/bursty frame
-// corruption, the pathology uniform `p_loss` cannot express) and a list of
-// typed fault windows (per-client deep fades, access-point forwarding
-// stalls, wired link flaps, proxy pause/resume).  The spec lives in
-// configuration structs (exp::ScenarioConfig, exp::TestbedParams); the
-// runtime half that schedules and applies it is fault::FaultPlan.
+// data: a list of typed fault windows (per-client deep fades, access-point
+// forwarding stalls, wired link flaps, proxy pause/resume, client churn)
+// plus an optional churn storm that expands into churn windows.  Random
+// frame corruption is not a fault: it belongs to the medium's loss model
+// (flat p_loss or a channel::ChannelSpec, e.g. the Gilbert-Elliott
+// two_state preset).  The spec lives in configuration structs
+// (exp::ScenarioConfig, exp::TestbedParams); the runtime half that
+// schedules and applies it is fault::FaultPlan.
 //
 // Deliberately light on dependencies (addresses and times only) so that
 // config-level code can embed a spec without pulling in the network stack.
@@ -19,19 +21,6 @@
 #include "sim/time.hpp"
 
 namespace pp::fault {
-
-// Two-state Markov channel (Gilbert-Elliott).  The chain advances one step
-// per delivery attempt on the affected station's channel; each state
-// corrupts frames with its own probability.  Mean sojourn in a state is
-// 1/p_exit attempts, so small transition probabilities model fades that
-// span many frames -- the correlated-loss behaviour of real WLANs.
-struct GilbertElliottParams {
-  bool enabled = false;
-  double p_good_bad = 0.005;  // per-attempt transition into the bad state
-  double p_bad_good = 0.02;   // per-attempt transition back to good
-  double loss_good = 0.001;   // corruption probability in the good state
-  double loss_bad = 0.85;     // corruption probability in the bad state
-};
 
 // What a fault window does while it is open.
 enum class FaultKind : std::uint8_t {
@@ -78,11 +67,10 @@ struct ChurnStorm {
 };
 
 struct FaultSpec {
-  GilbertElliottParams ge{};
   std::vector<FaultWindow> windows;
   ChurnStorm storm{};
 
-  bool any() const { return ge.enabled || storm.enabled || !windows.empty(); }
+  bool any() const { return storm.enabled || !windows.empty(); }
 
   // -- Convenience builders -------------------------------------------------------
   FaultSpec& fade(net::Ipv4Addr client, sim::Time start, sim::Duration dur) {

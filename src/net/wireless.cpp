@@ -37,6 +37,16 @@ void WirelessMedium::set_obs(obs::Hook hook) {
   });
 }
 
+void WirelessMedium::set_faded(Ipv4Addr ip, bool on) {
+  for (StationId i = 0; i < stations_.size(); ++i) {
+    if (i == ap_ || stations_[i].ip != ip) continue;
+    int& fades = stations_[i].fades;
+    fades += on ? 1 : -1;
+    PP_CHECK_AT(fades >= 0, "net.wireless.fade_pairing", sim_.now());
+    return;
+  }
+}
+
 bool WirelessMedium::station_listening(Ipv4Addr ip) const {
   for (const auto& e : stations_) {
     if (e.ip == ip) return e.station->listening();
@@ -139,29 +149,31 @@ void WirelessMedium::finish_burst(ChunkQueue burst, sim::Time air_start) {
     }
     bool any_delivered = false;
     if (keep) {
-      deliver_to(receiver, pkt, frame_start, airtime, any_delivered);
+      deliver_to(receiver, receiver, pkt, airtime, any_delivered);
       SnifferRecord rec{std::move(pkt), frame_start, airtime,
                        /*from_ap=*/true, any_delivered};
       for (auto& s : sniffers_) s(rec);
     } else {
-      deliver_to(receiver, std::move(pkt), frame_start, airtime,
-                 any_delivered);
+      deliver_to(receiver, receiver, std::move(pkt), airtime, any_delivered);
     }
   }
 }
 
-void WirelessMedium::deliver_to(StationId receiver, Packet pkt,
-                                sim::Time air_start, sim::Duration airtime,
+void WirelessMedium::deliver_to(StationId receiver, StationId channel,
+                                Packet pkt, sim::Duration airtime,
                                 bool& any_delivered) {
-  (void)air_start;
   WirelessStation& st = *stations_[receiver].station;
-  // The corruption draw happens whether or not the station is listening,
-  // so installing a model (or changing p_loss) consumes the same number of
+  // A faded channel loses the frame outright, with no draw.  Otherwise the
+  // corruption draw happens whether or not the station is listening, so
+  // installing a model (or changing p_loss) consumes the same number of
   // draws regardless of sleep schedules.
+  const bool faded = stations_[channel].fades > 0;
+  if (faded) ++fade_losses_;
   const bool corrupted =
-      loss_model_ != nullptr
-          ? loss_model_->corrupted(pkt, stations_[receiver].ip, sim_.now())
-          : (params_.p_loss > 0 && sim_.rng().chance(params_.p_loss));
+      faded ||
+      (loss_model_ != nullptr
+           ? loss_model_->corrupted(pkt, stations_[receiver].ip, sim_.now())
+           : (params_.p_loss > 0 && sim_.rng().chance(params_.p_loss)));
   if (st.listening() && !corrupted) {
     st.deliver(std::move(pkt), airtime);
     any_delivered = true;
@@ -192,9 +204,9 @@ void WirelessMedium::finish_frame(StationId sender, Packet pkt,
       for (StationId i = 0; i < stations_.size(); ++i) {
         if (i == ap_) continue;
         if (!keep && i == last) {
-          deliver_to(i, std::move(pkt), air_start, airtime, any_delivered);
+          deliver_to(i, i, std::move(pkt), airtime, any_delivered);
         } else {
-          deliver_to(i, pkt, air_start, airtime, any_delivered);
+          deliver_to(i, i, pkt, airtime, any_delivered);
         }
       }
     } else {
@@ -203,9 +215,9 @@ void WirelessMedium::finish_frame(StationId sender, Packet pkt,
       for (StationId i = 0; i < stations_.size(); ++i) {
         if (i != ap_ && stations_[i].ip == pkt.dst) {
           if (keep) {
-            deliver_to(i, pkt, air_start, airtime, any_delivered);
+            deliver_to(i, i, pkt, airtime, any_delivered);
           } else {
-            deliver_to(i, std::move(pkt), air_start, airtime, any_delivered);
+            deliver_to(i, i, std::move(pkt), airtime, any_delivered);
           }
           found = true;
           break;
@@ -216,9 +228,9 @@ void WirelessMedium::finish_frame(StationId sender, Packet pkt,
   } else {
     // Uplink: always handed to the access point (infrastructure mode).
     if (keep) {
-      deliver_to(ap_, pkt, air_start, airtime, any_delivered);
+      deliver_to(ap_, sender, pkt, airtime, any_delivered);
     } else {
-      deliver_to(ap_, std::move(pkt), air_start, airtime, any_delivered);
+      deliver_to(ap_, sender, std::move(pkt), airtime, any_delivered);
     }
   }
   const bool from_ap = sender == ap_;

@@ -141,10 +141,19 @@ class WirelessMedium {
   // restores the built-in draw).  Not owned; must outlive the medium.
   void set_loss_model(ChannelLossModel* model) { loss_model_ = model; }
 
+  // Deep fade on the channel of the station owning `ip`: while faded, every
+  // frame to that station, or from it to the access point, is lost before
+  // the loss model is consulted and without any random draw, so a fade
+  // never shifts a draw sequence.  Calls nest (on/off pairs).
+  void set_faded(Ipv4Addr ip, bool on);
+  // Frames lost to a deep fade.
+  std::uint64_t fade_losses() const { return fade_losses_; }
+
  private:
   struct Entry {
     WirelessStation* station;
     Ipv4Addr ip;
+    int fades = 0;  // open deep-fade windows on this station's channel
   };
 
   void finish_frame(StationId sender, Packet pkt, sim::Time air_start,
@@ -153,7 +162,9 @@ class WirelessMedium {
   // Takes the packet by value: callers copy for all but the final delivery
   // of a frame and move for the last one, so a unicast frame's payload
   // shared_ptr is handed down the stack without refcount churn.
-  void deliver_to(StationId receiver, Packet pkt, sim::Time air_start,
+  // `channel` is the client station whose link the frame crosses: the
+  // receiver for downlink, the sender for uplink.
+  void deliver_to(StationId receiver, StationId channel, Packet pkt,
                   sim::Duration airtime, bool& any_delivered);
 
   sim::Simulator& sim_;
@@ -164,6 +175,7 @@ class WirelessMedium {
   std::vector<SnifferFn> sniffers_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_missed_ = 0;
+  std::uint64_t fade_losses_ = 0;
   ChannelLossModel* loss_model_ = nullptr;
 
   obs::Hook obs_;

@@ -9,7 +9,7 @@ namespace pp::proxy {
 namespace {
 
 // Stream tag folded into the run seed so policy draws are independent of
-// the simulator's shared stream and of the other named streams (fault,
+// the simulator's shared stream and of the other named streams (churn,
 // channel).  Changing this constant changes every probabilistic-policy run.
 constexpr std::uint64_t kPolicyStreamTag = 0x5C4ED001'BA5EBA11ULL;
 

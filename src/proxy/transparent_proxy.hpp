@@ -186,10 +186,9 @@ class TransparentProxy {
   void reserve_clients(std::size_t n);
 
   // Wire a channel-quality observer (owned elsewhere — typically the
-  // testbed's ChannelModel, or the FaultPlan's delegated GE chain).  When
-  // set, each SRP's demand snapshot carries the per-client ChannelView so
-  // channel-aware policies can act on it.  Queries only: never perturbs
-  // the observed model's RNG streams.
+  // testbed's ChannelModel).  When set, each SRP's demand snapshot carries
+  // the per-client ChannelView so channel-aware policies can act on it.
+  // Queries only: never perturbs the observed model's RNG streams.
   void set_channel_observer(const channel::ChannelObserver* obs) {
     channel_obs_ = obs;
   }

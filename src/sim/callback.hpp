@@ -5,92 +5,18 @@
 // path (a lambda capturing `this` plus a net::Packet is ~120 bytes), so
 // every hop of every packet used to pay a heap allocation.  EventCallback
 // fixes the buffer size at kInlineCapacity — chosen to hold the largest
-// steady-state capture in the simulator with headroom — and stores the
-// callable inline whenever it fits and is nothrow-movable.  Oversized or
-// throwing-move captures fall back to a CallbackPool block: a size-classed
-// free list owned by the EventQueue, so even the fallback stops hitting
-// the allocator once the pool is warm.
-//
-// AllocStats counts both paths; the EventQueue publishes them as the
-// `sim.alloc.*` metrics.  An EventCallback (and anything moved out of the
-// queue, e.g. EventQueue::Fired) must not outlive the pool it was built
-// against — in practice, the Simulator that scheduled it.
+// steady-state capture in the simulator with headroom — and always stores
+// the callable inline: a capture that does not fit (or whose move can
+// throw) is a compile error at the scheduling call site, so there is no
+// fallback path to count or to warm up.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstddef>
-#include <cstdint>
 #include <new>  // pp-lint: allow(raw-new): header name, not an expression
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace pp::sim {
-
-// Allocation behaviour of the scheduling path (see EventQueue::stats()).
-struct AllocStats {
-  std::uint64_t callbacks_inline = 0;  // captures stored in the SBO buffer
-  std::uint64_t callbacks_pooled = 0;  // oversized captures (pool fallback)
-  std::uint64_t pool_reuses = 0;       // pool blocks served from a free list
-  std::uint64_t pool_allocs = 0;       // pool blocks taken from the heap
-};
-
-// Size-classed free lists for oversized callback captures.  Blocks are
-// rounded up to a power of two; released blocks park on the class's free
-// list and are handed back on the next allocation of that class, so a
-// steady-state simulation stops allocating once its largest captures have
-// been seen once.  All blocks are returned to the heap on destruction.
-class CallbackPool {
- public:
-  explicit CallbackPool(AllocStats& stats) : stats_{stats} {}
-  ~CallbackPool() {
-    for (auto& cls : free_) {
-      // Every live block was handed out by allocate() below and funnels
-      // back through release(); this is the single point of return.
-      // pp-lint: allow(raw-delete): pool backing store teardown
-      for (void* p : cls) ::operator delete(p);
-    }
-  }
-
-  CallbackPool(const CallbackPool&) = delete;
-  CallbackPool& operator=(const CallbackPool&) = delete;
-
-  // Smallest power-of-two >= bytes (and >= kMinBlock).
-  static std::size_t size_class(std::size_t bytes) {
-    return std::size_t{1} << class_index(bytes);
-  }
-
-  void* allocate(std::size_t bytes) {
-    auto& cls = free_[class_index(bytes)];
-    if (!cls.empty()) {
-      void* p = cls.back();
-      cls.pop_back();
-      ++stats_.pool_reuses;
-      return p;
-    }
-    ++stats_.pool_allocs;
-    // Recycled via the free lists above; released in the destructor.
-    // pp-lint: allow(raw-new): pool backing store
-    return ::operator new(size_class(bytes));
-  }
-
-  void release(void* p, std::size_t bytes) {
-    free_[class_index(bytes)].push_back(p);
-  }
-
- private:
-  static constexpr std::size_t kMinBlock = 256;
-  static constexpr std::size_t kClasses = 32;  // up to 2^31-byte captures
-
-  static std::size_t class_index(std::size_t bytes) {
-    if (bytes <= kMinBlock) return std::bit_width(kMinBlock - 1);
-    return std::bit_width(bytes - 1);
-  }
-
-  std::array<std::vector<void*>, kClasses> free_;
-  AllocStats& stats_;
-};
 
 class EventCallback {
  public:
@@ -106,26 +32,16 @@ class EventCallback {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, EventCallback>>>
-  EventCallback(F&& fn, CallbackPool& pool, AllocStats& stats) {
+  explicit EventCallback(F&& fn) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>);
-    if constexpr (fits_inline<Fn>()) {
-      // pp-lint: allow(raw-new): placement-new into the SBO buffer
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-      ops_ = &kInlineOps<Fn>;
-      ++stats.callbacks_inline;
-    } else {
-      HeapRep rep;
-      rep.block = pool.allocate(sizeof(Fn));
-      rep.pool = &pool;
-      rep.bytes = sizeof(Fn);
-      // pp-lint: allow(raw-new): placement-new into the pool block
-      ::new (rep.block) Fn(std::forward<F>(fn));
-      // pp-lint: allow(raw-new): placement-new of the block descriptor
-      ::new (static_cast<void*>(buf_)) HeapRep(rep);
-      ops_ = &kHeapOps<Fn>;
-      ++stats.callbacks_pooled;
-    }
+    static_assert(fits_inline<Fn>(),
+                  "event capture must fit EventCallback::kInlineCapacity "
+                  "(and be nothrow-movable): shrink the capture or raise "
+                  "kInlineCapacity");
+    // pp-lint: allow(raw-new): placement-new into the SBO buffer
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
   }
 
   EventCallback(EventCallback&& o) noexcept : ops_{o.ops_} {
@@ -167,7 +83,7 @@ class EventCallback {
   }
 
  private:
-  // Declared up front: the kInlineOps/kHeapOps initializers below name them.
+  // Declared up front: the kOps initializer below names it.
   alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
 
   struct Ops {
@@ -177,22 +93,13 @@ class EventCallback {
     void (*destroy)(EventCallback&) noexcept;
   };
 
-  struct HeapRep {
-    void* block;
-    CallbackPool* pool;
-    std::size_t bytes;
-  };
-
   template <typename Fn>
   Fn* inline_obj() {
     return std::launder(reinterpret_cast<Fn*>(buf_));
   }
-  HeapRep* heap_rep() {
-    return std::launder(reinterpret_cast<HeapRep*>(buf_));
-  }
 
   template <typename Fn>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       // invoke
       [](EventCallback& c) { (*c.inline_obj<Fn>())(); },
       // relocate
@@ -204,24 +111,6 @@ class EventCallback {
       },
       // destroy
       [](EventCallback& c) noexcept { c.inline_obj<Fn>()->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      // invoke
-      [](EventCallback& c) { (*static_cast<Fn*>(c.heap_rep()->block))(); },
-      // relocate: the capture stays in its pool block; only the three-word
-      // descriptor moves.
-      [](EventCallback& src, EventCallback& dst) noexcept {
-        // pp-lint: allow(raw-new): placement-new of the block descriptor
-        ::new (static_cast<void*>(dst.buf_)) HeapRep(*src.heap_rep());
-      },
-      // destroy
-      [](EventCallback& c) noexcept {
-        const HeapRep rep = *c.heap_rep();
-        static_cast<Fn*>(rep.block)->~Fn();
-        rep.pool->release(rep.block, rep.bytes);
-      },
   };
 
   const Ops* ops_ = nullptr;

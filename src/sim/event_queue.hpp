@@ -5,8 +5,8 @@
 // 24-byte (time, seq, slot) nodes orders them.  Sift operations therefore
 // move small PODs, never callbacks, and the steady-state schedule/fire
 // cycle performs zero heap allocations: fired and cancelled slots are
-// eagerly recycled through a free list, and oversized captures recycle
-// through the queue's CallbackPool.
+// eagerly recycled through a free list, and every capture lives inline in
+// its slot.
 //
 // Ordering is (time, insertion sequence) — simultaneous events fire in
 // schedule order, which keeps runs bit-deterministic and replay digests
@@ -68,10 +68,9 @@ class EventQueue {
     std::uint64_t cancelled = 0;
     // Stale heap nodes discarded (one per cancellation, eventually).
     std::uint64_t stale_pruned = 0;
-    AllocStats alloc;
   };
 
-  EventQueue() : pool_{stats_.alloc} {}
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -80,7 +79,7 @@ class EventQueue {
   EventHandle push(Time when, F&& fn) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
-    s.cb = EventCallback{std::forward<F>(fn), pool_, stats_.alloc};
+    s.cb = EventCallback{std::forward<F>(fn)};
     s.seq = next_seq_;
     heap_push(HeapNode{when, next_seq_, slot});
     ++next_seq_;
@@ -151,7 +150,6 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   mutable Stats stats_;
-  CallbackPool pool_;
 };
 
 inline bool EventHandle::pending() const {

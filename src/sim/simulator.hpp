@@ -46,8 +46,8 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::uint64_t events_fired() const { return events_fired_; }
-  // Scheduling/allocation behaviour of the event engine (sim.events.* /
-  // sim.alloc.* when published through obs).
+  // Scheduling behaviour of the event engine (sim.events.* when published
+  // through obs).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
   std::size_t queue_slab_slots() const { return queue_.slab_slots(); }
 

@@ -1,4 +1,4 @@
-// Self-tests for the pp_analyze / pp_lint rule families.
+// Self-tests for the pp_analyze rule families.
 //
 // Each rule runs against small positive/negative fixture trees under
 // tests/fixtures/analyze/ (PP_ANALYZE_FIXTURES points there).  Fixture

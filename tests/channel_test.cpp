@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "channel/model.hpp"
-#include "fault/plan.hpp"
 
 namespace pp::channel {
 namespace {
@@ -13,40 +12,9 @@ namespace {
 net::Ipv4Addr client_a() { return net::Ipv4Addr::octets(172, 16, 0, 1); }
 net::Ipv4Addr client_b() { return net::Ipv4Addr::octets(172, 16, 0, 2); }
 
-// Shared-stream two-state mode must reproduce the legacy Gilbert-Elliott
-// draw discipline bit for bit: one transition draw per attempt, then a
-// loss draw only when the post-transition state can lose.  This is what
-// keeps faulted replay digests unchanged across the FaultPlan delegation.
-TEST(ChannelModel, SharedStreamMatchesLegacyGilbertElliott) {
-  const double p_good_bad = 0.01, p_bad_good = 0.05;
-  const double loss_good = 0.0, loss_bad = 0.85;
-  const std::uint64_t seed = 42;
-
-  ChannelModel model{
-      ChannelSpec::two_state(p_good_bad, p_bad_good, loss_good, loss_bad),
-      fault::fault_stream(seed)};
-
-  // The legacy FaultPlan implementation, hand-rolled: a bool state per
-  // channel, all channels sharing one stream in attempt order.
-  sim::Rng legacy = fault::fault_stream(seed);
-  bool bad_a = false, bad_b = false;
-
-  for (int i = 0; i < 20000; ++i) {
-    const net::Ipv4Addr who = (i % 3 == 0) ? client_b() : client_a();
-    bool& bad = (who == client_b()) ? bad_b : bad_a;
-    if (bad) {
-      if (legacy.chance(p_bad_good)) bad = false;
-    } else {
-      if (legacy.chance(p_good_bad)) bad = true;
-    }
-    const double p = bad ? loss_bad : loss_good;
-    const bool legacy_lost = p > 0 && legacy.chance(p);
-
-    const ChannelModel::Attempt a = model.attempt(who);
-    ASSERT_EQ(a.lost, legacy_lost) << "attempt " << i;
-    ASSERT_EQ(a.state == 1, bad) << "attempt " << i;
-  }
-}
+// The i-th attempt time of the draw-sequence tests: a few attempts per
+// chain tick, so both the transition and the loss draws are exercised.
+sim::Time at(int i) { return sim::Time::ms(7 * i); }
 
 // Per-client streams: one client's attempt volume must not shift another
 // client's draw sequence.  B alone vs B interleaved with heavy A traffic
@@ -58,29 +26,29 @@ TEST(ChannelModel, PerClientStreamsAreIndependent) {
   ChannelModel solo{spec, seed};
   std::vector<bool> solo_losses;
   for (int i = 0; i < 5000; ++i) {
-    solo_losses.push_back(solo.attempt(client_b()).lost);
+    solo_losses.push_back(solo.attempt(client_b(), at(i)).lost);
   }
 
   ChannelModel mixed{spec, seed};
   std::vector<bool> mixed_losses;
   for (int i = 0; i < 5000; ++i) {
-    mixed.attempt(client_a());
-    mixed.attempt(client_a());
-    mixed_losses.push_back(mixed.attempt(client_b()).lost);
+    mixed.attempt(client_a(), at(i));
+    mixed.attempt(client_a(), at(i));
+    mixed_losses.push_back(mixed.attempt(client_b(), at(i)).lost);
   }
 
   EXPECT_EQ(solo_losses, mixed_losses);
 }
 
-// Same spec + same seed => bit-identical behaviour (both stream modes are
-// pure functions of their seeds).
+// Same spec + same seed => bit-identical behaviour (the per-client streams
+// are pure functions of the run seed).
 TEST(ChannelModel, SameSeedReproduces) {
   const ChannelSpec spec = ChannelSpec::ladder(4, 0.5);
   ChannelModel m1{spec, 99991};
   ChannelModel m2{spec, 99991};
   for (int i = 0; i < 3000; ++i) {
-    const auto a1 = m1.attempt(client_a());
-    const auto a2 = m2.attempt(client_a());
+    const auto a1 = m1.attempt(client_a(), at(i));
+    const auto a2 = m2.attempt(client_a(), at(i));
     ASSERT_EQ(a1.lost, a2.lost);
     ASSERT_EQ(a1.state, a2.state);
   }
@@ -90,7 +58,7 @@ TEST(ChannelModel, LadderStateStaysInBounds) {
   const ChannelSpec spec = ChannelSpec::ladder(3, 0.9);
   ChannelModel model{spec, 13};
   for (int i = 0; i < 50000; ++i) {
-    const auto a = model.attempt(client_a());
+    const auto a = model.attempt(client_a(), at(i));
     ASSERT_GE(a.state, 0);
     ASSERT_LT(a.state, spec.num_states());
   }
@@ -119,7 +87,7 @@ TEST(ChannelModel, BadMeansWorstRung) {
   spec.rungs = {ChannelRung{0.0, 1.0, 0.0, 4e6},
                 ChannelRung{0.0, 0.0, 1.0, 1e6}};
   ChannelModel model{spec, 5};
-  const auto a = model.attempt(client_a());
+  const auto a = model.attempt(client_a(), ChannelModel::kTick);
   EXPECT_EQ(a.state, 1);
   EXPECT_TRUE(a.lost);
   EXPECT_TRUE(a.worsened);
@@ -129,53 +97,36 @@ TEST(ChannelModel, BadMeansWorstRung) {
   EXPECT_LT(v.goodput_bps, spec.rungs[1].goodput_bps);
 }
 
-// Time-based stepping (tick_s > 0): the chain is caught up with one
-// transition draw per elapsed tick at each attempt, so a fade evolves in
-// wall-clock time even while the client receives nothing.
+// Time-based stepping: the chain is caught up with one transition draw per
+// elapsed 20 ms tick at each attempt, so a fade evolves in wall-clock time
+// even while the client receives nothing.
 TEST(ChannelModel, TickedChainCatchesUpWithElapsedTime) {
   ChannelSpec spec;
   spec.enabled = true;
-  spec.tick_s = 0.02;
   // Certain one-way descent: each tick moves the chain one rung down.
   spec.rungs = {ChannelRung{0.0, 1.0, 0.0, 4e6},
                 ChannelRung{0.0, 1.0, 0.0, 2e6},
                 ChannelRung{0.0, 0.0, 0.0, 1e6}};
   ChannelModel model{spec, 3};
   // Two ticks elapsed by t=41ms: bottom of a 3-rung ladder.
-  const auto a = model.attempt_at(client_a(), sim::Time::ms(41));
+  const auto a = model.attempt(client_a(), sim::Time::ms(41));
   EXPECT_EQ(a.state, 2);
   EXPECT_TRUE(a.worsened);
   // No further ticks before t=59ms: state unchanged, no transition draws.
-  const auto b = model.attempt_at(client_a(), sim::Time::ms(59));
+  const auto b = model.attempt(client_a(), sim::Time::ms(59));
   EXPECT_EQ(b.state, 2);
   EXPECT_FALSE(b.worsened);
 }
 
 TEST(ChannelModel, TickedAttemptsAreDeterministic) {
   const ChannelSpec spec = ChannelSpec::ladder(3, 0.85);
-  ASSERT_GT(spec.tick_s, 0.0);
   ChannelModel m1{spec, 99991};
   ChannelModel m2{spec, 99991};
   for (int i = 1; i <= 2000; ++i) {
-    const sim::Time t = sim::Time::ms(7 * i);
-    const auto a1 = m1.attempt_at(client_a(), t);
-    const auto a2 = m2.attempt_at(client_a(), t);
+    const auto a1 = m1.attempt(client_a(), at(i));
+    const auto a2 = m2.attempt(client_a(), at(i));
     ASSERT_EQ(a1.lost, a2.lost);
     ASSERT_EQ(a1.state, a2.state);
-  }
-}
-
-TEST(ChannelModel, ZeroTickAttemptAtMatchesLegacyAttempt) {
-  const ChannelSpec spec =
-      ChannelSpec::two_state(0.01, 0.05, 0.0, 0.85);
-  ASSERT_EQ(spec.tick_s, 0.0);
-  ChannelModel timed{spec, 11};
-  ChannelModel legacy{spec, 11};
-  for (int i = 0; i < 5000; ++i) {
-    const auto a = timed.attempt_at(client_a(), sim::Time::ms(i));
-    const auto b = legacy.attempt(client_a());
-    ASSERT_EQ(a.lost, b.lost);
-    ASSERT_EQ(a.state, b.state);
   }
 }
 
@@ -185,9 +136,9 @@ TEST(ChannelModel, ViewOfNeverPerturbsDraws) {
   ChannelModel quiet{spec, 23};
   ChannelModel queried{spec, 23};
   for (int i = 0; i < 2000; ++i) {
-    const auto a1 = quiet.attempt(client_a());
+    const auto a1 = quiet.attempt(client_a(), at(i));
     for (int q = 0; q < 3; ++q) (void)queried.view_of(client_a());
-    const auto a2 = queried.attempt(client_a());
+    const auto a2 = queried.attempt(client_a(), at(i));
     ASSERT_EQ(a1.lost, a2.lost);
     ASSERT_EQ(a1.state, a2.state);
   }

@@ -153,16 +153,15 @@ TEST(DeterminismTest, DigestIsSensitiveToConfig) {
 
 // The acceptance property for the fault layer: a run with the full fault
 // battery armed — Gilbert-Elliott bursty loss, every window kind, k-repeat
-// and miss escalation — stays a pure function of its config.  The fault
-// stream is named (derived from the run seed, never sim_.rng()), so the
-// hash salt must not leak into any fault draw or recovery path.
+// and miss escalation — stays a pure function of its config.  Channel
+// streams are named (derived from the run seed, never sim_.rng()) and the
+// windows draw nothing, so the hash salt must not leak into any loss draw
+// or recovery path.
 ScenarioConfig faulted_config() {
   ScenarioBuilder b = short_mixed_builder();
+  // Bad sojourns (~100 ticks, 2 s) span multiple SRPs.
+  b.channel(channel::ChannelSpec::two_state(0.02, 0.01, 0.001, 0.9));
   auto& f = b.fault_spec();
-  f.ge.enabled = true;
-  f.ge.p_good_bad = 0.02;
-  f.ge.p_bad_good = 0.01;  // bad sojourns span multiple SRPs
-  f.ge.loss_bad = 0.9;
   f.fade(testbed_client_ip(0), Time::ms(2500), Time::ms(1200));
   f.ap_stall(Time::ms(5000), Time::ms(700));
   f.link_flap(Time::ms(7000), Time::ms(400));
@@ -190,10 +189,7 @@ TEST(DeterminismTest, DigestIsSensitiveToFaultSpec) {
   ScopedHashSalt s{1};
   const ScenarioConfig a = short_mixed_config();
   ScenarioConfig b = a;
-  b.fault.ge.enabled = true;
-  b.fault.ge.p_good_bad = 0.05;
-  b.fault.ge.p_bad_good = 0.05;
-  b.fault.ge.loss_bad = 0.9;
+  b.fault.fade(testbed_client_ip(0), Time::ms(2500), Time::ms(1200));
   EXPECT_NE(run_digest(a), run_digest(b));
 }
 
@@ -242,6 +238,38 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PolicyDeterminismTest,
                                            IntervalPolicy::Opportunistic500,
                                            IntervalPolicy::Probabilistic500));
 
+// Channel ladder, fault windows and a churn storm compose: a bursty
+// per-client ladder under the channel-aware opportunistic policy, with a
+// deep fade, an AP stall and a storm flapping a quarter of the cell, builds,
+// passes every end-of-run audit (run_scenario finalizes them), and replays
+// identically under a different hash salt.
+TEST(DeterminismTest, ChannelFaultsAndChurnComposeAndDigestIsSaltInvariant) {
+  ScenarioBuilder b = ScenarioBuilder{}
+                          .video(3, 1)
+                          .video(2, 2)
+                          .web(1)
+                          .policy(IntervalPolicy::Opportunistic500)
+                          .duration_s(14.0)
+                          .channel(channel::ChannelSpec::ladder(3, 0.85));
+  b.fault_spec()
+      .fade(testbed_client_ip(0), Time::ms(3000), Time::ms(1500))
+      .ap_stall(Time::ms(6000), Time::ms(700))
+      .churn_storm(Time::seconds(2.0), Time::seconds(10.0), 0.25);
+  const ScenarioConfig cfg = b.build();
+  std::uint64_t d1 = 0;
+  std::uint64_t d2 = 0;
+  {
+    ScopedHashSalt s{1};
+    d1 = run_digest(cfg);
+  }
+  {
+    ScopedHashSalt s{99991};
+    d2 = run_digest(cfg);
+  }
+  EXPECT_NE(d1, 0u);
+  EXPECT_EQ(d1, d2);
+}
+
 TEST(DeterminismTest, DigestIsSensitiveToChannelSpec) {
   ScopedHashSalt s{1};
   const ScenarioConfig a =
@@ -287,22 +315,24 @@ TEST(PinnedDigestTest, LegacyScenariosUnchanged) {
   EXPECT_EQ(run_digest(web), 0x4d758b7f3509f48aull);
 }
 
+// Re-pinned once, on purpose (salt 0007): Gilbert-Elliott loss moved from
+// the fault layer's shared-stream, per-attempt chain to the two_state
+// ChannelSpec preset (per-client streams, 20 ms tick); faulted runs with
+// flat loss now draw it from the medium's own stream instead of the fault
+// stream; and the fault.ge_losses/fault.fade_losses counters left the
+// registry.  Unfaulted and channel-ladder digests did not move.
 TEST(PinnedDigestTest, FaultedScenariosUnchangedAcrossGeDelegation) {
   ScopedHashSalt s{1};
   // The full fault battery (faulted_config above).
-  EXPECT_EQ(run_digest(faulted_config()), 0x0f80905f0979b14cull);
+  EXPECT_EQ(run_digest(faulted_config()), 0x14c032dcff28b525ull);
 
-  // Pure Gilbert-Elliott corruption, no windows: the delegated
-  // channel::ChannelModel must consume the exact legacy draw sequence.
+  // Pure Gilbert-Elliott corruption, no windows (pp_digest's ge_faulted).
   ScenarioConfig ge = digest_base();
   ge.roles = {1, 1, 2, kRoleWeb};
   ge.duration_s = 15.0;
   ge.web_pages = 3;
-  ge.fault.ge.enabled = true;
-  ge.fault.ge.p_good_bad = 0.01;
-  ge.fault.ge.p_bad_good = 0.05;
-  ge.fault.ge.loss_bad = 0.85;
-  EXPECT_EQ(run_digest(ge), 0x4bde2b9a752abe5dull);
+  ge.channel = channel::ChannelSpec::two_state(0.01, 0.05, 0.001, 0.85);
+  EXPECT_EQ(run_digest(ge), 0x44ca6f2d3c6b1675ull);
 }
 
 #endif  // __GLIBCXX__ && __x86_64__

@@ -223,8 +223,6 @@ TEST(EventQueueModel, StatsCount) {
   EXPECT_EQ(q.stats().scheduled, 2u);
   EXPECT_EQ(q.stats().cancelled, 1u);
   EXPECT_EQ(q.stats().fired, 1u);
-  EXPECT_EQ(q.stats().alloc.callbacks_inline, 2u);
-  EXPECT_EQ(q.stats().alloc.callbacks_pooled, 0u);
 }
 
 }  // namespace

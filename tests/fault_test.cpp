@@ -1,12 +1,14 @@
-// Fault-injection layer tests: deterministic fault streams, the
-// Gilbert-Elliott channel, component effects (AP stall, link flap, proxy
-// pause), graceful degradation end-to-end through the wireless medium, and
-// the auditor's fault-window pairing invariant.
+// Fault-injection layer tests: the named churn stream, the Gilbert-Elliott
+// channel preset, deep fades on the medium, component effects (AP stall,
+// link flap, proxy pause), graceful degradation end-to-end through the
+// wireless medium, and the auditor's fault-window pairing invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "channel/model.hpp"
 #include "check/audit.hpp"
 #include "check/check.hpp"
 #include "exp/builder.hpp"
@@ -38,58 +40,46 @@ net::Packet downlink_to(net::Ipv4Addr dst) {
 // -- Named RNG stream --------------------------------------------------------------
 
 TEST(FaultStream, ReproduciblePerSeedAndIndependent) {
-  sim::Rng a = fault_stream(42);
-  sim::Rng b = fault_stream(42);
+  sim::Rng a = churn_stream(42);
+  sim::Rng b = churn_stream(42);
   for (int i = 0; i < 256; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-  sim::Rng c = fault_stream(43);
-  sim::Rng d = fault_stream(42);
+  sim::Rng c = churn_stream(43);
+  sim::Rng d = churn_stream(42);
   // Different run seed diverges immediately; the stream tag keeps the
-  // fault stream distinct from a raw Rng{seed} (the simulator's stream).
+  // churn stream distinct from a raw Rng{seed} (the simulator's stream).
   EXPECT_NE(c.next_u64(), d.next_u64());
-  EXPECT_NE(sim::Rng{42}.next_u64(), fault_stream(42).next_u64());
+  EXPECT_NE(sim::Rng{42}.next_u64(), churn_stream(42).next_u64());
 }
 
-// -- Gilbert-Elliott channel -------------------------------------------------------
+// -- Gilbert-Elliott channel (the ChannelSpec::two_state preset) -------------------
 
 TEST(GilbertElliott, CorruptionSequenceIsDeterministic) {
-  sim::Simulator sim1{7};
-  sim::Simulator sim2{7};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.1;
-  spec.ge.p_bad_good = 0.2;
-  FaultPlan p1{sim1, spec, 7};
-  FaultPlan p2{sim2, spec, 7};
-  const net::Packet pkt = downlink_to(kClient);
+  const channel::ChannelSpec spec =
+      channel::ChannelSpec::two_state(0.1, 0.2, 0.001, 0.85);
+  channel::ChannelModel m1{spec, 7};
+  channel::ChannelModel m2{spec, 7};
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(p1.corrupted(pkt, kClient, Time::ms(i)),
-              p2.corrupted(pkt, kClient, Time::ms(i)));
+    EXPECT_EQ(m1.attempt(kClient, Time::ms(i)).lost,
+              m2.attempt(kClient, Time::ms(i)).lost);
   }
-  EXPECT_EQ(p1.stats().ge_losses, p2.stats().ge_losses);
-  EXPECT_EQ(p1.stats().ge_bad_entries, p2.stats().ge_bad_entries);
-  EXPECT_GT(p1.stats().ge_losses, 0u);
-  EXPECT_GT(p1.stats().ge_bad_entries, 0u);
+  EXPECT_EQ(m1.stats().losses, m2.stats().losses);
+  EXPECT_EQ(m1.stats().worse_entries, m2.stats().worse_entries);
+  EXPECT_GT(m1.stats().losses, 0u);
+  EXPECT_GT(m1.stats().worse_entries, 0u);
 }
 
 TEST(GilbertElliott, LossesClusterInBadState) {
   // With rare entries into a long, lossy bad state, overall loss must sit
   // far above the good-state rate yet losses must arrive in bursts: more
   // clustered than independent drops at the same average rate.
-  sim::Simulator sim{11};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.01;
-  spec.ge.p_bad_good = 0.05;
-  spec.ge.loss_good = 0.0;
-  spec.ge.loss_bad = 0.9;
-  FaultPlan plan{sim, spec, 11};
-  const net::Packet pkt = downlink_to(kClient);
+  channel::ChannelModel model{
+      channel::ChannelSpec::two_state(0.01, 0.05, 0.0, 0.9), 11};
   const int n = 20000;
   int losses = 0;
   int adjacent = 0;  // lost frame immediately following a lost frame
   bool prev = false;
   for (int i = 0; i < n; ++i) {
-    const bool lost = plan.corrupted(pkt, kClient, Time::ms(i));
+    const bool lost = model.attempt(kClient, Time::ms(5 * i)).lost;
     if (lost) {
       ++losses;
       if (prev) ++adjacent;
@@ -105,14 +95,8 @@ TEST(GilbertElliott, LossesClusterInBadState) {
 }
 
 TEST(GilbertElliott, PerClientChainsAreIndependent) {
-  sim::Simulator sim{3};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.05;
-  spec.ge.p_bad_good = 0.05;
-  spec.ge.loss_good = 0.0;
-  spec.ge.loss_bad = 1.0;
-  FaultPlan plan{sim, spec, 3};
+  channel::ChannelModel model{
+      channel::ChannelSpec::two_state(0.05, 0.05, 0.0, 1.0), 3};
   const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
   // Interleaved draws on two channels both make progress; the keying uses
   // the receiver for downlink and the source for uplink (AP receiver).
@@ -123,10 +107,10 @@ TEST(GilbertElliott, PerClientChainsAreIndependent) {
   int a_lost = 0;
   int b_lost = 0;
   for (int i = 0; i < 5000; ++i) {
-    if (plan.corrupted(down_a, kClient, Time::ms(i))) ++a_lost;
-    if (plan.corrupted(downlink_to(other), other, Time::ms(i))) ++b_lost;
+    if (model.corrupted(down_a, kClient, Time::ms(5 * i))) ++a_lost;
+    if (model.corrupted(downlink_to(other), other, Time::ms(5 * i))) ++b_lost;
     // Uplink frame from kClient advances the same chain as its downlink.
-    plan.corrupted(up_a, net::Ipv4Addr{}, Time::ms(i));
+    model.corrupted(up_a, net::Ipv4Addr{}, Time::ms(5 * i));
   }
   EXPECT_GT(a_lost, 0);
   EXPECT_GT(b_lost, 0);
@@ -134,20 +118,94 @@ TEST(GilbertElliott, PerClientChainsAreIndependent) {
 
 // -- Deep fade ---------------------------------------------------------------------
 
+// An always-listening radio that records, per frame addressed to it,
+// whether the frame was delivered (true) or lost (false).
+struct Radio : net::WirelessStation {
+  std::vector<bool> heard;
+  bool listening() const override { return true; }
+  void deliver(net::Packet, sim::Duration) override { heard.push_back(true); }
+  void missed(const net::Packet&, sim::Duration) override {
+    heard.push_back(false);
+  }
+};
+
 TEST(DeepFade, TotalLossInsideWindowOnly) {
+  check::ScopedFailureHandler guard{check::throwing_handler};
   sim::Simulator sim{5};
+  net::WirelessMedium medium{sim};  // p_loss 0: the fade is the only loss
+  Radio ap, faded, clean;
+  const auto ap_id = medium.attach_access_point(ap);
+  const auto faded_id = medium.attach_station(faded, kClient);
+  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
+  medium.attach_station(clean, other);
+
   FaultSpec spec;
   spec.fade(kClient, Time::ms(100), Time::ms(50));
-  FaultPlan plan{sim, spec, 5};
-  const net::Packet pkt = downlink_to(kClient);
-  EXPECT_FALSE(plan.corrupted(pkt, kClient, Time::ms(99)));
-  EXPECT_TRUE(plan.corrupted(pkt, kClient, Time::ms(100)));
-  EXPECT_TRUE(plan.corrupted(pkt, kClient, Time::ms(149)));
-  EXPECT_FALSE(plan.corrupted(pkt, kClient, Time::ms(150)));
-  // Another client's channel is untouched.
-  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
-  EXPECT_FALSE(plan.corrupted(downlink_to(other), other, Time::ms(120)));
-  EXPECT_EQ(plan.stats().fade_losses, 2u);
+  FaultPlan plan{sim, spec};
+  plan.attach_medium(medium);
+  plan.arm();
+
+  // Frames take ~2 ms of airtime: 90 and 160 land outside the window, 110
+  // and 140 inside it.
+  for (const int t : {90, 110, 140, 160}) {
+    sim.at(Time::ms(t), [&] { medium.transmit(ap_id, downlink_to(kClient)); });
+  }
+  // Another client's channel is untouched; the faded client's uplink is
+  // lost too (the fade is on its channel, both directions).
+  sim.at(Time::ms(120), [&] {
+    medium.transmit(ap_id, downlink_to(other));
+    net::Packet up = net::make_packet();
+    up.src = kClient;
+    up.dst = net::Ipv4Addr::octets(10, 0, 0, 1);
+    medium.transmit(faded_id, std::move(up));
+  });
+  sim.run();
+
+  EXPECT_EQ(faded.heard, (std::vector<bool>{true, false, false, true}));
+  EXPECT_EQ(clean.heard, std::vector<bool>{true});
+  EXPECT_EQ(ap.heard, std::vector<bool>{false});
+  EXPECT_EQ(plan.stats().fade_losses, 3u);
+  EXPECT_FALSE(plan.active(FaultKind::DeepFade));
+}
+
+// A fade on one client draws no random numbers, and every client's channel
+// has its own stream: client 1's corruption sequence must come out bit
+// for bit the same whether or not client 0 is faded meanwhile.
+TEST(DeepFade, FadeLeavesOtherClientsCorruptionSequenceIdentical) {
+  const net::Ipv4Addr c0 = net::Ipv4Addr::octets(172, 16, 0, 1);
+  const net::Ipv4Addr c1 = net::Ipv4Addr::octets(172, 16, 0, 2);
+  const auto run = [&](bool fade) {
+    sim::Simulator sim{9};
+    net::WirelessMedium medium{sim};
+    channel::ChannelModel chan{channel::ChannelSpec::ladder(3, 0.85), 9};
+    medium.set_loss_model(&chan);
+    Radio ap, r0, r1;
+    const auto ap_id = medium.attach_access_point(ap);
+    medium.attach_station(r0, c0);
+    medium.attach_station(r1, c1);
+    FaultSpec spec;
+    if (fade) spec.fade(c0, Time::seconds(2.0), Time::seconds(3.0));
+    FaultPlan plan{sim, spec};
+    plan.attach_medium(medium);
+    plan.arm();
+    for (int i = 0; i < 2000; ++i) {
+      sim.at(Time::ms(4 * i), [&] {
+        medium.transmit(ap_id, downlink_to(c0));
+        medium.transmit(ap_id, downlink_to(c1));
+      });
+    }
+    sim.run();
+    if (fade) {
+      EXPECT_GT(plan.stats().fade_losses, 0u);
+    }
+    return r1.heard;
+  };
+  const std::vector<bool> plain = run(false);
+  const std::vector<bool> faded = run(true);
+  ASSERT_EQ(plain.size(), 2000u);
+  // The ladder does corrupt client 1's frames, so the comparison has teeth.
+  EXPECT_NE(std::count(plain.begin(), plain.end(), false), 0);
+  EXPECT_EQ(plain, faded);
 }
 
 // -- Component effects -------------------------------------------------------------
@@ -188,7 +246,7 @@ TEST(ApStall, FreezesQueueAndReleasesInOrder) {
   net::Packet b = downlink_to(kClient);
   const std::uint64_t id_a = a.id;
   const std::uint64_t id_b = b.id;
-  sim.at(Time::ms(1), [&, a, b]() mutable {
+  sim.at(Time::ms(1), [&] {
     ap.handle_packet(std::move(a));
     ap.handle_packet(std::move(b));
   });
@@ -358,8 +416,8 @@ TEST(FaultEndToEnd, ScheduleRepeatsAreDeduplicated) {
 
 // The acceptance scenario: a Gilbert-Elliott bad-state burst spanning
 // multiple SRPs plus an AP stall window, with k-repeat and escalation on.
-// Completing run_scenario means every conservation audit (AP, proxy,
-// energy, auditor pairing) passed under the throwing handler.
+// Completing finish() means every conservation audit (AP, proxy, energy,
+// auditor pairing) passed under the throwing handler.
 TEST(FaultEndToEnd, CombinedGeBurstAndApStallPassesAllAudits) {
   check::ScopedFailureHandler guard{check::throwing_handler};
   exp::ScenarioBuilder b;
@@ -367,18 +425,17 @@ TEST(FaultEndToEnd, CombinedGeBurstAndApStallPassesAllAudits) {
       .web(1)
       .policy(exp::IntervalPolicy::Fixed500)
       .duration_s(12.0)
-      .wireless_p_loss(0.0)
       .schedule_repeats(2)
-      .miss_escalation();
-  auto& f = b.fault_spec();
-  f.ge.enabled = true;
-  f.ge.p_good_bad = 0.02;
-  f.ge.p_bad_good = 0.01;  // mean bad sojourn ~100 attempts
-  f.ge.loss_bad = 0.95;
-  f.ap_stall(Time::ms(5000), Time::ms(700));
-  const exp::ScenarioResult res = exp::run_scenario(b.build());
-  EXPECT_GT(res.fault_stats.ge_losses, 0u);
-  EXPECT_GT(res.fault_stats.ge_bad_entries, 0u);
+      .miss_escalation()
+      // Mean bad sojourn ~100 ticks (2 s): spans several SRPs.
+      .channel(channel::ChannelSpec::two_state(0.02, 0.01, 0.001, 0.95));
+  b.fault_spec().ap_stall(Time::ms(5000), Time::ms(700));
+  exp::ScenarioRun run{b.build()};
+  run.advance(run.horizon());
+  const channel::ChannelStats cs = run.bed().channel_model()->stats();
+  const exp::ScenarioResult res = run.finish();
+  EXPECT_GT(cs.losses, 0u);
+  EXPECT_GT(cs.worse_entries, 0u);
   EXPECT_EQ(res.fault_stats.windows_activated, 1u);
   EXPECT_EQ(res.fault_stats.windows_recovered, 1u);
 }

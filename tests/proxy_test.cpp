@@ -114,6 +114,7 @@ TEST_F(ProxyFixture, QueueDropAccountingMatchesMonitoringStation) {
   exp::Testbed bed{tp, std::make_unique<FixedIntervalScheduler>(Time::sec(1))};
   net::Node& server = bed.add_server("srv");
   transport::UdpSocket sock{server, 7000};
+  bed.monitor();  // attach the sniffer before any frame airs
   bed.start(Time::ms(500));
   constexpr int kSent = 10;
   bed.sim().at(Time::ms(100), [&] {

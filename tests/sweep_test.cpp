@@ -102,10 +102,10 @@ TEST(Builder, RejectsNonPositiveDuration) {
 }
 
 TEST(Builder, RejectsBadGeProbabilities) {
-  auto b = tiny(1);
-  b.fault_spec().ge.enabled = true;
-  b.fault_spec().ge.p_good_bad = 1.5;
-  EXPECT_THROW(b.build(), std::invalid_argument);
+  EXPECT_THROW(
+      tiny(1).channel(channel::ChannelSpec::two_state(1.5, 0.02, 0.0, 0.9))
+          .build(),
+      std::invalid_argument);
 }
 
 TEST(Builder, RejectsFaultWindowPastHorizon) {
@@ -162,14 +162,9 @@ TEST(SweepKey, EveryMutationChangesTheKey) {
   variants.push_back(
       tiny(7).proxy_mode(proxy::ProxyMode::Passthrough).build());
   variants.push_back(tiny(7).ap_jitter(0.1, Time::ms(6)).build());
-  {
-    auto b = tiny(7);
-    b.fault_spec().ge.enabled = true;
-    b.fault_spec().ge.p_good_bad = 0.01;
-    b.fault_spec().ge.p_bad_good = 0.5;
-    b.fault_spec().ge.loss_bad = 0.9;
-    variants.push_back(b.build());
-  }
+  variants.push_back(
+      tiny(7).channel(channel::ChannelSpec::two_state(0.01, 0.5, 0.0, 0.9))
+          .build());
   {
     auto b = tiny(7);
     b.fault_spec().ap_stall(Time::ms(1000), Time::ms(200));

@@ -1,5 +1,4 @@
-// Shared lexing layer for the project's static-analysis tools (pp_lint,
-// pp_analyze).
+// Shared lexing layer for the project's static analyzer (pp_analyze).
 //
 // This is deliberately not a C++ parser: the analyzers favour simple,
 // reviewable token rules with an escape-hatch comment over full semantic

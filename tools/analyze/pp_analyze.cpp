@@ -1,9 +1,8 @@
 // pp_analyze: whole-project static analysis for the simulation sources.
 //
-// Where pp_lint scans one file at a time, pp_analyze builds a project
-// index (every .cpp/.hpp under src/, bench/, examples/, tests/, with
-// include edges and module ids) and runs both the single-file rule
-// families and the cross-file ones:
+// pp_analyze builds a project index (every .cpp/.hpp under src/, bench/,
+// examples/, tests/, with include edges and module ids) and runs both the
+// single-file rule families and the cross-file ones:
 //
 //   rng-stream-unique     duplicate RNG stream tags across the project
 //   obs-name-consistency  find_*("name") reads with no registration site

@@ -1,10 +1,10 @@
-// Rule registry for pp_lint / pp_analyze.
+// Rule registry for pp_analyze.
 //
 // Two rule shapes share one Finding type:
 //
-//   * file rules see a single FileScan — the original pp_lint families
+//   * file rules see a single FileScan — the determinism families
 //     (wall-clock, randomness, unordered-iter, raw-new/raw-delete,
-//     naked-duration) plus check-side-effect; pp_lint runs exactly these.
+//     naked-duration) plus check-side-effect.
 //   * project rules see the whole ProjectIndex — rng-stream-unique,
 //     obs-name-consistency, layer-dag, hot-path-alloc need the cross-file
 //     symbol/include view.
@@ -32,7 +32,7 @@ struct Finding {
   std::string message;
 };
 
-// -- single-file rules (the pp_lint families) -------------------------------
+// -- single-file rules -------------------------------------------------------
 
 // Names of variables declared with an unordered container type in this
 // stripped text (for unordered-iter; a .cpp also collects from its sibling
@@ -49,7 +49,7 @@ void rule_naked_duration(const FileScan& f, std::vector<Finding>& out);
 void rule_check_side_effect(const FileScan& f, std::vector<Finding>& out);
 
 // All single-file rules against one file (collecting unordered vars from
-// `sibling_code` too when non-null).  This is pp_lint's whole rule set.
+// `sibling_code` too when non-null).
 void run_file_rules(const FileScan& f, const std::string* sibling_code,
                     std::vector<Finding>& out);
 

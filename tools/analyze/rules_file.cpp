@@ -1,5 +1,5 @@
-// Single-file rule families: the determinism/resource rules pp_lint has
-// always enforced, plus check-side-effect.  See rules.hpp for the roster.
+// Single-file rule families: the determinism/resource rules plus
+// check-side-effect.  See rules.hpp for the roster.
 #include <algorithm>
 #include <cctype>
 

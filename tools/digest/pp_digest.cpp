@@ -56,17 +56,13 @@ int main() {
   scenarios[1].cfg.policy = IntervalPolicy::Variable;
   scenarios[2].cfg.roles = {pp::exp::kRoleWeb, pp::exp::kRoleWeb};
   scenarios[2].cfg.policy = IntervalPolicy::Fixed100;
-  // Gilbert-Elliott corruption via the fault layer (shared-stream channel
-  // delegation): pins the FaultPlan -> ChannelModel draw compatibility.
+  // Gilbert-Elliott corruption: the two_state channel preset.
   {
     ScenarioConfig& c = scenarios[3].cfg;
     c.roles = {1, 1, 2, pp::exp::kRoleWeb};
     c.duration_s = 15.0;
     c.web_pages = 3;
-    c.fault.ge.enabled = true;
-    c.fault.ge.p_good_bad = 0.01;
-    c.fault.ge.p_bad_good = 0.05;
-    c.fault.ge.loss_bad = 0.85;
+    c.channel = pp::channel::ChannelSpec::two_state(0.01, 0.05, 0.001, 0.85);
   }
   // The policy zoo on a bursty per-client channel ladder.
   for (int i = 4; i <= 6; ++i) {
