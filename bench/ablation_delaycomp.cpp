@@ -19,24 +19,24 @@ int main(int argc, char** argv) {
       {"no early transition", client::CompensationMode::None},
   };
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (const auto& m : modes) {
-    items.push_back({m.name, exp::ScenarioBuilder{}
-                                 .video(5, 0)
-                                 .policy(exp::IntervalPolicy::Fixed100)
-                                 .seed(42)
-                                 .duration_s(140.0)
-                                 .compensation(m.mode)
-                                 // Pronounced AP jitter, as on real hardware.
-                                 .ap_jitter(0.08, sim::Time::ms(8))
-                                 .build()});
+    configs.push_back(exp::ScenarioBuilder{}
+                          .video(5, 0)
+                          .policy(exp::IntervalPolicy::Fixed100)
+                          .seed(42)
+                          .duration_s(140.0)
+                          .compensation(m.mode)
+                          // Pronounced AP jitter, as on real hardware.
+                          .ap_jitter(0.08, sim::Time::ms(8))
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Ablation: delay compensation algorithms"};
   auto& sec = rep.section();
   for (std::size_t i = 0; i < modes.size(); ++i) {
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     std::uint64_t miss = 0, pkts = 0;
     for (const auto& c : clients) {
       miss += c.schedules_missed;

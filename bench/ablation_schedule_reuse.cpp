@@ -11,24 +11,23 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (bool honor : {true, false}) {
-    items.push_back({honor ? "reuse" : "wake",
-                     exp::ScenarioBuilder{}
-                         .video(10, 0)
-                         .policy(exp::IntervalPolicy::StaticEqual100)
-                         .seed(42)
-                         .duration_s(140.0)
-                         .honor_reuse(honor)
-                         .build()});
+    configs.push_back(exp::ScenarioBuilder{}
+                          .video(10, 0)
+                          .policy(exp::IntervalPolicy::StaticEqual100)
+                          .seed(42)
+                          .duration_s(140.0)
+                          .honor_reuse(honor)
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Ablation: schedule reuse (the paper's future-work idea)"};
   auto& sec = rep.section();
   const char* kNames[] = {"reuse (skip schedule)", "wake for schedule"};
   for (int i = 0; i < 2; ++i) {
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     std::uint64_t scheds = 0, sleeps = 0;
     for (const auto& c : clients) {
       scheds += c.schedules_received;

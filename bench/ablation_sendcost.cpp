@@ -11,23 +11,22 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_args(argc, argv);
 
   const std::vector<double> scales{1.0, 0.7, 0.5, 0.3};
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (double scale : scales) {
-    items.push_back({"scale=" + std::to_string(scale),
-                     exp::ScenarioBuilder{}
-                         .video(10, 2)  // ten 256K clients
-                         .policy(exp::IntervalPolicy::Fixed500)
-                         .seed(42)
-                         .duration_s(140.0)
-                         .cost_model_scale(scale)
-                         .build()});
+    configs.push_back(exp::ScenarioBuilder{}
+                          .video(10, 2)  // ten 256K clients
+                          .policy(exp::IntervalPolicy::Fixed500)
+                          .seed(42)
+                          .duration_s(140.0)
+                          .cost_model_scale(scale)
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Ablation: send-cost model calibration"};
   auto& sec = rep.section();
   for (std::size_t i = 0; i < scales.size(); ++i) {
-    const auto& r = sweep.outcomes[i].record;
+    const auto& r = results[i];
     const auto s = exp::summarize_all(r.clients);
     sec.row()
         .cell("model-scale", scales[i], 1)

@@ -28,17 +28,16 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  const std::vector<exp::sweep::Item> items{
-      {"spliced", mode_cfg(proxy::ProxyMode::Splice)},
-      {"buffered", mode_cfg(proxy::ProxyMode::BufferedPassthrough)},
-  };
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(
+      {mode_cfg(proxy::ProxyMode::Splice),
+       mode_cfg(proxy::ProxyMode::BufferedPassthrough)},
+      opts);
 
   bench::Report rep{"Ablation: spliced connections vs buffered passthrough"};
   auto& sec = rep.section();
   const char* kNames[] = {"spliced (double conn)", "buffered passthrough"};
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& c = sweep.outcomes[i].record.clients[0];
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& c = results[i].clients[0];
     sec.row()
         .cell("mode", kNames[i])
         .cell("transfer-s", c.ftp_seconds, 2)
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
         .cell("bytes", c.app_bytes);
   }
 
-  const double ts = sweep.outcomes[0].record.clients[0].ftp_seconds;
-  const double tb = sweep.outcomes[1].record.clients[0].ftp_seconds;
+  const double ts = results[0].clients[0].ftp_seconds;
+  const double tb = results[1].clients[0].ftp_seconds;
   if (ts > 0 && tb > 0) {
     char note[192];
     std::snprintf(note, sizeof note,

@@ -9,7 +9,7 @@
 // BSD is competitive for web browsing and poor for streams.
 //
 // The hand-built BSD half runs directly (it is not a ScenarioConfig); the
-// proxy rows go through the sweep engine and its cache.
+// proxy rows go through bench::run_battery.
 #include <memory>
 #include <vector>
 
@@ -99,15 +99,14 @@ int main(int argc, char** argv) {
       {"512K video x10", 3, 10},
   };
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (const auto& c : cases) {
-    items.push_back(
-        {c.name, exp::ScenarioBuilder::fig4(std::vector<int>(c.clients,
-                                                             c.role),
-                                            exp::IntervalPolicy::Fixed500)
-                     .build()});
+    configs.push_back(
+        exp::ScenarioBuilder::fig4(std::vector<int>(c.clients, c.role),
+                                   exp::IntervalPolicy::Fixed500)
+            .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Baseline: Bounded Slowdown [9] vs the proxy schedule"};
   auto& sec = rep.section();
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
         .cell("avg%", bsd.avg_saved, 1)
         .cell("loss%", bsd.avg_loss, 2)
         .cell("pages", bsd.pages);
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     int pages = 0;
     for (const auto& c : clients) pages += c.pages_completed;
     sec.row()

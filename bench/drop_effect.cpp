@@ -40,12 +40,13 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  const std::vector<exp::sweep::Item> items{
-      {"direct", ftp_cfg(/*naive_like=*/true, 0.0)},
-      {"scheduled", ftp_cfg(/*naive_like=*/false, 0.0)},
-      {"scheduled+5%drop", ftp_cfg(/*naive_like=*/false, 0.05)},
-  };
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(
+      {
+          ftp_cfg(/*naive_like=*/true, 0.0),
+          ftp_cfg(/*naive_like=*/false, 0.0),
+          ftp_cfg(/*naive_like=*/false, 0.05),
+      },
+      opts);
 
   const char* kNames[] = {"direct (passthrough proxy)",
                           "scheduled (drops while asleep)",
@@ -53,8 +54,8 @@ int main(int argc, char** argv) {
   bench::Report rep{"Drop studies (2 MB ftp download)"};
   auto& sec = rep.section();
   double t[3] = {0, 0, 0};
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& c = sweep.outcomes[i].record.clients[0];
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& c = results[i].clients[0];
     t[i] = c.ftp_seconds;
     sec.row()
         .cell("configuration", kNames[i])

@@ -37,19 +37,18 @@ int main(int argc, char** argv) {
       {"fault k=2+esc", true, 2, true},
   };
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (const auto& r : rows) {
-    items.push_back(
-        {r.name, exp::ScenarioBuilder::fault_battery(kClients, kDuration,
-                                                     r.faults)
-                     .schedule_repeats(r.repeats)
-                     .schedule_repeat_spacing(sim::Time::ms(12))  // clears null
-                     .miss_escalation(r.escalation)
-                     .build()});
+    configs.push_back(
+        exp::ScenarioBuilder::fault_battery(kClients, kDuration, r.faults)
+            .schedule_repeats(r.repeats)
+            .schedule_repeat_spacing(sim::Time::ms(12))  // clears null
+            .miss_escalation(r.escalation)
+            .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
-  const auto& clients0 = sweep.outcomes[0].record.clients;
+  const auto& clients0 = results[0].clients;
   double base_energy = 0;
   for (const auto& c : clients0) base_energy += c.energy_mj;
   base_energy /= static_cast<double>(clients0.size());
@@ -58,7 +57,7 @@ int main(int argc, char** argv) {
       "Fault sweep: SRP-blackout fades + AP stall, k-repeat and escalation"};
   auto& sec = rep.section();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& cs = sweep.outcomes[i].record.clients;
+    const auto& cs = results[i].clients;
     double energy = 0, saved = 0;
     std::uint64_t missed = 0, first = 0, repeats = 0, resyncs = 0, esc = 0,
                   deduped = 0;
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
         .cell("saved%", saved / n, 1);
   }
 
-  const auto& fs = sweep.outcomes[1].record.fault_stats;
+  const auto& fs = results[1].fault_stats;
   rep.note("fault layer (k=1 run): fade windows=" +
            std::to_string(fs.windows_activated) + "/" +
            std::to_string(fs.windows_recovered) +

@@ -25,21 +25,20 @@ int main(int argc, char** argv) {
       {"All", {{"500ms", "~69"}}},
   };
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   std::vector<std::pair<std::string, std::string>> labels;
   for (const auto& [iname, policy] : exp::presets::dynamic_intervals()) {
     for (const auto& [pname, roles] : exp::presets::fig4_patterns()) {
-      items.push_back({pname + "/" + iname,
-                       exp::ScenarioBuilder::fig4(roles, policy).build()});
+      configs.push_back(exp::ScenarioBuilder::fig4(roles, policy).build());
       labels.emplace_back(pname, iname);
     }
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Figure 4: ten UDP video clients, energy saved vs naive"};
-  for (std::size_t i = 0; i < sweep.outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& [pattern, interval] = labels[i];
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     const auto s = exp::summarize_all(clients);
     const char* ref = "-";
     if (auto pit = paper.find(pattern); pit != paper.end()) {
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   // exceeds the effective wireless bandwidth, so RealServer-style
   // adaptation downshifts some streams.
   auto& adapt = rep.section("512K stream adaptation (500 ms interval)");
-  for (const auto& c : sweep.outcomes[7].record.clients) {
+  for (const auto& c : results[7].clients) {
     if (!exp::is_video_role(c.role)) continue;
     adapt.row()
         .cell("client", c.ip.str())

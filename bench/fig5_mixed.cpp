@@ -13,22 +13,21 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   std::vector<std::pair<std::string, std::string>> labels;
   for (const auto& [iname, policy] : exp::presets::dynamic_intervals()) {
     for (const auto& [pname, roles] : exp::presets::fig5_patterns()) {
-      items.push_back({pname + "/" + iname,
-                       exp::ScenarioBuilder::fig5(roles, policy).build()});
+      configs.push_back(exp::ScenarioBuilder::fig5(roles, policy).build());
       labels.emplace_back(pname, iname);
     }
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Figure 5: 7 video + 3 web clients, energy saved by group"};
-  for (std::size_t i = 0; i < sweep.outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& [pattern, interval] = labels[i];
-    const auto v = exp::summarize_video(sweep.outcomes[i].record.clients);
-    const auto t = exp::summarize_tcp(sweep.outcomes[i].record.clients);
+    const auto v = exp::summarize_video(results[i].clients);
+    const auto t = exp::summarize_tcp(results[i].clients);
     rep.section("burst interval: " + interval)
         .row()
         .cell("pattern", pattern)
@@ -43,8 +42,8 @@ int main(int argc, char** argv) {
   // Variance comparison (Section 4.3: "TCP clients have a lower variance").
   auto& spread = rep.section("spread (max-min) at 500 ms");
   for (std::size_t i = 4; i < 8; ++i) {
-    const auto v = exp::summarize_video(sweep.outcomes[i].record.clients);
-    const auto t = exp::summarize_tcp(sweep.outcomes[i].record.clients);
+    const auto v = exp::summarize_video(results[i].clients);
+    const auto t = exp::summarize_tcp(results[i].clients);
     spread.row()
         .cell("pattern", labels[i].first)
         .cell("udp-spread", v.max - v.min, 1)

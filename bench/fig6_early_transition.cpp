@@ -10,8 +10,7 @@
 // that grows as it shrinks; 6 ms is the best value, and missed packets
 // range from 0.97% (10 ms early) to 1.83% (0 ms early).
 //
-// The scenario keeps its wireless trace, so it is uncacheable by design:
-// the sweep engine always runs it live and hands back the full result.
+// The scenario keeps its wireless trace for the postmortem replay.
 #include "bench/battery.hpp"
 #include "exp/builder.hpp"
 #include "trace/postmortem.hpp"
@@ -20,10 +19,9 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  const std::vector<exp::sweep::Item> items{
-      {"fig6", exp::ScenarioBuilder::fig6().build()}};
-  const auto sweep = bench::run_battery(items, opts);
-  const auto& res = *sweep.outcomes[0].live;
+  const auto results =
+      bench::run_battery({exp::ScenarioBuilder::fig6().build()}, opts);
+  const auto& res = results[0];
 
   bench::Report rep{"Figure 6: early transition amount vs wasted energy"};
   auto& sec = rep.section();

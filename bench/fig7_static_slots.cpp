@@ -14,15 +14,13 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_args(argc, argv);
 
   const std::vector<double> weights{0.10, 0.33, 0.56};
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (int fidelity : {0, 1, 2, 3}) {
     for (double w : weights) {
-      items.push_back(
-          {exp::role_name(fidelity) + "/w" + std::to_string(w),
-           exp::ScenarioBuilder::fig7(fidelity, w).build()});
+      configs.push_back(exp::ScenarioBuilder::fig7(fidelity, w).build());
     }
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Figure 7: slotted static schedule @ 500 ms"};
   auto& left =
@@ -33,8 +31,7 @@ int main(int argc, char** argv) {
     auto& row = left.row().cell("stream", exp::role_name(fidelity));
     static const char* kCols[3] = {"TCP wt=10%", "TCP wt=33%", "TCP wt=56%"};
     for (int k = 0; k < 3; ++k) {
-      const auto s =
-          exp::summarize_video(sweep.outcomes[idx + k].record.clients);
+      const auto s = exp::summarize_video(results[idx + k].clients);
       row.cell(kCols[k], 100.0 - s.avg, 1);  // energy *used*, as plotted
     }
     idx += 3;
@@ -45,7 +42,7 @@ int main(int argc, char** argv) {
   idx = 6;
   for (int k = 0; k < 3; ++k) {
     double energy_used = 0, latency = 0;
-    for (const auto& c : sweep.outcomes[idx + k].record.clients) {
+    for (const auto& c : results[idx + k].clients) {
       if (exp::is_video_role(c.role)) continue;
       energy_used = 100.0 - c.saved_pct;
       latency = c.page_time_ms;

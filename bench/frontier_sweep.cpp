@@ -62,29 +62,27 @@ int main(int argc, char** argv) {
       {"probabilistic", exp::IntervalPolicy::Probabilistic500},
   };
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (const auto& l : loads) {
     for (const auto& b : bursts) {
       for (const auto& p : policies) {
-        const std::string name = std::string{l.name} + "/" + b.name + "/" +
-                                 p.name;
-        items.push_back(
-            {name, exp::ScenarioBuilder{}
-                       .video(l.clients, l.fidelity)
-                       // Fixed-rate streams: RealServer-style downshift
-                       // would collapse demand on lossy cells and mask the
-                       // policy differences the sweep exists to measure.
-                       .video_adaptive(false)
-                       .policy(p.policy)
-                       .seed(42)
-                       .duration_s(duration)
-                       .wireless_p_loss(0.0)  // the ladder is the only loss
-                       .channel(channel::ChannelSpec::ladder(3, b.burstiness))
-                       .build()});
+        configs.push_back(
+            exp::ScenarioBuilder{}
+                .video(l.clients, l.fidelity)
+                // Fixed-rate streams: RealServer-style downshift would
+                // collapse demand on lossy cells and mask the policy
+                // differences the sweep exists to measure.
+                .video_adaptive(false)
+                .policy(p.policy)
+                .seed(42)
+                .duration_s(duration)
+                .wireless_p_loss(0.0)  // the ladder is the only loss
+                .channel(channel::ChannelSpec::ladder(3, b.burstiness))
+                .build());
       }
     }
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   struct Point {
     // pp-lint: allow(naked-duration): derived report statistic, not sim state
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
     double energy_mj = 0;
   };
   // points[load][burst][policy]
-  std::vector<Point> points(items.size());
+  std::vector<Point> points(results.size());
 
   bench::Report rep{
       "Frontier sweep: energy vs delay across load x channel burstiness"};
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
   for (const auto& l : loads) {
     for (const auto& b : bursts) {
       for (const auto& p : policies) {
-        const auto& cs = sweep.outcomes[idx].record.clients;
+        const auto& cs = results[idx].clients;
         double energy = 0, saved = 0, loss = 0, delay_weighted = 0;
         std::uint64_t samples = 0;
         for (const auto& c : cs) {

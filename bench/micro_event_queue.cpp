@@ -1,16 +1,12 @@
 // Event-engine perf baseline (BENCH_sim_core.json).
 //
-// Measures the simulator core two ways:
-//   micro    events/sec through sim::EventQueue for the two hot shapes —
-//            schedule-fire (packet-sized captures, depth-64 churn) and
-//            schedule-cancel (half the events cancelled before firing)
-//   battery  cold vs warm wall time for a scaled-down Figure-7 battery
-//            through the sweep engine (9 video + 1 web clients, 20 s,
-//            two fidelities) — the end-to-end shape every figure pays
+// Measures events/sec through sim::EventQueue for the two hot shapes:
+// schedule-fire (packet-sized captures, depth-64 churn) and schedule-cancel
+// (half the events cancelled before firing).  End-to-end simulation rates
+// live in the perfbench workloads, not here.
 //
 // Modes:
-//   micro_event_queue                     table to stdout (micro only)
-//   micro_event_queue --battery           adds the fig7 battery section
+//   micro_event_queue                     table to stdout
 //   micro_event_queue --out=FILE          also write the JSON document
 //   micro_event_queue --check=FILE        regression gate: re-measure the
 //       micro numbers and fail (exit 1) if either drops more than 30%
@@ -19,25 +15,19 @@
 //
 // Refresh the committed baseline from a Release build on a quiet machine:
 //   cmake --preset perf && cmake --build --preset perf -j
-//   ./build-perf/bench/micro_event_queue --battery --out=BENCH_sim_core.json
+//   ./build-perf/bench/micro_event_queue --out=BENCH_sim_core.json
 //
 // pp-lint: allow(wall-clock): perf harness; wall time is the measurement
 // here and never feeds simulation state.
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "bench/battery.hpp"
 #include "bench/report.hpp"
-#include "exp/builder.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -118,51 +108,6 @@ double best_of(int trials, double (*fn)(std::int64_t), std::int64_t events) {
   return best;
 }
 
-// Scaled-down Figure-7 battery: cold pass simulates, warm pass replays
-// from the sweep cache.  Returns {cold_s, warm_s}.
-struct BatteryTimes {
-  double cold_s = 0;
-  double warm_s = 0;
-  std::size_t items = 0;
-};
-
-BatteryTimes measure_fig7_battery() {
-  using namespace pp;
-  namespace fs = std::filesystem;
-  std::vector<exp::sweep::Item> items;
-  for (int fidelity : {1, 2}) {
-    items.push_back({"fig7-f" + std::to_string(fidelity) + "/w0.33/20s",
-                     exp::ScenarioBuilder::fig7(fidelity, 0.33)
-                         .duration_s(20.0)
-                         .build()});
-  }
-  bench::BatteryOptions opts;
-  opts.progress = false;
-  const fs::path cache_dir =
-      fs::temp_directory_path() /
-      ("pp-perf-fig7." + std::to_string(::getpid()));
-  opts.cache_dir = cache_dir.string();
-  std::error_code ec;
-  fs::remove_all(cache_dir, ec);  // guarantee the first pass is cold
-
-  BatteryTimes bt;
-  bt.items = items.size();
-  auto t0 = WallClock::now();
-  const auto cold = bench::run_battery(items, opts);
-  bt.cold_s = seconds_since(t0);
-  t0 = WallClock::now();
-  const auto warm = bench::run_battery(items, opts);
-  bt.warm_s = seconds_since(t0);
-  fs::remove_all(cache_dir, ec);
-  if (cold.stats.misses != items.size() || warm.stats.hits != items.size()) {
-    std::fprintf(stderr,
-                 "micro_event_queue: fig7 battery cache behaved "
-                 "unexpectedly (cold misses %zu, warm hits %zu)\n",
-                 cold.stats.misses, warm.stats.hits);
-  }
-  return bt;
-}
-
 // Pull `"events_per_sec":<num>` out of the row tagged with this bench
 // name in a committed Report JSON document.  Returns < 0 when absent.
 double baseline_events_per_sec(const std::string& doc,
@@ -182,7 +127,6 @@ int main(int argc, char** argv) {
   using namespace pp;
   std::string out_path;
   std::string check_path;
-  bool with_battery = false;
   std::int64_t events = 2'000'000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -190,8 +134,6 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--check=", 0) == 0) {
       check_path = arg.substr(8);
-    } else if (arg == "--battery") {
-      with_battery = true;
     } else if (arg.rfind("--events=", 0) == 0) {
       events = std::atoll(arg.c_str() + 9);
     }
@@ -213,21 +155,9 @@ int main(int argc, char** argv) {
       .cell("events_per_sec", cancel_eps, 0)
       .cell("depth", kDepth);
 
-  if (with_battery) {
-    const BatteryTimes bt = measure_fig7_battery();
-    auto& bat = rep.section("fig7 battery, scaled (9 video + 1 web, 20 s)");
-    bat.row()
-        .cell("pass", "cold")
-        .cell("seconds", bt.cold_s, 2)
-        .cell("items", static_cast<std::uint64_t>(bt.items));
-    bat.row()
-        .cell("pass", "warm")
-        .cell("seconds", bt.warm_s, 2)
-        .cell("items", static_cast<std::uint64_t>(bt.items));
-  }
   rep.note(
       "refresh: Release build, quiet machine: "
-      "micro_event_queue --battery --out=BENCH_sim_core.json");
+      "micro_event_queue --out=BENCH_sim_core.json");
 
   if (!check_path.empty()) {
     std::ifstream in{check_path};

@@ -7,8 +7,8 @@
 // optimal.  Best-case 512K clients can *exceed* the 512K optimal because
 // stream adaptation downshifts their stream (the anomaly discussed there).
 //
-// These runs keep their wireless trace (optimal airtime is integrated from
-// it), so the engine treats them as uncacheable and always runs live.
+// These runs keep their wireless trace: optimal airtime is integrated from
+// it.
 #include "bench/battery.hpp"
 #include "energy/wnic.hpp"
 #include "exp/builder.hpp"
@@ -19,24 +19,23 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_args(argc, argv);
 
   const std::vector<int> fidelities{0, 2, 3};
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (int f : fidelities) {
-    items.push_back({exp::role_name(f),
-                     exp::ScenarioBuilder{}
-                         .video(10, f)
-                         .policy(exp::IntervalPolicy::Fixed500)
-                         .seed(42)
-                         .duration_s(140.0)
-                         .keep_trace()
-                         .build()});
+    configs.push_back(exp::ScenarioBuilder{}
+                          .video(10, f)
+                          .policy(exp::IntervalPolicy::Fixed500)
+                          .seed(42)
+                          .duration_s(140.0)
+                          .keep_trace()
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Comparison to optimal (ten clients, 500 ms interval)"};
   auto& sec = rep.section();
   const char* paper[] = {"90/77", "83/66", "77/53"};
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& res = *sweep.outcomes[i].live;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& res = results[i];
     // t_opt: airtime to receive the whole stream back to back, from the
     // actual bytes delivered and the calibrated channel cost.
     double total_airtime_s = 0;

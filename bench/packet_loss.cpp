@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
       {"mixed 7v+3w",
        {0, 0, 1, 1, 2, 2, 3, exp::kRoleWeb, exp::kRoleWeb, exp::kRoleWeb}},
   };
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (const auto& f : families) {
-    items.push_back({f.name, exp::ScenarioBuilder::fig4(
-                                 f.roles, exp::IntervalPolicy::Fixed500)
-                                 .build()});
+    configs.push_back(
+        exp::ScenarioBuilder::fig4(f.roles, exp::IntervalPolicy::Fixed500)
+            .build());
   }
 
   // -- Uniform vs Gilbert-Elliott channel sweep ------------------------------------
@@ -54,25 +54,23 @@ int main(int argc, char** argv) {
   };
   std::vector<double> solved_p_good_bad;
   for (const double p : targets) {
-    items.push_back({"uniform p=" + std::to_string(p),
-                     curve_base().wireless_p_loss(p).build()});
+    configs.push_back(curve_base().wireless_p_loss(p).build());
   }
   for (const double p : targets) {
     const double f_bad = p / loss_bad;  // stationary bad-state fraction
     const double p_good_bad = p_bad_good * f_bad / (1.0 - f_bad);
     solved_p_good_bad.push_back(p_good_bad);
-    items.push_back({"ge p=" + std::to_string(p),
-                     curve_base()
-                         .channel(channel::ChannelSpec::two_state(
-                             p_good_bad, p_bad_good, loss_good, loss_bad))
-                         .build()});
+    configs.push_back(curve_base()
+                          .channel(channel::ChannelSpec::two_state(
+                              p_good_bad, p_bad_good, loss_good, loss_bad))
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Packet loss across experiment families (500 ms interval)"};
   auto& fam = rep.section();
   for (std::size_t i = 0; i < families.size(); ++i) {
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     double mx = 0, app = 0;
     int under2 = 0;
     for (const auto& c : clients) {
@@ -89,14 +87,14 @@ int main(int argc, char** argv) {
   }
   rep.note("paper: typically < 2% missed packets, a few outliers.");
 
-  const auto miss_sum = [](const exp::sweep::RunRecord& r) {
+  const auto miss_sum = [](const exp::ScenarioResult& r) {
     std::uint64_t m = 0;
     for (const auto& c : r.clients) m += c.schedules_missed;
     return m;
   };
   auto& uni = rep.section("uniform loss (mixed 4v+2w, 60 s)");
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto& r = sweep.outcomes[families.size() + i].record;
+    const auto& r = results[families.size() + i];
     uni.row()
         .cell("p", targets[i], 3)
         .cell("avg-loss%", exp::average_loss_pct(r.clients), 3)
@@ -105,8 +103,7 @@ int main(int argc, char** argv) {
   }
   auto& ge = rep.section("gilbert-elliott loss (mixed 4v+2w, 60 s)");
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto& r =
-        sweep.outcomes[families.size() + targets.size() + i].record;
+    const auto& r = results[families.size() + targets.size() + i];
     ge.row()
         .cell("p-avg", targets[i], 3)
         .cell("p-good-bad", solved_p_good_bad[i], 5)

@@ -6,8 +6,8 @@
 // proxy runs in passthrough mode (no shaping), the access point broadcasts
 // beacons and parks frames for dozing stations, and PsmClient dozes
 // between beacons.  The hand-built half cannot express itself as a
-// ScenarioConfig, so it runs directly; the proxy rows go through the
-// sweep engine (and its cache) like every other battery.
+// ScenarioConfig, so it runs directly; the proxy rows go through
+// bench::run_battery like every other battery.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -78,15 +78,14 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_args(argc, argv);
   const std::vector<int> fidelities{0, 2, 3};
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   for (int fidelity : fidelities) {
-    items.push_back(
-        {exp::role_name(fidelity),
-         exp::ScenarioBuilder::fig4(std::vector<int>(10, fidelity),
-                                    exp::IntervalPolicy::Fixed500)
-             .build()});
+    configs.push_back(exp::ScenarioBuilder::fig4(
+                          std::vector<int>(10, fidelity),
+                          exp::IntervalPolicy::Fixed500)
+                          .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{
       "Baseline: 802.11 PSM vs proxy scheduling (video clients)"};
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
         .cell("min%", psm.min_saved, 1)
         .cell("max%", psm.max_saved, 1)
         .cell("loss%", psm.avg_loss, 2);
-    const auto& clients = sweep.outcomes[i].record.clients;
+    const auto& clients = results[i].clients;
     const auto s = exp::summarize_all(clients);
     sec.row()
         .cell("stream", exp::role_name(fidelities[i]))

@@ -2,8 +2,8 @@
 // seeds, with 95% confidence intervals.  The paper's orderings should hold
 // not just for one lucky seed.
 //
-// replicate_saved varies the seed internally, so these runs do not go
-// through the result cache; they still ride the work-stealing pool.
+// replicate_saved varies the seed internally and fans the seeds out
+// through exp::run_parallel itself.
 #include "bench/battery.hpp"
 #include "exp/builder.hpp"
 #include "exp/replicate.hpp"

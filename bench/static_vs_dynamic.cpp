@@ -14,44 +14,44 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
+  std::vector<std::string> labels;
   for (int fidelity : {0, 2, 3}) {
     for (auto policy : {exp::IntervalPolicy::StaticEqual100,
                         exp::IntervalPolicy::Fixed100}) {
-      const std::string label =
+      labels.push_back(
           exp::role_name(fidelity) + "/" +
           (policy == exp::IntervalPolicy::StaticEqual100 ? "static"
-                                                         : "dynamic");
-      items.push_back(
-          {label, exp::ScenarioBuilder::fig4(std::vector<int>(10, fidelity),
-                                             policy)
-                      .build()});
+                                                         : "dynamic"));
+      configs.push_back(
+          exp::ScenarioBuilder::fig4(std::vector<int>(10, fidelity), policy)
+              .build());
     }
   }
   // Heterogeneous pattern: static equal slots waste bandwidth here.
   for (auto policy : {exp::IntervalPolicy::StaticEqual100,
                       exp::IntervalPolicy::Fixed100}) {
-    const std::string label =
+    labels.push_back(
         std::string("56K_512K/") +
-        (policy == exp::IntervalPolicy::StaticEqual100 ? "static" : "dynamic");
-    items.push_back(
-        {label, exp::ScenarioBuilder::fig4({0, 0, 0, 0, 0, 3, 3, 3, 3, 3},
-                                           policy)
-                    .build()});
+        (policy == exp::IntervalPolicy::StaticEqual100 ? "static" : "dynamic"));
+    configs.push_back(
+        exp::ScenarioBuilder::fig4({0, 0, 0, 0, 0, 3, 3, 3, 3, 3}, policy)
+            .build());
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{"Static vs dynamic schedules (ten clients, 100 ms)"};
   auto& sec = rep.section();
-  for (const auto& oc : sweep.outcomes) {
-    const auto s = exp::summarize_all(oc.record.clients);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& clients = results[i].clients;
+    const auto s = exp::summarize_all(clients);
     sec.row()
-        .cell("pattern/policy", oc.label)
+        .cell("pattern/policy", labels[i])
         .cell("avg%", s.avg, 1)
         .cell("min%", s.min, 1)
         .cell("max%", s.max, 1)
         .cell("spread", s.max - s.min, 1)
-        .cell("loss%", exp::average_loss_pct(oc.record.clients), 2);
+        .cell("loss%", exp::average_loss_pct(clients), 2);
   }
   rep.note(
       "paper: static improves identical-fidelity streams (no schedule "

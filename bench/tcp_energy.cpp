@@ -10,24 +10,24 @@ int main(int argc, char** argv) {
   using namespace pp;
   const auto opts = bench::parse_args(argc, argv);
 
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   std::vector<std::string> labels;
   for (const auto& [iname, policy] : exp::presets::dynamic_intervals()) {
-    items.push_back({"webx10/" + iname, exp::ScenarioBuilder{}
-                                            .web(10)
-                                            .policy(policy)
-                                            .seed(7)
-                                            .duration_s(140.0)
-                                            .build()});
+    configs.push_back(exp::ScenarioBuilder{}
+                          .web(10)
+                          .policy(policy)
+                          .seed(7)
+                          .duration_s(140.0)
+                          .build());
     labels.push_back(iname);
   }
-  const auto sweep = bench::run_battery(items, opts);
+  const auto results = bench::run_battery(configs, opts);
 
   bench::Report rep{
       "Multiple TCP clients: ten web-browsing clients, energy saved"};
   auto& sec = rep.section();
-  for (std::size_t i = 0; i < sweep.outcomes.size(); ++i) {
-    const auto& clients = sweep.outcomes[i].record.clients;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& clients = results[i].clients;
     const auto s = exp::summarize_all(clients);
     sec.row()
         .cell("pattern", "web x10")
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   }
 
   auto& detail = rep.section("per-client detail (500 ms)");
-  for (const auto& c : sweep.outcomes[1].record.clients) {
+  for (const auto& c : results[1].clients) {
     detail.row()
         .cell("client", c.ip.str())
         .cell("saved%", c.saved_pct, 1)

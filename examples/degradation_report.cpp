@@ -98,14 +98,13 @@ int main(int argc, char** argv) {
 
   // The hostile everything-at-once preset: a Gilbert-Elliott channel plus
   // one window of every typed fault, hardening (k=2 repeats, escalation)
-  // on.  The scenario keeps its observer, so the sweep engine always runs
-  // it live and hands back the full result, timeline included.
+  // on.  The scenario keeps its observer, so the result carries the
+  // timeline.
   auto opts = pp::bench::parse_args(argc, argv);
   opts.progress = false;
-  std::vector<exp::sweep::Item> items;
+  std::vector<exp::ScenarioConfig> configs;
   try {
-    items.push_back(
-        {"degradation", exp::ScenarioBuilder::degradation(duration_s).build()});
+    configs.push_back(exp::ScenarioBuilder::degradation(duration_s).build());
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -114,8 +113,8 @@ int main(int argc, char** argv) {
   std::printf("running %.0f s faulted scenario (3 video + 1 web, k=2 "
               "repeats, escalation on)...\n",
               duration_s);
-  const auto sweep = pp::bench::run_battery(items, opts);
-  const auto& res = *sweep.outcomes[0].live;
+  const auto results = pp::bench::run_battery(configs, opts);
+  const auto& res = results[0];
   if (!res.obs) {
     std::fprintf(stderr,
                  "no observer attached (built with PP_OBS_DISABLED?)\n");

@@ -1,8 +1,14 @@
 #include "bench/battery.hpp"
 
+// pp-lint: allow(wall-clock): host-side progress ETA only — wall time never
+// enters simulation state, which runs exclusively on sim::Time.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+
+#include "exp/parallel.hpp"
 
 namespace pp::bench {
 
@@ -14,11 +20,7 @@ BatteryOptions parse_args(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--cache-dir=", 12) == 0) {
-      opts.cache_dir = a + 12;
-    } else if (std::strcmp(a, "--no-cache") == 0) {
-      opts.use_cache = false;
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
+    if (std::strncmp(a, "--threads=", 10) == 0) {
       opts.threads = static_cast<unsigned>(std::strtoul(a + 10, nullptr, 10));
     } else if (std::strcmp(a, "--json") == 0) {
       opts.json = true;
@@ -29,31 +31,39 @@ BatteryOptions parse_args(int argc, char** argv) {
   return opts;
 }
 
-exp::sweep::SweepResult run_battery(const std::vector<exp::sweep::Item>& items,
-                                    const BatteryOptions& opts) {
-  exp::sweep::Options so;
-  so.threads = opts.threads;
-  so.cache_dir = opts.cache_dir;
-  so.use_cache = opts.use_cache;
+std::vector<exp::ScenarioResult> run_battery(
+    const std::vector<exp::ScenarioConfig>& configs,
+    const BatteryOptions& opts) {
+  // pp-lint: allow(wall-clock): host-side ETA, see the include note
+  using WallClock = std::chrono::steady_clock;
+  const auto t0 = WallClock::now();
+  const auto elapsed_s = [&t0] {
+    return std::chrono::duration<double>(WallClock::now() - t0).count();
+  };
+
+  std::vector<std::function<exp::ScenarioResult()>> tasks;
+  tasks.reserve(configs.size());
+  for (const exp::ScenarioConfig& cfg : configs) {
+    tasks.emplace_back([&cfg] { return exp::run_scenario(cfg); });
+  }
+  std::function<void(std::size_t, std::size_t)> on_done;
   if (opts.progress) {
-    so.on_progress = [](const exp::sweep::Progress& p) {
-      std::fprintf(stderr, "\r[sweep] %zu/%zu done (%zu cached)", p.done,
-                   p.total, p.hits);
-      if (p.done < p.total && p.eta_s > 0) {
-        std::fprintf(stderr, " eta %.1fs", p.eta_s);
+    on_done = [&elapsed_s](std::size_t done, std::size_t total) {
+      std::fprintf(stderr, "\r[battery] %zu/%zu done", done, total);
+      if (done < total) {
+        std::fprintf(stderr, " eta %.1fs",
+                     elapsed_s() / static_cast<double>(done) *
+                         static_cast<double>(total - done));
       }
       std::fflush(stderr);
     };
   }
-  auto result = exp::sweep::run(items, so);
+  auto results = exp::run_parallel(tasks, opts.threads, on_done);
   if (opts.progress) {
-    std::fprintf(stderr,
-                 "\r[sweep] %zu items: %zu cache hits, %zu runs, %zu "
-                 "uncacheable, %.2fs\n",
-                 result.stats.total, result.stats.hits, result.stats.misses,
-                 result.stats.uncacheable, result.stats.elapsed_s);
+    std::fprintf(stderr, "\r[battery] %zu runs, %.2fs\n", results.size(),
+                 elapsed_s());
   }
-  return result;
+  return results;
 }
 
 int emit(const Report& rep, const BatteryOptions& opts) {

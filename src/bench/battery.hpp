@@ -1,43 +1,39 @@
-// The bench-side front door to the sweep engine.
+// The bench-side front door: run a battery of scenarios and render it.
 //
 // Every figure/table binary follows the same shape:
 //
 //   int main(int argc, char** argv) {
 //     auto opts = pp::bench::parse_args(argc, argv);
-//     std::vector<pp::exp::sweep::Item> items = ...;   // builder presets
-//     auto sweep = pp::bench::run_battery(items, opts);
+//     std::vector<pp::exp::ScenarioConfig> configs = ...;   // builder presets
+//     auto results = pp::bench::run_battery(configs, opts);
 //     pp::bench::Report rep{"Figure N: ..."};
-//     ... rows from sweep.outcomes[i].record ...
+//     ... rows from results[i].clients ...
 //     return pp::bench::emit(rep, opts);
 //   }
 //
-// run_battery adds the human affordances around exp::sweep::run: progress
-// with ETA on stderr and a cache-hit footer.  emit renders the Report —
-// the table on stdout, or the JSON document instead when requested — so a
-// binary's machine output is exactly Report::json() and nothing else.
+// run_battery is exp::run_parallel over exp::run_scenario, with a progress
+// line and ETA on stderr.  Every run is bit-deterministic and results come
+// back in input order, so a battery's output does not depend on the worker
+// count.  emit renders the Report — the table on stdout, or the JSON
+// document instead when requested — so a binary's machine output is
+// exactly Report::json() and nothing else.
 //
 // Flags every battery binary accepts (parse_args):
-//   --cache-dir=DIR   result cache location (default $PP_SWEEP_CACHE or
-//                     .pp-sweep-cache)
-//   --no-cache        run everything live, store nothing
-//   --threads=N       worker override (else $PP_THREADS, else hardware)
-//   --json            print the JSON document instead of the table
-//                     (also: PP_BENCH_JSON=1)
-//   --quiet           no stderr progress
+//   --threads=N   worker override (else $PP_THREADS, else hardware)
+//   --json        print the JSON document instead of the table
+//                 (also: PP_BENCH_JSON=1)
+//   --quiet       no stderr progress
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "bench/report.hpp"
-#include "exp/sweep/sweep.hpp"
+#include "exp/scenario.hpp"
 
 namespace pp::bench {
 
 struct BatteryOptions {
-  std::string cache_dir;  // empty = sweep default
-  unsigned threads = 0;   // 0 = resolve_threads
-  bool use_cache = true;
+  unsigned threads = 0;  // 0 = resolve_threads
   bool json = false;
   bool progress = true;
 };
@@ -45,9 +41,10 @@ struct BatteryOptions {
 // Unknown flags are ignored (binaries may layer their own on top).
 BatteryOptions parse_args(int argc, char** argv);
 
-// Run the battery with stderr progress/footer per `opts`.
-exp::sweep::SweepResult run_battery(const std::vector<exp::sweep::Item>& items,
-                                    const BatteryOptions& opts = {});
+// Run every config; results[i] belongs to configs[i].
+std::vector<exp::ScenarioResult> run_battery(
+    const std::vector<exp::ScenarioConfig>& configs,
+    const BatteryOptions& opts = {});
 
 // Render the report; returns 0 (a main()-tail convenience).
 int emit(const Report& rep, const BatteryOptions& opts);

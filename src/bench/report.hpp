@@ -3,9 +3,8 @@
 // A Report is pure data: a title, ordered sections, rows of named cells,
 // and trailing notes.  The fixed-width table and the JSON document render
 // from that one structure, so the two can never drift — and because every
-// cell is formatted exactly once when it is added, a report built from
-// cached (bit-identical) records renders byte-identically to one built
-// from a cold run.
+// cell is formatted exactly once when it is added, bit-identical results
+// render byte-identically.
 //
 //   Report rep{"Figure 4: ten UDP video clients"};
 //   auto& sec = rep.section("burst interval: 500ms");

@@ -2,7 +2,7 @@
 // ScenarioConfig, plus the named presets behind the paper's figures.
 //
 // The raw aggregate stays the immutable built product — run_scenario and
-// the sweep engine consume a plain ScenarioConfig — but construction goes
+// bench::run_battery consume a plain ScenarioConfig — but construction goes
 // through the builder, which rejects nonsense at build() time instead of
 // letting it surface as a confusing mid-run failure (or worse, a silently
 // ignored knob): a slotted TCP weight on a non-slotted policy, a fault

@@ -3,8 +3,7 @@
 // A Cell is a full cell partition — AP + wireless medium + proxy shard +
 // its clients — owning an independent simulator and event queue (a
 // ScenarioRun).  Cells share nothing mutable, so a MultiCellTestbed can
-// advance all of them concurrently on the work-stealing pool of
-// exp/parallel.hpp.
+// advance all of them concurrently through exp::run_parallel.
 //
 // Cross-cell traffic crosses at the wired backbone only, and the backbone
 // has a fixed latency L.  That bound makes conservative time-windowed

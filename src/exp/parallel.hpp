@@ -1,15 +1,14 @@
-// Parallel experiment fan-out with work stealing.
+// Parallel experiment fan-out over a shared next-task counter.
 //
 // Each scenario runs in its own Simulator instance with no shared mutable
-// state, so whole configurations are embarrassingly parallel.  Scenario
-// durations vary wildly across a battery (a 400 s ftp ablation next to a
-// 60 s loss sweep), so a single shared counter leaves late workers idle
-// behind one long task queue.  Instead every worker owns a deque of task
-// indices, seeded in contiguous blocks; a worker pops from the front of
-// its own deque and, when empty, steals from the *back* of a victim's, so
-// thieves take the work farthest from the owner's current position.
-// Results still land at their original indices, so output is deterministic
-// regardless of thread timing or steal order.
+// state, so whole configurations are embarrassingly parallel.  Workers
+// share one atomic next-index counter: whichever worker frees up first
+// claims the next task, so a long task never leaves idle workers queued
+// behind it.  Tasks are coarse (whole simulations or whole epochs), so one
+// fetch_add per task costs nothing next to the work.  The calling thread
+// is one of the workers; a width-1 call spawns no thread at all.  Results
+// land at their original indices, so output is deterministic regardless
+// of thread timing.
 //
 // Thread-count resolution (resolve_threads):
 //   1. an explicit `threads` argument wins (tests pin exact widths);
@@ -28,10 +27,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,75 +77,34 @@ std::vector<Result> run_parallel(
   threads = resolve_threads(threads, tasks.size());
   std::vector<Result> results(tasks.size());
 
-  // Per-worker deques: owner pops the front, thieves pop the back.  A
-  // plain mutex per deque is plenty here — tasks are whole simulations,
-  // milliseconds to minutes each, so queue traffic is negligible.
-  struct StealQueue {
-    std::mutex mu;
-    std::deque<std::size_t> dq;
-  };
-  std::vector<std::unique_ptr<StealQueue>> queues;
-  queues.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    queues.push_back(std::make_unique<StealQueue>());
-  }
-  // Contiguous block seeding keeps each worker near its original range, so
-  // with evenly-sized tasks stealing is rare and order of execution stays
-  // close to index order.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    queues[i * threads / tasks.size()]->dq.push_back(i);
-  }
-
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
-  std::mutex error_mu;
   std::size_t done = 0;
-  std::mutex done_mu;
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        for (;;) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          std::size_t i = 0;
-          bool got = false;
-          {
-            StealQueue& own = *queues[t];
-            const std::lock_guard<std::mutex> lock{own.mu};
-            if (!own.dq.empty()) {
-              i = own.dq.front();
-              own.dq.pop_front();
-              got = true;
-            }
-          }
-          for (unsigned k = 1; !got && k < threads; ++k) {
-            StealQueue& victim = *queues[(t + k) % threads];
-            const std::lock_guard<std::mutex> lock{victim.mu};
-            if (!victim.dq.empty()) {
-              i = victim.dq.back();
-              victim.dq.pop_back();
-              got = true;
-            }
-          }
-          // No queue ever refills, so empty-everywhere means every index
-          // has been claimed (possibly still executing on another worker).
-          if (!got) return;
-          try {
-            results[i] = tasks[i]();
-            if (on_done) {
-              const std::lock_guard<std::mutex> lock{done_mu};
-              on_done(++done, tasks.size());
-            }
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock{error_mu};
-            if (!first_error) first_error = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-          }
+  std::mutex mu;  // guards first_error, done and on_done
+  const auto work = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= tasks.size()) return;
+      try {
+        results[i] = tasks[i]();
+        if (on_done) {
+          const std::lock_guard<std::mutex> lock{mu};
+          on_done(++done, tasks.size());
         }
-      });
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock{mu};
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
     }
-  }  // jthreads join here
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) helpers.emplace_back(work);
+    work();
+  }  // helpers join here
   if (first_error) std::rethrow_exception(first_error);
   return results;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "exp/builder.hpp"
 #include "exp/parallel.hpp"
@@ -16,6 +17,15 @@ TEST(RunParallel, ResultsLandInOrder) {
   const auto out = run_parallel(tasks, 4);
   ASSERT_EQ(out.size(), 32u);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(out[i], i * i);
+}
+
+TEST(RunParallel, WidthOneRunsOnCallingThread) {
+  // The caller is one of the workers, so a width-1 call spawns no thread.
+  const std::vector<std::function<std::thread::id()>> tasks(
+      3, [] { return std::this_thread::get_id(); });
+  for (const std::thread::id id : run_parallel(tasks, 1)) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(RunParallel, ThrowingTaskRethrowsInCaller) {
