@@ -44,7 +44,7 @@ Run run_bsd(int clients, int role, double duration_s) {
   std::vector<std::unique_ptr<client::BsdClient>> stations;
   for (int i = 0; i < clients; ++i) {
     stations.push_back(std::make_unique<client::BsdClient>(
-        bed.sim(), bed.medium(), exp::testbed_client_ip(i),
+        bed.sim(), bed.medium(), bed.energy_ledger(), exp::testbed_client_ip(i),
         "bsd" + std::to_string(i)));
     bed.access_point().register_psm_station(stations[i]->ip());
   }

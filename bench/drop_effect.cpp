@@ -26,11 +26,7 @@ pp::exp::ScenarioConfig ftp_cfg(bool naive_like, double p_loss) {
     // Direct baseline: no shaping, client always in high power.
     b.proxy_mode(proxy::ProxyMode::Passthrough).naive_clients();
   }
-  if (p_loss > 0) {
-    net::WirelessParams wp;
-    wp.p_loss = p_loss;
-    b.wireless(wp);
-  }
+  if (p_loss > 0) b.wireless_p_loss(p_loss);
   return b.build();
 }
 

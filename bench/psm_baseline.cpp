@@ -40,7 +40,7 @@ PsmRun run_psm(int clients, int fidelity, double duration_s) {
   std::vector<std::unique_ptr<client::PsmClient>> stations;
   for (int i = 0; i < clients; ++i) {
     stations.push_back(std::make_unique<client::PsmClient>(
-        bed.sim(), bed.medium(), exp::testbed_client_ip(i),
+        bed.sim(), bed.medium(), bed.energy_ledger(), exp::testbed_client_ip(i),
         "psm" + std::to_string(i)));
     bed.access_point().register_psm_station(stations[i]->ip());
   }

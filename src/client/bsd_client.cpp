@@ -6,26 +6,20 @@
 namespace pp::client {
 
 BsdClient::BsdClient(sim::Simulator& sim, net::WirelessMedium& medium,
-                     net::Ipv4Addr ip, std::string name, BsdParams params)
-    : sim_{sim},
-      node_{sim, ip, std::move(name)},
-      params_{params},
-      acc_{params.power, sim.now(), energy::WnicMode::Idle},
-      start_time_{sim.now()} {
-  const auto station_id = medium.attach_station(*this, ip);
-  node_.set_transmitter([this, &medium, station_id](net::Packet pkt) {
-    const bool request_like =
-        pkt.proto == net::Protocol::Tcp &&
-        (pkt.tcp.syn || pkt.tcp.fin || pkt.payload > 0);
-    if (request_like) enter_awake_window();
+                     energy::EnergyLedger& ledger, net::Ipv4Addr ip,
+                     std::string name, BsdParams params)
+    : RadioStation{sim, medium, ledger, ip, std::move(name)},
+      params_{params} {
+  node().set_transmitter([this](net::Packet pkt) {
+    if (is_request(pkt)) enter_awake_window();
     if (!awake_) wake();
-    medium.transmit(station_id, std::move(pkt));
+    transmit(std::move(pkt));
   });
 }
 
 void BsdClient::wake() {
   awake_ = true;
-  acc_.set_mode(sim_.now(), energy::WnicMode::Idle);
+  set_wnic_mode(energy::WnicMode::Idle);
 }
 
 void BsdClient::enter_awake_window() {
@@ -49,7 +43,7 @@ void BsdClient::doze_for_skip() {
   const sim::Time target = std::max(t, now);
   if (target - now > params_.min_sleep) {
     awake_ = false;
-    acc_.set_mode(now, energy::WnicMode::Sleep);
+    set_wnic_mode(energy::WnicMode::Sleep);
   }
   wake_timer_ = sim_.at(target, [this] { wake(); });
 }
@@ -69,8 +63,7 @@ void BsdClient::on_beacon(const net::BeaconMessage& b) {
 }
 
 void BsdClient::deliver(net::Packet pkt, sim::Duration airtime) {
-  acc_.add_transient(energy::WnicMode::Receive, airtime);
-  traffic_.receive_airtime += airtime;
+  charge_receive(airtime);
   if (pkt.is_broadcast() && pkt.dst_port == net::kBeaconPort) {
     if (const auto* b =
             dynamic_cast<const net::BeaconMessage*>(pkt.data.get())) {
@@ -78,55 +71,15 @@ void BsdClient::deliver(net::Packet pkt, sim::Duration airtime) {
     }
     return;
   }
-  ++traffic_.packets_received;
-  traffic_.bytes_received += pkt.payload;
+  count_data(pkt);
   const bool marked = pkt.marked;
-  node_.handle_packet(std::move(pkt));
+  node().handle_packet(std::move(pkt));
   // Traffic resets the ladder: more may follow soon.
   skip_ = 1;
   if (draining_ && marked) {
     draining_ = false;
     if (sim_.now() >= window_until_) doze_for_skip();
   }
-}
-
-void BsdClient::missed(const net::Packet& pkt, sim::Duration airtime) {
-  traffic_.missed_airtime += airtime;
-  if (pkt.is_broadcast()) {
-    ++traffic_.broadcasts_missed;
-  } else {
-    ++traffic_.packets_missed;
-  }
-}
-
-void BsdClient::on_air(sim::Time /*start*/, sim::Duration dur) {
-  acc_.add_transient(energy::WnicMode::Transmit, dur);
-  traffic_.transmit_airtime += dur;
-}
-
-double BsdClient::naive_energy_mj(sim::Time now) const {
-  const auto& m = acc_.model();
-  const double total_s = (now - start_time_).to_seconds();
-  const double recv_s =
-      (traffic_.receive_airtime + traffic_.missed_airtime).to_seconds();
-  const double tx_s = traffic_.transmit_airtime.to_seconds();
-  return m.mw(energy::WnicMode::Idle) * total_s +
-         (m.mw(energy::WnicMode::Receive) - m.mw(energy::WnicMode::Idle)) *
-             recv_s +
-         (m.mw(energy::WnicMode::Transmit) - m.mw(energy::WnicMode::Idle)) *
-             tx_s;
-}
-
-double BsdClient::energy_saved_fraction(sim::Time now) const {
-  const double naive = naive_energy_mj(now);
-  return naive > 0 ? 1.0 - energy_mj(now) / naive : 0;
-}
-
-double BsdClient::loss_fraction() const {
-  const double total = static_cast<double>(traffic_.packets_received +
-                                           traffic_.packets_missed);
-  return total > 0 ? static_cast<double>(traffic_.packets_missed) / total
-                   : 0;
 }
 
 }  // namespace pp::client

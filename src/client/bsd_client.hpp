@@ -18,9 +18,8 @@
 #include <cstdint>
 #include <string>
 
-#include "client/energy_client.hpp"  // ClientTraffic
+#include "client/radio_station.hpp"
 #include "energy/wnic.hpp"
-#include "net/node.hpp"
 #include "net/psm.hpp"
 #include "net/wireless.hpp"
 #include "sim/simulator.hpp"
@@ -35,33 +34,19 @@ struct BsdParams {
   int max_beacon_skip = 8;
   sim::Duration early = sim::Time::ms(2);
   sim::Duration min_sleep = sim::Time::ms(4);
-  energy::WnicPowerModel power{};
 };
 
-class BsdClient : public net::WirelessStation {
+class BsdClient : public RadioStation {
  public:
   BsdClient(sim::Simulator& sim, net::WirelessMedium& medium,
-            net::Ipv4Addr ip, std::string name, BsdParams params = {});
+            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name,
+            BsdParams params = {});
 
-  BsdClient(const BsdClient&) = delete;
-  BsdClient& operator=(const BsdClient&) = delete;
-
-  net::Node& node() { return node_; }
-  net::Ipv4Addr ip() const { return node_.ip(); }
-  const ClientTraffic& traffic() const { return traffic_; }
-  const energy::EnergyAccountant& accountant() const { return acc_; }
-
-  double energy_mj(sim::Time now) const { return acc_.energy_mj(now); }
-  double naive_energy_mj(sim::Time now) const;
-  double energy_saved_fraction(sim::Time now) const;
-  double loss_fraction() const;
   int current_beacon_skip() const { return skip_; }
 
   // net::WirelessStation.
   bool listening() const override { return awake_; }
   void deliver(net::Packet pkt, sim::Duration airtime) override;
-  void missed(const net::Packet& pkt, sim::Duration airtime) override;
-  void on_air(sim::Time start, sim::Duration dur) override;
 
  private:
   void on_beacon(const net::BeaconMessage& b);
@@ -69,10 +54,7 @@ class BsdClient : public net::WirelessStation {
   void doze_for_skip();
   void wake();
 
-  sim::Simulator& sim_;
-  net::Node node_;
   BsdParams params_;
-  energy::EnergyAccountant acc_;
   bool awake_ = true;
   bool draining_ = false;
   int skip_ = 1;  // wake every skip-th beacon
@@ -81,8 +63,6 @@ class BsdClient : public net::WirelessStation {
   sim::Time window_until_;  // end of the current always-awake window
   sim::EventHandle wake_timer_;
   sim::EventHandle window_timer_;
-  ClientTraffic traffic_;
-  sim::Time start_time_;
 };
 
 }  // namespace pp::client

@@ -9,46 +9,35 @@ namespace pp::client {
 
 EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
                                      net::WirelessMedium& medium,
+                                     energy::EnergyLedger& ledger,
                                      net::Ipv4Addr ip, std::string name,
                                      ClientParams params)
-    : sim_{sim},
-      node_{sim, ip, std::move(name)},
+    : RadioStation{sim, medium, ledger, ip, std::move(name)},
       params_{params},
-      acc_{params.ledger != nullptr
-               ? energy::EnergyAccountant{*params.ledger, sim.now(),
-                                          energy::WnicMode::Idle}
-               : energy::EnergyAccountant{params.power, sim.now(),
-                                          energy::WnicMode::Idle}},
-      daemon_{sim, ip, params.daemon,
-              [this](bool awake) {
-                acc_.set_mode(sim_.now(), awake ? energy::WnicMode::Idle
-                                                : energy::WnicMode::Sleep);
+      daemon_{sim, ip, params.daemon, [this](bool awake) {
+                set_wnic_mode(awake ? energy::WnicMode::Idle
+                                    : energy::WnicMode::Sleep);
                 record_power_state(awake);
-              }},
-      start_time_{sim.now()} {
-  const auto station_id = medium.attach_station(*this, ip);
-  node_.set_transmitter([this, &medium, station_id](net::Packet pkt) {
+              }} {
+  node().set_transmitter([this](net::Packet pkt) {
     // Uplink requires the radio on; app-initiated sends wake it and extend
     // the activity hold so the response is not slept through.  Pure TCP
     // ACKs (sent while receiving a burst) must NOT hold the radio awake,
     // or the post-burst sleep would be lost.
-    const bool request_like =
-        pkt.proto == net::Protocol::Tcp &&
-        (pkt.tcp.syn || pkt.tcp.fin || pkt.payload > 0);
-    if (!params_.naive && request_like) daemon_.force_awake();
-    medium.transmit(station_id, std::move(pkt));
+    const bool hold = !params_.naive && is_request(pkt);
+    if (hold) daemon_.force_awake();
+    transmit(std::move(pkt));
     // The channel may be busy for a while before the frame even airs;
     // measure the response hold from when it clears.
-    if (!params_.naive && request_like)
-      daemon_.extend_hold(medium.busy_until());
+    if (hold) daemon_.extend_hold(channel_busy_until());
   });
   if (params_.assoc.enabled) {
     assoc_ = std::make_unique<AssociationAgent>(
         sim_, ip, params_.assoc,
-        [this, &medium, station_id](net::Packet pkt) {
+        [this](net::Packet pkt) {
           // Control frames ride the raw medium path: the energy and airtime
           // accounting comes through on_air like any other uplink frame.
-          medium.transmit(station_id, std::move(pkt));
+          transmit(std::move(pkt));
         },
         [this] {
           // Departed for good: radio off (naive baselines stay listening —
@@ -102,8 +91,7 @@ bool EnergyAwareClient::listening() const {
 }
 
 void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
-  acc_.add_transient(energy::WnicMode::Receive, airtime);
-  traffic_.receive_airtime += airtime;
+  charge_receive(airtime);
 
   // Association control (unicast, both ports == kAssocPort): control
   // plane like the schedule broadcast — charged for energy, not counted
@@ -133,64 +121,22 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
     }
     return;
   }
-  ++traffic_.packets_received;
-  traffic_.bytes_received += pkt.payload;
+  count_data(pkt);
   // Downlink datagram delay: UDP data keeps its origin timestamp through
   // the proxy queue, so now - sent_at is the end-to-end buffering delay.
   // Burst markers (proxy-originated, src_port == kSchedulePort) are control
   // plane and excluded.
   if (pkt.proto == net::Protocol::Udp && !pkt.is_broadcast() &&
       pkt.src_port != proxy::kSchedulePort) {
-    traffic_.delay_sum += sim_.now() - pkt.sent_at;
-    ++traffic_.delay_samples;
+    count_delay(sim_.now() - pkt.sent_at);
   }
   // Hand to the stack first (so ACKs go out while we are still awake),
   // then let the daemon act on the marked bit — a marked packet may put
   // the radio to sleep immediately.
   const std::uint32_t payload = pkt.payload;
   const bool marked = pkt.marked;
-  node_.handle_packet(std::move(pkt));
+  node().handle_packet(std::move(pkt));
   if (!params_.naive) daemon_.on_data(payload, marked);
-}
-
-void EnergyAwareClient::missed(const net::Packet& pkt, sim::Duration airtime) {
-  traffic_.missed_airtime += airtime;
-  if (pkt.is_broadcast()) {
-    ++traffic_.broadcasts_missed;
-  } else {
-    ++traffic_.packets_missed;
-  }
-}
-
-void EnergyAwareClient::on_air(sim::Time /*start*/, sim::Duration dur) {
-  acc_.add_transient(energy::WnicMode::Transmit, dur);
-  traffic_.transmit_airtime += dur;
-}
-
-double EnergyAwareClient::naive_energy_mj(sim::Time now) const {
-  const auto& m = acc_.model();
-  const double total_s = (now - start_time_).to_seconds();
-  const double recv_s =
-      (traffic_.receive_airtime + traffic_.missed_airtime).to_seconds();
-  const double tx_s = traffic_.transmit_airtime.to_seconds();
-  return m.mw(energy::WnicMode::Idle) * total_s +
-         (m.mw(energy::WnicMode::Receive) - m.mw(energy::WnicMode::Idle)) *
-             recv_s +
-         (m.mw(energy::WnicMode::Transmit) - m.mw(energy::WnicMode::Idle)) *
-             tx_s;
-}
-
-double EnergyAwareClient::energy_saved_fraction(sim::Time now) const {
-  const double naive = naive_energy_mj(now);
-  if (naive <= 0) return 0;
-  return 1.0 - energy_mj(now) / naive;
-}
-
-double EnergyAwareClient::loss_fraction() const {
-  const double total = static_cast<double>(traffic_.packets_received +
-                                           traffic_.packets_missed);
-  if (total <= 0) return 0;
-  return static_cast<double>(traffic_.packets_missed) / total;
 }
 
 }  // namespace pp::client

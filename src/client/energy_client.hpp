@@ -1,20 +1,18 @@
 // The live mobile client: a wireless station whose radio is governed by
-// the PowerDaemon, with WNIC energy accounting attached.
+// the PowerDaemon.  Its WNIC energy accounting is RadioStation's.
 //
 // Applications (video player, web browser, ftp) attach sockets to node().
 // Setting Params::naive produces the paper's baseline client that keeps
 // its WNIC in high-power mode for the whole run.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "client/association.hpp"
 #include "client/power_daemon.hpp"
+#include "client/radio_station.hpp"
 #include "energy/wnic.hpp"
-#include "net/node.hpp"
-#include "net/wireless.hpp"
 #include "obs/hooks.hpp"
 #include "proxy/schedule.hpp"
 #include "sim/simulator.hpp"
@@ -23,11 +21,9 @@ namespace pp::client {
 
 struct ClientParams {
   DaemonConfig daemon{};
+  // The power model of the testbed's energy ledger, which every client's
+  // energy row lives in (flat SoA — see energy::EnergyLedger).
   energy::WnicPowerModel power{};
-  // When set, the client's energy row lives in this shared fleet ledger
-  // (flat SoA — see energy::EnergyLedger) and `power` is ignored; the
-  // ledger's model applies.  Null keeps a private single-row ledger.
-  energy::EnergyLedger* ledger = nullptr;
   bool naive = false;  // never sleep (the comparison baseline)
   // Dynamic membership (client churn).  When enabled the client carries an
   // AssociationAgent; set_away() drives leave/rejoin handshakes with the
@@ -35,28 +31,11 @@ struct ClientParams {
   AssocParams assoc{};
 };
 
-struct ClientTraffic {
-  std::uint64_t packets_received = 0;
-  std::uint64_t packets_missed = 0;  // addressed to us while asleep/corrupt
-  std::uint64_t bytes_received = 0;
-  std::uint64_t broadcasts_missed = 0;
-  sim::Duration receive_airtime;
-  sim::Duration missed_airtime;
-  sim::Duration transmit_airtime;
-  // Downlink UDP datagram delay (origin send to client delivery), data
-  // plane only — schedule broadcasts and burst markers excluded.
-  sim::Duration delay_sum;
-  std::uint64_t delay_samples = 0;
-};
-
-class EnergyAwareClient : public net::WirelessStation {
+class EnergyAwareClient : public RadioStation {
  public:
   EnergyAwareClient(sim::Simulator& sim, net::WirelessMedium& medium,
-                    net::Ipv4Addr ip, std::string name,
-                    ClientParams params = {});
-
-  EnergyAwareClient(const EnergyAwareClient&) = delete;
-  EnergyAwareClient& operator=(const EnergyAwareClient&) = delete;
+                    energy::EnergyLedger& ledger, net::Ipv4Addr ip,
+                    std::string name, ClientParams params = {});
 
   // Begin the power daemon (no-op for naive clients).  An assoc-enabled
   // client starts Associated: the testbed pre-registers the fleet.
@@ -74,40 +53,19 @@ class EnergyAwareClient : public net::WirelessStation {
   // and sleep/wake timeline events; also hooks the daemon's miss counter.
   void set_obs(obs::Hook hook);
 
-  net::Node& node() { return node_; }
-  net::Ipv4Addr ip() const { return node_.ip(); }
   PowerDaemon& daemon() { return daemon_; }
   const DaemonStats& daemon_stats() const { return daemon_.stats(); }
-  const ClientTraffic& traffic() const { return traffic_; }
-  const energy::EnergyAccountant& accountant() const { return acc_; }
-
-  // -- Energy results ------------------------------------------------------------
-  double energy_mj(sim::Time now) const { return acc_.energy_mj(now); }
-  // What a naive client would have used over the same trace: always idle,
-  // receiving every frame addressed to it (including the ones we missed).
-  double naive_energy_mj(sim::Time now) const;
-  // 1 - energy/naive: the paper's headline metric.
-  double energy_saved_fraction(sim::Time now) const;
-  // Fraction of addressed packets missed.
-  double loss_fraction() const;
 
   // -- net::WirelessStation --------------------------------------------------------
   bool listening() const override;
   void deliver(net::Packet pkt, sim::Duration airtime) override;
-  void missed(const net::Packet& pkt, sim::Duration airtime) override;
-  void on_air(sim::Time start, sim::Duration dur) override;
 
  private:
   void record_power_state(bool awake);
 
-  sim::Simulator& sim_;
-  net::Node node_;
   ClientParams params_;
-  energy::EnergyAccountant acc_;
   PowerDaemon daemon_;
   std::unique_ptr<AssociationAgent> assoc_;
-  ClientTraffic traffic_;
-  sim::Time start_time_;
 
   obs::Hook obs_;
   obs::TimeWeightedGauge* twg_awake_ = nullptr;

@@ -4,16 +4,15 @@
 // The client dozes between beacons, waking shortly before each one.  If
 // the beacon's TIM indicates buffered traffic, it stays awake until the
 // final ("no more data") frame arrives; otherwise it dozes again.  Energy
-// accounting matches EnergyAwareClient, so PSM and proxy scheduling are
-// directly comparable.
+// accounting is RadioStation's, shared with EnergyAwareClient, so PSM and
+// proxy scheduling are directly comparable.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "client/energy_client.hpp"  // ClientTraffic
+#include "client/radio_station.hpp"
 #include "energy/wnic.hpp"
-#include "net/node.hpp"
 #include "net/psm.hpp"
 #include "net/wireless.hpp"
 #include "sim/simulator.hpp"
@@ -25,29 +24,16 @@ struct PsmParams {
   sim::Duration beacon_grace = sim::Time::ms(20);
   sim::Duration min_sleep = sim::Time::ms(4);
   sim::Duration activity_hold = sim::Time::ms(50);
-  energy::WnicPowerModel power{};
 };
 
-class PsmClient : public net::WirelessStation {
+class PsmClient : public RadioStation {
  public:
   PsmClient(sim::Simulator& sim, net::WirelessMedium& medium,
-            net::Ipv4Addr ip, std::string name, PsmParams params = {});
-
-  PsmClient(const PsmClient&) = delete;
-  PsmClient& operator=(const PsmClient&) = delete;
+            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name,
+            PsmParams params = {});
 
   // Begin awake, waiting for the first beacon.
   void start() {}
-
-  net::Node& node() { return node_; }
-  net::Ipv4Addr ip() const { return node_.ip(); }
-  const ClientTraffic& traffic() const { return traffic_; }
-  const energy::EnergyAccountant& accountant() const { return acc_; }
-
-  double energy_mj(sim::Time now) const { return acc_.energy_mj(now); }
-  double naive_energy_mj(sim::Time now) const;
-  double energy_saved_fraction(sim::Time now) const;
-  double loss_fraction() const;
 
   std::uint64_t beacons_received() const { return beacons_received_; }
   std::uint64_t beacons_missed() const { return beacons_missed_; }
@@ -55,18 +41,13 @@ class PsmClient : public net::WirelessStation {
   // net::WirelessStation.
   bool listening() const override { return awake_; }
   void deliver(net::Packet pkt, sim::Duration airtime) override;
-  void missed(const net::Packet& pkt, sim::Duration airtime) override;
-  void on_air(sim::Time start, sim::Duration dur) override;
 
  private:
   void on_beacon(const net::BeaconMessage& b);
   void doze_until(sim::Time t);
   void wake();
 
-  sim::Simulator& sim_;
-  net::Node node_;
   PsmParams params_;
-  energy::EnergyAccountant acc_;
   bool awake_ = true;
   bool draining_ = false;  // TIM indicated us; awaiting the final frame
   sim::Time last_beacon_arrival_;
@@ -76,8 +57,6 @@ class PsmClient : public net::WirelessStation {
   sim::EventHandle grace_timer_;
   std::uint64_t beacons_received_ = 0;
   std::uint64_t beacons_missed_ = 0;
-  ClientTraffic traffic_;
-  sim::Time start_time_;
 };
 
 }  // namespace pp::client

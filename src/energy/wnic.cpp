@@ -85,6 +85,19 @@ sim::Duration EnergyLedger::high_power_time(std::uint32_t row) const {
   return d;
 }
 
+double naive_energy_mj(const WnicPowerModel& model, sim::Duration span,
+                       sim::Duration receive_airtime,
+                       sim::Duration transmit_airtime) {
+  const double idle = model.mw(WnicMode::Idle);
+  return idle * span.to_seconds() +
+         (model.mw(WnicMode::Receive) - idle) * receive_airtime.to_seconds() +
+         (model.mw(WnicMode::Transmit) - idle) * transmit_airtime.to_seconds();
+}
+
+double saved_fraction(double energy_mj, double naive_mj) {
+  return naive_mj > 0 ? 1.0 - energy_mj / naive_mj : 0;
+}
+
 double optimal_energy_saved_fraction(const OptimalInput& in) {
   const auto& m = in.model;
   const double t = in.burst_receive_seconds;

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -101,32 +100,17 @@ class EnergyLedger {
 // Integrates energy over one WNIC mode timeline.  Call set_mode() at each
 // transition; totals are exact (piecewise-constant integration).
 //
-// This is a row handle into an EnergyLedger.  Two construction modes:
-//   * ledger-backed: the row lives in a shared fleet ledger (Testbed owns
-//     one per run) — flat SoA state, cheap to scale;
-//   * standalone: the legacy (model, start) ctor keeps working for tools
-//     and tests by owning a private single-row ledger.
+// This is a row handle into an EnergyLedger: the row lives in the ledger
+// (Testbed owns one per run; one-off replays build a local one), which
+// must outlive the handle.
 class EnergyAccountant {
  public:
-  explicit EnergyAccountant(WnicPowerModel model, sim::Time start,
-                            WnicMode initial = WnicMode::Idle)
-      : owned_{std::make_unique<EnergyLedger>(model)},
-        ledger_{owned_.get()},
-        row_{ledger_->add_row(start, initial)} {}
-
   EnergyAccountant(EnergyLedger& ledger, sim::Time start,
                    WnicMode initial = WnicMode::Idle)
       : ledger_{&ledger}, row_{ledger.add_row(start, initial)} {}
 
   EnergyAccountant(const EnergyAccountant&) = delete;
   EnergyAccountant& operator=(const EnergyAccountant&) = delete;
-  // Moving a standalone accountant must re-point the handle at the ledger
-  // that moved with it.
-  EnergyAccountant(EnergyAccountant&& o) noexcept
-      : owned_{std::move(o.owned_)},
-        ledger_{owned_ ? owned_.get() : o.ledger_},
-        row_{o.row_} {}
-  EnergyAccountant& operator=(EnergyAccountant&&) = delete;
 
   WnicMode mode() const { return ledger_->mode(row_); }
 
@@ -170,10 +154,20 @@ class EnergyAccountant {
   }
 
  private:
-  std::unique_ptr<EnergyLedger> owned_;  // standalone mode only
   EnergyLedger* ledger_;
   std::uint32_t row_;
 };
+
+// What a naive client — WNIC idle for the whole `span`, never asleep —
+// spends when it receives for `receive_airtime` and transmits for
+// `transmit_airtime` of it.  The baseline of every energy-saved figure;
+// live stations and the postmortem replay both call this one formula.
+double naive_energy_mj(const WnicPowerModel& model, sim::Duration span,
+                       sim::Duration receive_airtime,
+                       sim::Duration transmit_airtime);
+
+// 1 - energy/naive (0 when the naive baseline is not positive).
+double saved_fraction(double energy_mj, double naive_mj);
 
 // The paper's closed-form optimal energy saving (Section 4.3):
 //

@@ -150,22 +150,10 @@ ScenarioBuilder& ScenarioBuilder::wireless_p_loss(double p) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::wireless(net::WirelessParams wp) {
-  cfg_.wireless = wp;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::ap(net::AccessPointParams app) {
-  cfg_.ap = app;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::ap_jitter(double p_spike,
                                             sim::Duration spike_max) {
-  net::AccessPointParams app = cfg_.ap ? *cfg_.ap : net::AccessPointParams{};
-  app.p_spike = p_spike;
-  app.spike_max = spike_max;
-  cfg_.ap = app;
+  cfg_.ap.p_spike = p_spike;
+  cfg_.ap.spike_max = spike_max;
   return *this;
 }
 

@@ -69,8 +69,6 @@ class ScenarioBuilder {
   ScenarioBuilder& cost_model_scale(double scale);
   ScenarioBuilder& naive_clients(bool on = true);
   ScenarioBuilder& wireless_p_loss(double p);
-  ScenarioBuilder& wireless(net::WirelessParams wp);
-  ScenarioBuilder& ap(net::AccessPointParams app);
   ScenarioBuilder& ap_jitter(double p_spike, sim::Duration spike_max);
 
   // -- Faults & retention ----------------------------------------------------------

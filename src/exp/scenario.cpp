@@ -111,12 +111,8 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   TestbedParams tp;
   tp.seed = cfg.seed;
   tp.num_clients = static_cast<int>(cfg.roles.size());
-  if (cfg.wireless) {
-    tp.wireless = *cfg.wireless;
-  } else {
-    tp.wireless.p_loss = cfg.wireless_p_loss;
-  }
-  if (cfg.ap) tp.ap = *cfg.ap;
+  tp.wireless.p_loss = cfg.wireless_p_loss;
+  tp.ap = cfg.ap;
   tp.client.daemon.comp.mode = cfg.compensation;
   tp.client.daemon.comp.early = cfg.early_transition;
   // Worst case between consecutive broadcasts: previous one maximally

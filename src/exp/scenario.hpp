@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,10 +83,8 @@ struct ScenarioConfig {
   // 802.11b loses the occasional frame; lost marks and schedules are what
   // produce the paper's worst-case clients).
   double wireless_p_loss = 0.01;
-  // Optional substrate overrides (drop studies, DummyNet-style shaping);
-  // when set, wireless_p_loss is ignored.
-  std::optional<net::WirelessParams> wireless;
-  std::optional<net::AccessPointParams> ap;
+  // Access-point forwarding jitter and delay spikes (see ap_jitter()).
+  net::AccessPointParams ap{};
   bool video_adaptive = true;  // RealServer loss adaptation on/off
   // -- Fault injection & graceful degradation (see src/fault/) -------------------
   // Typed fault windows and churn storms; empty = no faults.

@@ -115,12 +115,11 @@ Testbed::Testbed(TestbedParams params,
   // per client) instead of per-object accountants.
   energy_ledger_ = energy::EnergyLedger{params_.client.power};
   energy_ledger_.reserve(params_.num_clients);
-  params_.client.ledger = &energy_ledger_;
   clients_.reserve(params_.num_clients);
   for (int i = 0; i < params_.num_clients; ++i) {
     clients_.push_back(std::make_unique<client::EnergyAwareClient>(
-        sim_, medium_, testbed_client_ip(i), "client" + std::to_string(i),
-        params_.client));
+        sim_, medium_, energy_ledger_, testbed_client_ip(i),
+        "client" + std::to_string(i), params_.client));
   }
 
 #if PP_OBS_ENABLED

@@ -79,6 +79,10 @@ class Testbed {
   // when the trace is wanted.
   trace::MonitoringStation& monitor();
   net::AccessPoint& access_point() { return ap_; }
+  // The fleet's energy ledger.  Stations built outside the testbed (the
+  // PSM and BSD baselines) open their rows here too; they must be
+  // destroyed before the testbed.
+  energy::EnergyLedger& energy_ledger() { return energy_ledger_; }
 
   // The unified observer (null when params.observe is false or the build
   // defines PP_OBS_DISABLED).  Shared so results can outlive the testbed.

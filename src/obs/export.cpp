@@ -141,7 +141,6 @@ Report snapshot(const MetricsRegistry& reg, const Timeline* timeline) {
   Report r;
   for (const auto& [name, c] : reg.counters())
     r.counters.push_back({name, c.value()});
-  for (const auto& [name, g] : reg.gauges()) r.gauges.push_back({name, g.value()});
   for (const auto& [name, g] : reg.time_gauges())
     r.time_gauges.push_back({name, g.mean(), g.min(), g.max(), g.last()});
   for (const auto& [name, h] : reg.histograms()) {
@@ -165,10 +164,6 @@ void write_jsonl(std::ostream& os, const Report& report) {
   for (const auto& c : report.counters) {
     os << "{\"type\":\"counter\",\"name\":\"" << c.name << "\",\"value\":"
        << c.value << "}\n";
-  }
-  for (const auto& g : report.gauges) {
-    os << "{\"type\":\"gauge\",\"name\":\"" << g.name << "\",\"value\":"
-       << fmt_double(g.value) << "}\n";
   }
   for (const auto& g : report.time_gauges) {
     os << "{\"type\":\"time_gauge\",\"name\":\"" << g.name << "\",\"mean\":"
@@ -213,12 +208,6 @@ Report read_jsonl(std::istream& is) {
           !get_u64(line, "value", c.value))
         fail("bad counter");
       r.counters.push_back(std::move(c));
-    } else if (type == "gauge") {
-      GaugeSample g;
-      if (!get_string(line, "name", g.name) ||
-          !get_double(line, "value", g.value))
-        fail("bad gauge");
-      r.gauges.push_back(std::move(g));
     } else if (type == "time_gauge") {
       TimeGaugeSample g;
       if (!get_string(line, "name", g.name) ||
@@ -262,8 +251,6 @@ void write_metrics_csv(std::ostream& os, const Report& report) {
   os << "type,name,value,mean,min,max,last,count,sum\n";
   for (const auto& c : report.counters)
     os << "counter," << c.name << ',' << c.value << ",,,,,,\n";
-  for (const auto& g : report.gauges)
-    os << "gauge," << g.name << ',' << fmt_double(g.value) << ",,,,,,\n";
   for (const auto& g : report.time_gauges)
     os << "time_gauge," << g.name << ",," << fmt_double(g.mean) << ','
        << fmt_double(g.min) << ',' << fmt_double(g.max) << ','

@@ -28,11 +28,6 @@ struct CounterSample {
   std::uint64_t value = 0;
 };
 
-struct GaugeSample {
-  std::string name;
-  double value = 0;
-};
-
 struct TimeGaugeSample {
   std::string name;
   double mean = 0, min = 0, max = 0, last = 0;
@@ -48,7 +43,6 @@ struct HistogramSample {
 // A run's full exported/re-imported observability surface.
 struct Report {
   std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
   std::vector<TimeGaugeSample> time_gauges;
   std::vector<HistogramSample> histograms;
   std::vector<TimelineEvent> events;

@@ -28,7 +28,6 @@ namespace pp::obs {
 class MetricsRegistry;
 class Timeline;
 class Counter;
-class Gauge;
 class TimeWeightedGauge;
 class Histogram;
 

@@ -1,8 +1,8 @@
-// MetricsRegistry: named counters, gauges, sim-time-weighted gauges, and
+// MetricsRegistry: named counters, sim-time-weighted gauges, and
 // log-bucketed histograms.
 //
 // One registry serves a whole simulation (it lives in exp::Testbed's
-// Observer).  Components resolve handles once — counter()/gauge()/... are
+// Observer).  Components resolve handles once — counter()/time_gauge()/... are
 // map lookups — and then update through the returned pointer on the hot
 // path.  Handles stay valid for the registry's lifetime (std::map nodes
 // are stable).  Iteration order is the sorted name order, so exports are
@@ -27,18 +27,6 @@ class Counter {
 
  private:
   std::uint64_t v_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { v_ = v; }
-  double value() const { return v_; }
-  // Merge semantics for cross-partition aggregation: gauges are additive
-  // snapshots (queue depths, populations), so merging sums them.
-  void merge_from(const Gauge& o) { v_ += o.v_; }
-
- private:
-  double v_ = 0;
 };
 
 // A gauge whose average is weighted by how long each value was held, in
@@ -169,7 +157,6 @@ class MetricsRegistry {
   // Resolve-or-create by name.  Pointers remain valid for the registry's
   // lifetime.
   Counter* counter(const std::string& name) { return &counters_[name]; }
-  Gauge* gauge(const std::string& name) { return &gauges_[name]; }
   TimeWeightedGauge* time_gauge(const std::string& name) {
     return &time_gauges_[name];
   }
@@ -181,7 +168,6 @@ class MetricsRegistry {
   const Histogram* find_histogram(const std::string& name) const;
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, TimeWeightedGauge>& time_gauges() const {
     return time_gauges_;
   }
@@ -196,13 +182,12 @@ class MetricsRegistry {
   }
 
   // Fold another registry into this one, name by name: counters and
-  // histograms add, gauges sum, time-weighted gauges take the union of
+  // histograms add, time-weighted gauges take the union of
   // their observation spans.  Used at multi-cell teardown to aggregate the
   // per-cell registries into one fleet view; finalize() both registries
   // first.  Deterministic: std::map iteration is name order.
   void merge_from(const MetricsRegistry& o) {
     for (const auto& [name, c] : o.counters_) counters_[name].merge_from(c);
-    for (const auto& [name, g] : o.gauges_) gauges_[name].merge_from(g);
     for (const auto& [name, g] : o.time_gauges_)
       time_gauges_[name].merge_from(g);
     for (const auto& [name, h] : o.histograms_)
@@ -211,7 +196,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, TimeWeightedGauge> time_gauges_;
   std::map<std::string, Histogram> histograms_;
 };

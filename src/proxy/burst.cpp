@@ -97,17 +97,10 @@ void BurstSession::open() {
   }
 
   // Emit the raw chain as one batched reservation (single airtime
-  // computation downstream); fall back to per-packet emission when no
-  // burst transmitter is wired.
+  // computation downstream).
   std::uint64_t burst_bytes = chain.bytes();
   p.stats_.udp_bytes_burst += chain.bytes();
-  if (!chain.empty()) {
-    if (p.wireless_burst_tx_) {
-      p.wireless_burst_tx_(std::move(chain));
-    } else {
-      while (!chain.empty()) p.wireless_tx_(chain.pop_packet());
-    }
-  }
+  if (!chain.empty()) p.wireless_burst_tx_(std::move(chain));
 
   // Write planned bytes into the client-side sockets (gates still closed,
   // so nothing leaves yet), arming the marker before the final write.

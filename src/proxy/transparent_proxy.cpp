@@ -72,7 +72,7 @@ obs::Counter* TransparentProxy::churn_counter(obs::Counter*& slot,
 }
 
 void TransparentProxy::start(sim::Time first_srp) {
-  if (!wired_tx_ || !wireless_tx_)
+  if (!wired_tx_ || !wireless_tx_ || !wireless_burst_tx_)
     throw std::logic_error("TransparentProxy: transmitters not wired");
   running_ = true;
   tick_handle_ = sim_.at(first_srp, [this] { schedule_tick(); });

@@ -145,9 +145,9 @@ class TransparentProxy {
     wireless_tx_ = std::move(tx);
   }
   // Batched emission: a burst's raw-datagram chain leaves as one ChunkQueue
-  // (one link/medium reservation per slot).  Optional — when unset, bursts
-  // unbundle onto wireless_tx_.  Control traffic (schedule broadcasts,
-  // spliced TCP segments, markers, acks) always uses wireless_tx_.
+  // (one link/medium reservation per slot).  Required, like the two above.
+  // Control traffic (schedule broadcasts, spliced TCP segments, markers,
+  // acks) always uses wireless_tx_.
   void set_wireless_burst_tx(std::function<void(net::ChunkQueue)> tx) {
     wireless_burst_tx_ = std::move(tx);
   }

@@ -14,7 +14,8 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.client = client;
 
   sim::Simulator replay;
-  energy::EnergyAccountant acc{model_, sim::Time::zero(),
+  energy::EnergyLedger ledger{model_};
+  energy::EnergyAccountant acc{ledger, sim::Time::zero(),
                                energy::WnicMode::Idle};
   client::PowerDaemon daemon{replay, client, cfg, [&](bool awake) {
                                acc.set_mode(replay.now(),
@@ -88,17 +89,10 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.low_power_time = acc.time_in(energy::WnicMode::Sleep);
   rep.wake_transitions = acc.wake_transitions();
 
-  const double total_s = end.to_seconds();
-  rep.naive_energy_mj =
-      model_.mw(energy::WnicMode::Idle) * total_s +
-      (model_.mw(energy::WnicMode::Receive) -
-       model_.mw(energy::WnicMode::Idle)) *
-          addressed_airtime.to_seconds() +
-      (model_.mw(energy::WnicMode::Transmit) -
-       model_.mw(energy::WnicMode::Idle)) *
-          transmit_airtime.to_seconds();
+  rep.naive_energy_mj = energy::naive_energy_mj(
+      model_, end - sim::Time::zero(), addressed_airtime, transmit_airtime);
   rep.saved_fraction =
-      rep.naive_energy_mj > 0 ? 1.0 - rep.energy_mj / rep.naive_energy_mj : 0;
+      energy::saved_fraction(rep.energy_mj, rep.naive_energy_mj);
   const double total_pkts =
       static_cast<double>(rep.packets_received + rep.packets_missed);
   rep.loss_fraction =

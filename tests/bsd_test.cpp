@@ -23,6 +23,7 @@ struct BsdFixture : ::testing::Test {
         std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(500)));
     bed->access_point().enable_psm(Time::ms(100));
     station = std::make_unique<BsdClient>(bed->sim(), bed->medium(),
+                                          bed->energy_ledger(),
                                           exp::testbed_client_ip(0), "bsd0");
     bed->access_point().register_psm_station(station->ip());
     server = &bed->add_server("srv");

@@ -137,8 +137,8 @@ TEST_F(CheckFixture, AuditorRejectsEventsBeyondHorizon) {
 // -- Energy accounting -----------------------------------------------------------
 
 TEST_F(CheckFixture, EnergyAuditPassesOnConsistentTimeline) {
-  energy::EnergyAccountant acc{energy::WnicPowerModel::wavelan(),
-                               Time::ms(100)};
+  energy::EnergyLedger ledger{energy::WnicPowerModel::wavelan()};
+  energy::EnergyAccountant acc{ledger, Time::ms(100)};
   acc.set_mode(Time::ms(200), energy::WnicMode::Sleep);
   acc.set_mode(Time::ms(300), energy::WnicMode::Receive);
   acc.finish(Time::ms(450));
@@ -147,8 +147,8 @@ TEST_F(CheckFixture, EnergyAuditPassesOnConsistentTimeline) {
 }
 
 TEST_F(CheckFixture, EnergyAuditCatchesUnaccountedTime) {
-  energy::EnergyAccountant acc{energy::WnicPowerModel::wavelan(),
-                               Time::ms(100)};
+  energy::EnergyLedger ledger{energy::WnicPowerModel::wavelan()};
+  energy::EnergyAccountant acc{ledger, Time::ms(100)};
   acc.set_mode(Time::ms(200), energy::WnicMode::Sleep);
   acc.finish(Time::ms(300));
   // Auditing against a *different* end time than the one settled must
@@ -157,8 +157,8 @@ TEST_F(CheckFixture, EnergyAuditCatchesUnaccountedTime) {
 }
 
 TEST_F(CheckFixture, EnergySettleRejectsTimeRegression) {
-  energy::EnergyAccountant acc{energy::WnicPowerModel::wavelan(),
-                               Time::ms(100)};
+  energy::EnergyLedger ledger{energy::WnicPowerModel::wavelan()};
+  energy::EnergyAccountant acc{ledger, Time::ms(100)};
   acc.set_mode(Time::ms(200), energy::WnicMode::Sleep);
   EXPECT_THROW(acc.set_mode(Time::ms(150), energy::WnicMode::Idle),
                CheckError);

@@ -242,7 +242,7 @@ TEST(ApChurn, DisassociateFlushesParkedPsmFrames) {
                    std::make_unique<proxy::FixedIntervalScheduler>(
                        Time::ms(500))};
   bed.access_point().enable_psm(Time::ms(100));
-  client::PsmClient station{bed.sim(), bed.medium(),
+  client::PsmClient station{bed.sim(), bed.medium(), bed.energy_ledger(),
                             exp::testbed_client_ip(0), "psm0"};
   bed.access_point().register_psm_station(station.ip());
   net::Node& server = bed.add_server("srv");

@@ -17,21 +17,24 @@ TEST(WnicPowerModel, WavelanNumbersMatchPaper) {
 }
 
 TEST(EnergyAccountant, IdleOnlyIntegration) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   // 10 seconds idle at 1319 mW = 13190 mJ.
   EXPECT_NEAR(acc.energy_mj(Time::sec(10)), 13190.0, 1e-6);
 }
 
 TEST(EnergyAccountant, SleepSavesEnergy) {
-  EnergyAccountant idle{WnicPowerModel::wavelan(), Time::zero()};
-  EnergyAccountant sleepy{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant idle{ledger, Time::zero()};
+  EnergyAccountant sleepy{ledger, Time::zero()};
   sleepy.set_mode(Time::zero(), WnicMode::Sleep);
   EXPECT_LT(sleepy.energy_mj(Time::sec(10)), idle.energy_mj(Time::sec(10)));
   EXPECT_NEAR(sleepy.energy_mj(Time::sec(10)), 1770.0, 1e-6);
 }
 
 TEST(EnergyAccountant, ModeTimeline) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   acc.set_mode(Time::sec(1), WnicMode::Sleep);
   acc.set_mode(Time::sec(4), WnicMode::Idle);
   acc.set_mode(Time::sec(5), WnicMode::Receive);
@@ -45,7 +48,8 @@ TEST(EnergyAccountant, ModeTimeline) {
 }
 
 TEST(EnergyAccountant, WakeTransitionPenaltyCharged) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   acc.set_mode(Time::zero(), WnicMode::Sleep);
   acc.set_mode(Time::sec(1), WnicMode::Idle);
   acc.set_mode(Time::sec(2), WnicMode::Sleep);
@@ -55,20 +59,23 @@ TEST(EnergyAccountant, WakeTransitionPenaltyCharged) {
 }
 
 TEST(EnergyAccountant, RedundantTransitionIsNoop) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   acc.set_mode(Time::sec(1), WnicMode::Idle);
   EXPECT_EQ(acc.wake_transitions(), 0u);
 }
 
 TEST(EnergyAccountant, TransientReceiveChargesDelta) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   acc.add_transient(WnicMode::Receive, Time::ms(500));
   // 1s idle + 0.5s of (1425-1319) delta.
   EXPECT_NEAR(acc.energy_mj(Time::sec(1)), 1319.0 + 0.5 * 106.0, 1e-6);
 }
 
 TEST(EnergyAccountant, HighPowerTimeExcludesSleep) {
-  EnergyAccountant acc{WnicPowerModel::wavelan(), Time::zero()};
+  EnergyLedger ledger{WnicPowerModel::wavelan()};
+  EnergyAccountant acc{ledger, Time::zero()};
   acc.set_mode(Time::sec(2), WnicMode::Sleep);
   acc.set_mode(Time::sec(5), WnicMode::Receive);
   acc.set_mode(Time::sec(6), WnicMode::Idle);

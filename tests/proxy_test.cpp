@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "exp/testbed.hpp"
 #include "proxy/scheduler.hpp"
@@ -336,6 +337,19 @@ TEST_F(ProxyFixture, StopHaltsScheduleLoop) {
   bed->proxy().stop();
   bed->run_until(Time::sec(2));
   EXPECT_EQ(bed->proxy().stats().schedules_sent, sent);
+}
+
+TEST(TransparentProxyWiring, StartRequiresBurstTransmitter) {
+  // Bursts leave only through the batched transmitter; there is no
+  // per-packet fallback, so starting without one is a wiring error.
+  sim::Simulator sim{1};
+  TransparentProxy proxy{
+      sim, std::make_unique<FixedIntervalScheduler>(Time::ms(100))};
+  proxy.set_wired_tx([](net::Packet) {});
+  proxy.set_wireless_tx([](net::Packet) {});
+  EXPECT_THROW(proxy.start(Time::ms(100)), std::logic_error);
+  proxy.set_wireless_burst_tx([](net::ChunkQueue) {});
+  EXPECT_NO_THROW(proxy.start(Time::ms(100)));
 }
 
 }  // namespace

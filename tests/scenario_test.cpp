@@ -202,11 +202,10 @@ TEST(Scenario, KeepTraceCapturesFrames) {
   EXPECT_GT(res.trace.size(), 100u);
 }
 
-TEST(Scenario, WirelessOverrideApplies) {
-  net::WirelessParams wp;
-  wp.p_loss = 0.3;  // very lossy medium
-  const auto cfg =
-      small_video(IntervalPolicy::Fixed500, 0, 1).wireless(wp).build();
+TEST(Scenario, WirelessLossApplies) {
+  const auto cfg = small_video(IntervalPolicy::Fixed500, 0, 1)
+                       .wireless_p_loss(0.3)  // very lossy medium
+                       .build();
   const auto res = run_scenario(cfg);
   EXPECT_GT(res.clients[0].loss_pct, 5.0);
 }

@@ -189,6 +189,22 @@ TEST_F(ScenarioTraceFixture, PostmortemNaiveBaselineDominates) {
   }
 }
 
+TEST_F(ScenarioTraceFixture, PostmortemNaiveEnergyEqualsLive) {
+  // The naive baseline is one formula shared by the live stations and the
+  // replay, fed the same airtimes: a missed frame still counts as receive
+  // airtime live, and the replay charges every addressed frame.  So the
+  // two agree to the last bit.
+  const auto& res = result();
+  PostmortemAnalyzer analyzer{res.trace};
+  for (const auto& live : res.clients) {
+    EXPECT_DOUBLE_EQ(
+        analyzer.analyze(live.ip, client::DaemonConfig{}, res.horizon)
+            .naive_energy_mj,
+        live.naive_mj)
+        << "client " << live.ip.str();
+  }
+}
+
 TEST_F(ScenarioTraceFixture, EarlyTransitionSweepTradesWasteForMisses) {
   // Figure 6's mechanism: less early waking means less early-wait energy.
   const auto& res = result();

@@ -191,15 +191,14 @@ bool literal_only_arg(const FileScan& f, std::size_t name_pos,
 
 void rule_obs_name_consistency(const ProjectIndex& idx,
                                std::vector<Finding>& out) {
-  // kind index: 0 counter, 1 time_gauge, 2 histogram, 3 gauge.
-  static const char* kCreate[] = {"counter", "time_gauge", "histogram",
-                                  "gauge"};
+  // kind index: 0 counter, 1 time_gauge, 2 histogram.
+  static const char* kCreate[] = {"counter", "time_gauge", "histogram"};
   static const char* kFind[] = {"find_counter", "find_time_gauge",
                                 "find_histogram"};
-  std::set<std::string> created[4];
+  std::set<std::string> created[3];
 
   for (const FileScan& f : idx.files()) {
-    for (int k = 0; k < 4; ++k) {
+    for (int k = 0; k < 3; ++k) {
       std::size_t pos = 0;
       const std::string word = kCreate[k];
       while ((pos = f.code.find(word, pos)) != std::string::npos) {
