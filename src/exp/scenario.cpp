@@ -139,6 +139,10 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   Testbed& bed = *bed_;
   // The sniffer costs a trace record per frame; attach it only when asked.
   if (cfg.keep_trace) bed.monitor();
+  // The timeline still streams to the auditor and its digest; retain the
+  // events only for a caller that keeps the observer.
+  if (!cfg.keep_obs)
+    if (auto* tl = bed.timeline()) tl->set_capacity(0);
   apps_ = std::make_unique<Apps>();
   Apps& a = *apps_;
 

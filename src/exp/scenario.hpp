@@ -72,7 +72,10 @@ struct ScenarioConfig {
   int web_pages = 20;
   double web_think_mean_s = 4.0;
   bool keep_trace = false;  // retain the monitoring-station trace
-  bool keep_obs = false;    // retain the metrics registry + timeline
+  // Retain the metrics registry + timeline events in the result.  Without
+  // it the timeline is still streamed to the auditor and the replay digest,
+  // but none of its events are kept.
+  bool keep_obs = false;
   // Per-client observability: each client publishes its awake time-gauge
   // and streams its power transitions into the timeline.  On by default;
   // scale runs (100k clients) turn it off and keep only the streaming

@@ -4,7 +4,9 @@
 // schedule broadcasts and bursts, clients record sleep/wake transitions,
 // TCP records stalls, queues record drops.  Events carry a subject (an
 // IPv4 address as a raw u32, 0 for "the system") and a free u64 value
-// whose meaning depends on the kind (bytes, entry count, ...).
+// whose meaning depends on the kind (bytes, entry count, ...).  Each event
+// is streamed to an optional sink and folded into a running digest as it
+// is recorded; keeping the events themselves is bounded by set_capacity().
 //
 // Deliberately not dependent on pp_net: instrumented components in every
 // layer include this header, and the lowest of them (the medium) sits in
@@ -15,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/fnv.hpp"
 #include "sim/time.hpp"
 
 namespace pp::obs {
@@ -49,7 +52,7 @@ struct TimelineEvent {
 };
 
 // Streaming consumer of timeline events, fed synchronously from record()
-// before capacity limits apply (so e.g. the invariant auditor in src/check
+// before retention limits apply (so e.g. the invariant auditor in src/check
 // keeps seeing events after the retained buffer fills up).
 class TimelineSink {
  public:
@@ -67,6 +70,11 @@ class Timeline {
             std::uint32_t subject = 0, std::uint64_t value = 0) {
     const TimelineEvent ev{at, dur, kind, subject, value};
     if (sink_) sink_->on_event(ev);
+    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(at.count_ns()));
+    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(dur.count_ns()));
+    digest_ = fnv1a_byte(digest_, static_cast<std::uint8_t>(kind));
+    digest_ = fnv1a_u64(digest_, subject);
+    digest_ = fnv1a_u64(digest_, value);
     if (events_.size() >= capacity_) {
       ++dropped_;
       return;
@@ -79,15 +87,22 @@ class Timeline {
 
   const std::vector<TimelineEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-  // Events silently discarded after the capacity was hit.
+  // Events recorded but not retained (the capacity was hit); size() +
+  // dropped() counts every recorded event.
   std::uint64_t dropped() const { return dropped_; }
-  // Bound memory for long runs; existing events are kept.
+  // Running FNV-1a fold of every recorded event (at, dur, kind, subject,
+  // value, in record order), retained or not.
+  std::uint64_t digest() const { return digest_; }
+  // Bound the retained events; existing events are kept.  Recording,
+  // the sink and the digest are unaffected, so capacity 0 streams the
+  // timeline without retaining any of it.
   void set_capacity(std::size_t max_events) { capacity_ = max_events; }
 
  private:
   std::vector<TimelineEvent> events_;
   std::size_t capacity_ = 1u << 22;  // ~4M events ≈ 130 MB worst case
   std::uint64_t dropped_ = 0;
+  std::uint64_t digest_ = kFnvOffset;
   TimelineSink* sink_ = nullptr;
 };
 

@@ -151,6 +151,29 @@ TEST(DeterminismTest, DigestIsSensitiveToConfig) {
   EXPECT_NE(run_digest(a), run_digest(b));
 }
 
+// The timeline digest is folded as events are recorded, so dropping the
+// retained events (keep_obs off) must not move it.
+TEST(DeterminismTest, DigestIndependentOfTimelineRetention) {
+  ScopedHashSalt s{1};
+  ScenarioConfig cfg = short_mixed_config();
+  cfg.keep_obs = false;
+  ScenarioRun streamed{cfg};
+  streamed.advance(streamed.horizon());
+  streamed.finish();
+  cfg.keep_obs = true;
+  ScenarioRun retained{cfg};
+  retained.advance(retained.horizon());
+  retained.finish();
+
+  const auto so = streamed.bed().observer();
+  const auto ro = retained.bed().observer();
+  ASSERT_TRUE(so && ro);
+  EXPECT_EQ(observer_digest(*so), observer_digest(*ro));
+  EXPECT_EQ(so->timeline.size(), 0u);
+  EXPECT_GT(ro->timeline.size(), 0u);
+  EXPECT_EQ(so->timeline.dropped(), ro->timeline.size());
+}
+
 // The acceptance property for the fault layer: a run with the full fault
 // battery armed — Gilbert-Elliott bursty loss, every window kind, k-repeat
 // and miss escalation — stays a pure function of its config.  Channel

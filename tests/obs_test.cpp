@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "exp/builder.hpp"
+#include "exp/digest.hpp"
 #include "exp/scenario.hpp"
 #include "obs/export.hpp"
 #include "obs/hooks.hpp"
@@ -135,6 +136,24 @@ TEST(Timeline, RecordsAndCapsAtCapacity) {
   EXPECT_EQ(tl.size(), 3u);
   EXPECT_EQ(tl.dropped(), 2u);
   EXPECT_EQ(tl.events()[2].value, 2u);
+}
+
+// The digest folds events as they are recorded, so an event past the
+// retention capacity still moves it.
+TEST(Timeline, DigestCoversEventsPastCapacity) {
+  Timeline a;
+  Timeline b;
+  a.set_capacity(2);
+  b.set_capacity(2);
+  for (Timeline* tl : {&a, &b}) {
+    tl->record(Time::ms(1), EventKind::Wake, 7, 1);
+    tl->record(Time::ms(2), EventKind::Sleep, 7, 2);
+  }
+  a.record(Time::ms(3), EventKind::Wake, 7, 3);
+  b.record(Time::ms(3), EventKind::Wake, 7, 4);
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(b.dropped(), 1u);
+  EXPECT_NE(exp::timeline_digest(a), exp::timeline_digest(b));
 }
 
 TEST(Timeline, EventKindNamesRoundTrip) {
