@@ -1,15 +1,17 @@
 // Event-engine perf baseline (BENCH_sim_core.json).
 //
-// Measures events/sec through sim::EventQueue for the two hot shapes:
-// schedule-fire (packet-sized captures, depth-64 churn) and schedule-cancel
-// (half the events cancelled before firing).  End-to-end simulation rates
-// live in the perfbench workloads, not here.
+// Measures events/sec through sim::EventQueue for three hot shapes:
+// schedule-fire (packet-sized captures, depth-64 churn), schedule-cancel
+// (half the events cancelled before firing) and broadcast-fanout (a cell's
+// idle clients re-arming their timers at one shared time, half of them
+// cancelled).  End-to-end simulation rates live in the perfbench
+// workloads, not here.
 //
 // Modes:
 //   micro_event_queue                     table to stdout
 //   micro_event_queue --out=FILE          also write the JSON document
 //   micro_event_queue --check=FILE        regression gate: re-measure the
-//       micro numbers and fail (exit 1) if either drops more than 30%
+//       micro numbers and fail (exit 1) if any drops more than 30%
 //       below FILE's recorded events_per_sec (override the tolerance via
 //       PP_PERF_TOLERANCE, a fraction, e.g. 0.5)
 //
@@ -26,6 +28,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/report.hpp"
 #include "sim/event_queue.hpp"
@@ -99,6 +102,34 @@ double measure_schedule_cancel(std::int64_t target_events) {
   return static_cast<double>(scheduled) / secs;
 }
 
+// A schedule broadcast re-arms every idle client's wake timer at one
+// shared time, and half of those timers are cancelled again before they
+// fire.  kFanout is one fleet_100k cell: 100k clients over 16 cells.
+constexpr int kFanout = 6250;
+
+double measure_broadcast_fanout(std::int64_t target_events) {
+  using pp::sim::EventQueue;
+  using pp::sim::Time;
+  EventQueue q;
+  std::vector<pp::sim::EventHandle> hs(kFanout);
+  std::uint64_t sink = 0;
+  std::int64_t scheduled = 0;
+  std::int64_t round = 0;
+  const auto t0 = WallClock::now();
+  while (scheduled < target_events) {
+    const Time wake = Time::ms(500 * ++round);
+    for (int i = 0; i < kFanout; ++i) {
+      hs[i] = q.push(wake, [&sink, i] { sink += static_cast<unsigned>(i); });
+    }
+    scheduled += kFanout;
+    for (int i = 0; i < kFanout; i += 2) hs[i].cancel();
+    while (!q.empty()) q.pop().fn();
+  }
+  const double secs = seconds_since(t0);
+  if (sink == 0) std::fprintf(stderr, "(impossible: sink == 0)\n");
+  return static_cast<double>(scheduled) / secs;
+}
+
 double best_of(int trials, double (*fn)(std::int64_t), std::int64_t events) {
   double best = 0;
   for (int t = 0; t < trials; ++t) {
@@ -143,6 +174,7 @@ int main(int argc, char** argv) {
   (void)measure_schedule_fire(events / 4);
   const double fire_eps = best_of(3, measure_schedule_fire, events);
   const double cancel_eps = best_of(3, measure_schedule_cancel, events);
+  const double fanout_eps = best_of(3, measure_broadcast_fanout, events);
 
   bench::Report rep{"sim core perf baseline"};
   auto& micro = rep.section("micro: event queue throughput");
@@ -154,6 +186,10 @@ int main(int argc, char** argv) {
       .cell("bench", "schedule_cancel")
       .cell("events_per_sec", cancel_eps, 0)
       .cell("depth", kDepth);
+  micro.row()
+      .cell("bench", "broadcast_fanout")
+      .cell("events_per_sec", fanout_eps, 0)
+      .cell("depth", kFanout);
 
   rep.note(
       "refresh: Release build, quiet machine: "
@@ -178,7 +214,8 @@ int main(int argc, char** argv) {
       const char* bench;
       double measured;
     } checks[] = {{"schedule_fire", fire_eps},
-                  {"schedule_cancel", cancel_eps}};
+                  {"schedule_cancel", cancel_eps},
+                  {"broadcast_fanout", fanout_eps}};
     for (const auto& c : checks) {
       const double base = baseline_events_per_sec(doc, c.bench);
       if (base <= 0) {

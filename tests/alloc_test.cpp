@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>  // pp-lint: allow(raw-new): header name, not an expression
+#include <vector>
 
 #include "exp/builder.hpp"
 #include "exp/scenario.hpp"
@@ -104,6 +105,34 @@ TEST(Alloc, CancelChurnIsAllocationFreeAfterWarmup) {
   churn(50);
   EXPECT_EQ(g_allocs - before, 0u)
       << "schedule/cancel churn hit the heap after warmup";
+}
+
+// A schedule broadcast re-arms every idle client's timer at one shared
+// time: the pushes form a single same-time run whose extra entries live in
+// the queue's chunk pool.  Half the timers are cancelled and re-armed at a
+// second shared time; after warmup the pool, like the slab, recycles.
+TEST(Alloc, BroadcastFanoutChurnIsAllocationFreeAfterWarmup) {
+  EventQueue q;
+  constexpr int kTimers = 1000;
+  std::vector<sim::EventHandle> hs(kTimers);
+  std::uint64_t fired = 0;
+  auto churn = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      const Time wake = Time::ms(2 * r);
+      for (auto& h : hs) h = q.push(wake, [&fired] { ++fired; });
+      for (int i = 0; i < kTimers; i += 2) {
+        hs[i].cancel();
+        hs[i] = q.push(wake + Time::ms(1), [&fired] { ++fired; });
+      }
+      while (!q.empty()) q.pop().fn();
+    }
+  };
+  churn(2);
+  const std::uint64_t before = g_allocs;
+  churn(50);
+  EXPECT_EQ(g_allocs - before, 0u)
+      << "same-time fan-out churn hit the heap after warmup";
+  EXPECT_EQ(fired, 52u * kTimers);
 }
 
 TEST(Alloc, SimulatorSteadyStateIsAllocationFree) {

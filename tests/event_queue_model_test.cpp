@@ -24,12 +24,23 @@ struct Fuzzer {
   explicit Fuzzer(std::uint64_t seed) : rng{seed} {}
 
   void push_one() {
-    const std::int64_t when = static_cast<std::int64_t>(rng.next_u64() % 1000);
+    const std::int64_t base = relative ? now : 0;
+    push_at(base + static_cast<std::int64_t>(rng.next_u64() % span));
+  }
+
+  void push_at(std::int64_t when) {
     const int id = next_id++;
-    handles.push_back(
-        {q.push(Time::ns(when), [this, id] { fired.push_back(id); }), id});
+    handles.push_back({q.push(Time::ns(when), [this, id] { on_fire(id); }),
+                       id});
     model.emplace(ModelKey{when, seq}, id);
     ++seq;
+  }
+
+  // A fired callback may schedule more events at `now`, appending to the
+  // same-time run that is draining at the root.
+  void on_fire(int id) {
+    fired.push_back(id);
+    while (push_from_callbacks && rng.next_u64() % 3 == 0) push_at(now);
   }
 
   // Cancel a uniformly chosen handle — live, already-fired, or
@@ -53,6 +64,7 @@ struct Fuzzer {
     model.erase(model.begin());
     auto [when, fn] = q.pop();
     EXPECT_EQ(when.count_ns(), expect.first.first);
+    now = when.count_ns();
     const std::size_t before = fired.size();
     fn();
     ASSERT_EQ(fired.size(), before + 1);
@@ -84,6 +96,10 @@ struct Fuzzer {
   }
 
   Rng rng;
+  std::uint64_t span = 1000;        // push times drawn from [base, base+span)
+  bool relative = false;            // base is `now` rather than 0
+  bool push_from_callbacks = false;
+  std::int64_t now = 0;             // time of the last pop
   EventQueue q;
   std::multimap<ModelKey, int> model;
   std::vector<std::pair<EventHandle, int>> handles;
@@ -113,6 +129,48 @@ TEST(EventQueueModel, RandomizedOpsMatchReference) {
     // Drain; the tail must still come out in model order.
     while (!f.q.empty()) f.pop_one();
     f.check_invariants();
+  }
+}
+
+// Times drawn from a handful of values just past the clock, so pushes land
+// back to back at one time and join runs.  Bursts model a schedule
+// broadcast re-arming many timers at one instant; their head, middle and
+// tail entries get cancelled, and fired callbacks push more events at
+// `now`.
+TEST(EventQueueModel, SameTimeRunsMatchReference) {
+  for (std::uint64_t seed : {7u, 808u, 9009u, 60606u}) {
+    Fuzzer f{seed};
+    f.span = 4;
+    f.relative = true;
+    f.push_from_callbacks = true;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = f.rng.next_u64() % 10;
+      if (op < 2) {
+        f.push_one();
+      } else if (op < 4) {
+        // Burst at one time; cancel its head, middle and tail each with
+        // probability 1/2.
+        const std::size_t k = 1 + f.rng.next_u64() % 16;
+        const std::int64_t when =
+            f.now + static_cast<std::int64_t>(f.rng.next_u64() % f.span);
+        const std::size_t first = f.handles.size();
+        for (std::size_t i = 0; i < k; ++i) f.push_at(when);
+        for (std::size_t i : {first, first + k / 2, first + k - 1}) {
+          auto& [h, id] = f.handles[i];
+          if (f.rng.next_u64() % 2 == 0 || !h.pending()) continue;
+          h.cancel();
+          f.model_erase(id);
+        }
+      } else if (op < 5) {
+        f.cancel_one();
+      } else {
+        f.pop_one();
+      }
+      f.check_invariants();
+    }
+    while (!f.model.empty()) f.pop_one();
+    f.check_invariants();
+    EXPECT_EQ(f.q.size_bound(), 0u);
   }
 }
 
