@@ -77,13 +77,10 @@ ChannelModel::ChannelModel(ChannelSpec spec, std::uint64_t run_seed)
   PP_CHECK(!spec_.rungs.empty(), "channel.spec.rungs");
 }
 
-void ChannelModel::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_attempts_ = m->counter("channel.state.attempts");
-    ctr_losses_ = m->counter("channel.state.losses");
-    ctr_worse_ = m->counter("channel.state.worse_entries");
-  });
+void ChannelModel::publish(obs::MetricsRegistry& m) const {
+  m.counter("channel.state.attempts")->inc(stats_.attempts);
+  m.counter("channel.state.losses")->inc(stats_.losses);
+  m.counter("channel.state.worse_entries")->inc(stats_.worse_entries);
 }
 
 ChannelModel::Station& ChannelModel::station(std::uint32_t raw) {
@@ -142,11 +139,6 @@ ChannelModel::Attempt ChannelModel::attempt(net::Ipv4Addr client,
   ++stats_.attempts;
   if (a.lost) ++stats_.losses;
   if (a.worsened) ++stats_.worse_entries;
-  PP_OBS(if (ctr_attempts_) {
-    ctr_attempts_->inc();
-    if (a.lost) ctr_losses_->inc();
-    if (a.worsened) ctr_worse_->inc();
-  });
   return a;
 }
 

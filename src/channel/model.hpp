@@ -59,8 +59,8 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
   // ChannelObserver: pure query, never draws or mutates.
   ChannelView view_of(net::Ipv4Addr client) const override;
 
-  // Publish channel.state.* counters.
-  void set_obs(obs::Hook hook);
+  // Write the channel.state.* counters from stats().
+  void publish(obs::MetricsRegistry& m) const;
 
   const ChannelStats& stats() const { return stats_; }
   const ChannelSpec& spec() const { return spec_; }
@@ -84,10 +84,6 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
   std::map<std::uint32_t, Station> stations_;
 
   ChannelStats stats_;
-  obs::Hook obs_;
-  obs::Counter* ctr_attempts_ = nullptr;
-  obs::Counter* ctr_losses_ = nullptr;
-  obs::Counter* ctr_worse_ = nullptr;
 };
 
 }  // namespace pp::channel

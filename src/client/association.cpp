@@ -33,11 +33,9 @@ AssociationAgent::AssociationAgent(sim::Simulator& sim, net::Ipv4Addr self,
 
 AssociationAgent::~AssociationAgent() { timer_.cancel(); }
 
-void AssociationAgent::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_retries_ = m->counter("client.assoc.retries");
-  });
+void AssociationAgent::publish(obs::MetricsRegistry& m) const {
+  m.counter("client.assoc.retries")
+      ->inc(stats_.join_retries + stats_.leave_retries);
 }
 
 sim::Duration AssociationAgent::backoff(int attempt) {
@@ -83,10 +81,7 @@ void AssociationAgent::join() {
 }
 
 void AssociationAgent::send_join() {
-  if (attempt_ > 0) {
-    ++stats_.join_retries;
-    PP_OBS(if (ctr_retries_) ctr_retries_->inc());
-  }
+  if (attempt_ > 0) ++stats_.join_retries;
   send_control(proxy::AssocKind::Join);
   timer_ = sim_.after(backoff(attempt_), [this] {
     ++attempt_;
@@ -105,10 +100,7 @@ void AssociationAgent::leave() {
 }
 
 void AssociationAgent::send_leave() {
-  if (attempt_ > 0) {
-    ++stats_.leave_retries;
-    PP_OBS(if (ctr_retries_) ctr_retries_->inc());
-  }
+  if (attempt_ > 0) ++stats_.leave_retries;
   send_control(proxy::AssocKind::Leave);
   timer_ = sim_.after(backoff(attempt_), [this] {
     if (attempt_ >= params_.max_leave_retries) {

@@ -113,7 +113,8 @@ class AssociationAgent {
   }
   const AssocStats& stats() const { return stats_; }
 
-  void set_obs(obs::Hook hook);
+  // Add this agent's join and leave retries to client.assoc.retries.
+  void publish(obs::MetricsRegistry& m) const;
 
  private:
   void send_control(proxy::AssocKind kind);
@@ -133,9 +134,6 @@ class AssociationAgent {
   std::uint64_t ctrl_seq_ = 0;  // last issued handshake seq
   int attempt_ = 0;             // retransmissions of the current handshake
   sim::EventHandle timer_;      // retry / acquisition timer
-
-  obs::Hook obs_;
-  obs::Counter* ctr_retries_ = nullptr;
 
   AssocStats stats_;
 };

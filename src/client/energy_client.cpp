@@ -70,8 +70,12 @@ void EnergyAwareClient::set_obs(obs::Hook hook) {
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
     twg_awake_ = m->time_gauge("client." + ip().str() + ".awake");
     twg_awake_->set(sim_.now(), listening() ? 1.0 : 0.0);
-  } daemon_.set_obs(hook, ip().raw());
-    if (assoc_) assoc_->set_obs(hook));
+  } daemon_.set_obs(hook, ip().raw()));
+}
+
+void EnergyAwareClient::publish(obs::MetricsRegistry& m) const {
+  daemon_.publish(m);
+  if (assoc_) assoc_->publish(m);
 }
 
 void EnergyAwareClient::record_power_state(bool awake) {

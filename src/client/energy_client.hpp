@@ -49,9 +49,12 @@ class EnergyAwareClient : public RadioStation {
   // Present (non-null) only when assoc is enabled.
   const AssociationAgent* assoc() const { return assoc_.get(); }
 
-  // Publish the per-client awake duty-cycle gauge ("client.<ip>.awake")
-  // and sleep/wake timeline events; also hooks the daemon's miss counter.
+  // Attach the per-client awake duty-cycle gauge ("client.<ip>.awake")
+  // and sleep/wake timeline events; also hooks the daemon.
   void set_obs(obs::Hook hook);
+  // Add the daemon's and the association agent's counts to the client.*
+  // counters.
+  void publish(obs::MetricsRegistry& m) const;
 
   PowerDaemon& daemon() { return daemon_; }
   const DaemonStats& daemon_stats() const { return daemon_.stats(); }

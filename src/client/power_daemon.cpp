@@ -68,10 +68,13 @@ void PowerDaemon::set_obs(obs::Hook hook, std::uint32_t subject) {
   (void)hook;
   (void)subject;
   PP_OBS(obs_ = hook; obs_subject_ = subject; if (auto* m = obs_.metrics()) {
-    ctr_sched_missed_ = m->counter("client.schedules_missed");
-    ctr_resyncs_ = m->counter("client.resyncs");
     hist_outage_us_ = m->histogram("client.outage_us");
   });
+}
+
+void PowerDaemon::publish(obs::MetricsRegistry& m) const {
+  m.counter("client.schedules_missed")->inc(stats_.schedules_missed);
+  m.counter("client.resyncs")->inc(stats_.resyncs);
 }
 
 void PowerDaemon::settle_first_wait() {
@@ -83,8 +86,7 @@ void PowerDaemon::settle_first_wait() {
 void PowerDaemon::note_resync() {
   if (consecutive_misses_ == 0) return;
   ++stats_.resyncs;
-  PP_OBS(if (ctr_resyncs_) ctr_resyncs_->inc();
-         if (hist_outage_us_) hist_outage_us_->observe(static_cast<
+  PP_OBS(if (hist_outage_us_) hist_outage_us_->observe(static_cast<
              std::uint64_t>((sim_.now() - first_miss_at_).count_us()));
          if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::Resync, obs_subject_,
@@ -296,8 +298,7 @@ void PowerDaemon::on_schedule_grace_expired() {
   } else {
     ++stats_.repeat_misses;
   }
-  PP_OBS(if (ctr_sched_missed_) ctr_sched_missed_->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::ScheduleMissed,
                         obs_subject_));
   // The early portion of the wait was ordinary early-transition waste; the

@@ -137,8 +137,12 @@ class PowerDaemon {
   bool awake() const { return awake_; }
   const DaemonStats& stats() const { return stats_; }
 
-  // Publish missed-schedule events keyed to `subject` (the client's IP).
+  // Record missed-schedule and resync events keyed to `subject` (the
+  // client's IP), and the outage-length histogram.
   void set_obs(obs::Hook hook, std::uint32_t subject);
+  // Add this daemon's missed schedules and resyncs to the client.*
+  // counters.
+  void publish(obs::MetricsRegistry& m) const;
 
  private:
   enum class State : std::uint8_t {
@@ -202,8 +206,6 @@ class PowerDaemon {
 
   obs::Hook obs_;
   std::uint32_t obs_subject_ = 0;
-  obs::Counter* ctr_sched_missed_ = nullptr;
-  obs::Counter* ctr_resyncs_ = nullptr;
   obs::Histogram* hist_outage_us_ = nullptr;
 
   DaemonStats stats_;

@@ -50,11 +50,6 @@ ScenarioBuilder& ScenarioBuilder::slotted_tcp_weight(double w) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::early_transition(sim::Duration d) {
-  cfg_.early_transition = d;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::compensation(client::CompensationMode m) {
   cfg_.compensation = m;
   return *this;
@@ -210,9 +205,6 @@ ScenarioConfig ScenarioBuilder::build() const {
   if (!(c.duration_s > 0)) fail("duration_s must be positive");
   if (c.video_start_s < 0) fail("video_start_s must be non-negative");
   if (c.video_spacing_s < 0) fail("video_spacing_s must be non-negative");
-  if (c.early_transition < sim::Duration{}) {
-    fail("early_transition must be non-negative");
-  }
   if (!(c.cost_model_scale > 0)) fail("cost_model_scale must be positive");
   if (c.wireless_p_loss < 0 || c.wireless_p_loss >= 1.0) {
     fail("wireless_p_loss must be in [0, 1)");

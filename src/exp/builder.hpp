@@ -41,7 +41,6 @@ class ScenarioBuilder {
   // -- Schedule --------------------------------------------------------------------
   ScenarioBuilder& policy(IntervalPolicy p);
   ScenarioBuilder& slotted_tcp_weight(double w);  // SlottedStatic500 only
-  ScenarioBuilder& early_transition(sim::Duration d);
   ScenarioBuilder& compensation(client::CompensationMode m);
   ScenarioBuilder& honor_reuse(bool on);
   ScenarioBuilder& schedule_repeats(int k);
@@ -77,7 +76,6 @@ class ScenarioBuilder {
   fault::FaultSpec& fault_spec() { return cfg_.fault; }
   // Channel-quality model; composes with fault windows and churn storms.
   ScenarioBuilder& channel(channel::ChannelSpec spec);
-  channel::ChannelSpec& channel_spec() { return cfg_.channel; }
   ScenarioBuilder& keep_trace(bool on = true);
   ScenarioBuilder& keep_obs(bool on = true);
 

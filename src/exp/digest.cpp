@@ -11,7 +11,7 @@ std::uint64_t fold_string(std::uint64_t h, const std::string& s) {
 }
 
 // "sim."-prefixed counters are event-engine meta-metrics (event and slab
-// accounting, see Testbed::publish_sim_metrics).  They describe how the
+// accounting, see Testbed::publish_metrics).  They describe how the
 // engine executed a run, not what the simulated system did, and they shift
 // with engine internals (cancellation pruning, slab sizing) — so the
 // behavioral fingerprint must not fold them in.

@@ -114,7 +114,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   tp.wireless.p_loss = cfg.wireless_p_loss;
   tp.ap = cfg.ap;
   tp.client.daemon.comp.mode = cfg.compensation;
-  tp.client.daemon.comp.early = cfg.early_transition;
   // Worst case between consecutive broadcasts: previous one maximally
   // jittered + spiked, next one not jittered at all.  Spikes only count
   // when they can occur.

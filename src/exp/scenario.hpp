@@ -52,7 +52,6 @@ struct ScenarioConfig {
   std::vector<int> roles;  // one per client
   IntervalPolicy policy = IntervalPolicy::Fixed500;
   std::uint64_t seed = 1;
-  sim::Duration early_transition = sim::Time::ms(6);
   client::CompensationMode compensation = client::CompensationMode::Adaptive;
   // Derive the clients' early-wake guard from the AP's configured jitter
   // bound (jitter_max + spike_max): an anchor carried by a maximally-spiked

@@ -134,7 +134,6 @@ Testbed::Testbed(TestbedParams params,
     ap_.set_obs(hook);
     proxy_->set_obs(hook);
     if (fault_) fault_->set_obs(hook);
-    if (channel_) channel_->set_obs(hook);
     if (params_.per_client_obs)
       for (auto& c : clients_) c->set_obs(hook);
   }
@@ -168,7 +167,7 @@ std::vector<net::Ipv4Addr> Testbed::client_ips() const {
 }
 
 void Testbed::finalize_audit(sim::Time horizon) {
-  publish_sim_metrics();
+  publish_metrics();
   ap_.audit();
   proxy_->audit();
   for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -180,10 +179,9 @@ void Testbed::finalize_audit(sim::Time horizon) {
   if (auditor_) auditor_->finalize(horizon);
 }
 
-void Testbed::publish_sim_metrics() {
-  if (sim_metrics_published_) return;
-  sim_metrics_published_ = true;
-#if PP_OBS_ENABLED
+void Testbed::publish_metrics() {
+  if (metrics_published_) return;
+  metrics_published_ = true;
   auto* m = metrics();
   if (m == nullptr) return;
   // Engine meta-counters.  The "sim." prefix is load-bearing: replay
@@ -196,7 +194,14 @@ void Testbed::publish_sim_metrics() {
   m->counter("sim.events.stale_pruned")->inc(qs.stale_pruned);
   m->counter("sim.events.slab_slots")
       ->inc(static_cast<std::uint64_t>(sim_.queue_slab_slots()));
-#endif
+  // Component counters, each from the component's own stats.
+  medium_.publish(*m);
+  ap_.publish(*m);
+  proxy_->publish(*m);
+  if (fault_) fault_->publish(*m);
+  if (channel_) channel_->publish(*m);
+  if (params_.per_client_obs)
+    for (const auto& c : clients_) c->publish(*m);
 }
 
 void Testbed::start(sim::Time first_srp) {

@@ -114,10 +114,13 @@ class Testbed {
   // aborts (or throws under a test handler) on the first violation.
   void finalize_audit(sim::Time horizon);
 
-  // Snapshot the event engine's sim.events.* counters into
-  // the metrics registry (no-op when not observing; idempotent).  Called
-  // by finalize_audit; exposed for drivers that skip the audit.
-  void publish_sim_metrics();
+  // Write every counter into the metrics registry, once, from the
+  // components' own stats: the engine's sim.events.*, the medium, AP,
+  // proxy (with its scheduler and splices), fault plan, channel model, and
+  // (under per_client_obs) every client.  No-op when not observing;
+  // idempotent.  Called by finalize_audit; exposed for drivers that skip
+  // the audit.
+  void publish_metrics();
 
   // The streaming timeline auditor (null when not observing).
   check::Auditor* auditor() { return auditor_.get(); }
@@ -148,7 +151,7 @@ class Testbed {
   std::vector<std::unique_ptr<net::Node>> servers_;
   int next_server_ = 1;
   bool started_ = false;
-  bool sim_metrics_published_ = false;
+  bool metrics_published_ = false;
 };
 
 // Client address helper: 16-bit index over the low two octets —

@@ -98,10 +98,13 @@ void FaultPlan::attach_wired_link(net::Channel& downlink,
 void FaultPlan::set_obs(obs::Hook hook) {
   (void)hook;
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_activated_ = m->counter("fault.windows_activated");
-    ctr_recovered_ = m->counter("fault.windows_recovered");
     hist_window_us_ = m->histogram("fault.window_us");
   });
+}
+
+void FaultPlan::publish(obs::MetricsRegistry& m) const {
+  m.counter("fault.windows_activated")->inc(stats_.windows_activated);
+  m.counter("fault.windows_recovered")->inc(stats_.windows_recovered);
 }
 
 void FaultPlan::arm() {
@@ -119,8 +122,7 @@ void FaultPlan::activate(const FaultWindow& w) {
   // System-wide kinds nest (only the outermost edge applies); per-client
   // windows target distinct clients, so every window's own edges fire.
   if (depth == 1 || per_client(w.kind)) apply(w, true);
-  PP_OBS(if (ctr_activated_) ctr_activated_->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::FaultStart, w.client.raw(),
                         static_cast<std::uint64_t>(w.kind)));
 }
@@ -133,8 +135,7 @@ void FaultPlan::recover(const FaultWindow& w) {
   const bool closed = --it->second == 0;
   if (closed) depth_.erase(it);
   if (closed || per_client(w.kind)) apply(w, false);
-  PP_OBS(if (ctr_recovered_) ctr_recovered_->inc();
-         if (hist_window_us_) hist_window_us_->observe(
+  PP_OBS(if (hist_window_us_) hist_window_us_->observe(
              static_cast<std::uint64_t>(w.duration.count_us()));
          if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::FaultEnd, w.client.raw(),

@@ -58,8 +58,11 @@ class FaultPlan {
     churn_ = std::move(fn);
   }
 
-  // Publish fault counters and FaultStart/FaultEnd timeline events.
+  // Attach the window-length histogram and FaultStart/FaultEnd timeline
+  // events.
   void set_obs(obs::Hook hook);
+  // Write the fault.windows_* counters from the plan's own counts.
+  void publish(obs::MetricsRegistry& m) const;
 
   // Schedule every window on the simulator.  Call once, before running.
   void arm();
@@ -90,8 +93,6 @@ class FaultPlan {
 
   FaultStats stats_;
   obs::Hook obs_;
-  obs::Counter* ctr_activated_ = nullptr;
-  obs::Counter* ctr_recovered_ = nullptr;
   obs::Histogram* hist_window_us_ = nullptr;
 };
 

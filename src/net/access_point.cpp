@@ -53,12 +53,11 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
   // One admission check for the chain: a slot's burst is one unit of work.
   if (backlog_bytes_ + wire > params_.queue_limit_bytes) {
     dropped_ += n;
-    PP_OBS(burst.for_each([this](const Chunk& c) {
-      if (ctr_dropped_) ctr_dropped_->inc();
-      if (auto* tl = obs_.timeline())
-        tl->record(sim_.now(), obs::EventKind::Drop, c.data->pkt.dst.raw(),
-                   c.length);
-    }));
+    PP_OBS(if (auto* tl = obs_.timeline())
+               burst.for_each([&](const Chunk& c) {
+                 tl->record(sim_.now(), obs::EventKind::Drop,
+                            c.data->pkt.dst.raw(), c.length);
+               }));
     return;  // the chain releases its views on destruction
   }
   backlog_bytes_ += wire;
@@ -67,15 +66,7 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
              twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_)));
   // One service-delay draw for the whole burst: the slot's frames leave
   // the AP back-to-back, so base delay + jitter (+ spike) is paid once.
-  sim::Duration delay = params_.base_delay;
-  auto& rng = sim_.rng();
-  delay += sim::Time::ns(static_cast<std::int64_t>(
-      rng.uniform() * static_cast<double>(params_.jitter_max.count_ns())));
-  if (params_.p_spike > 0 && rng.chance(params_.p_spike)) {
-    delay += sim::Time::ns(static_cast<std::int64_t>(
-        rng.uniform() * static_cast<double>(params_.spike_max.count_ns())));
-  }
-  sim::Time depart = sim_.now() + delay;
+  sim::Time depart = sim_.now() + service_delay();
   if (depart < last_departure_) depart = last_departure_;
   last_departure_ = depart;
   sim_.at(depart, [this, wire, n, b = std::move(burst)]() mutable {
@@ -84,18 +75,15 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
     backlog_bytes_ -= wire;
     backlog_packets_ -= n;
     forwarded_ += n;
-    PP_OBS(if (ctr_forwarded_) {
-      ctr_forwarded_->inc(n);
-      twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
-    });
+    PP_OBS(if (twg_backlog_) twg_backlog_->set(
+               sim_.now(), static_cast<double>(backlog_bytes_)));
     medium_.transmit_burst(radio_id_, std::move(b));
   });
 }
 
 void AccessPoint::note_drop(const Packet& pkt) {
   (void)pkt;
-  PP_OBS(if (ctr_dropped_) ctr_dropped_->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
                         pkt.payload));
 }
@@ -103,11 +91,14 @@ void AccessPoint::note_drop(const Packet& pkt) {
 void AccessPoint::set_obs(obs::Hook hook) {
   (void)hook;
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_dropped_ = m->counter("ap.downlink_dropped");
-    ctr_forwarded_ = m->counter("ap.downlink_forwarded");
     twg_backlog_ = m->time_gauge("ap.backlog_bytes");
     twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
   });
+}
+
+void AccessPoint::publish(obs::MetricsRegistry& m) const {
+  m.counter("ap.downlink_dropped")->inc(dropped_);
+  m.counter("ap.downlink_forwarded")->inc(forwarded_);
 }
 
 void AccessPoint::forward_downlink(Packet pkt) {
@@ -139,7 +130,7 @@ void AccessPoint::set_stalled(bool stalled) {
   }
 }
 
-void AccessPoint::dispatch_downlink(Packet pkt) {
+sim::Duration AccessPoint::service_delay() {
   sim::Duration delay = params_.base_delay;
   auto& rng = sim_.rng();
   delay += sim::Time::ns(static_cast<std::int64_t>(
@@ -148,8 +139,12 @@ void AccessPoint::dispatch_downlink(Packet pkt) {
     delay += sim::Time::ns(static_cast<std::int64_t>(
         rng.uniform() * static_cast<double>(params_.spike_max.count_ns())));
   }
+  return delay;
+}
+
+void AccessPoint::dispatch_downlink(Packet pkt) {
   // FIFO: a frame never departs before its predecessor.
-  sim::Time depart = sim_.now() + delay;
+  sim::Time depart = sim_.now() + service_delay();
   if (depart < last_departure_) depart = last_departure_;
   last_departure_ = depart;
 
@@ -160,10 +155,8 @@ void AccessPoint::dispatch_downlink(Packet pkt) {
     backlog_bytes_ -= wire;
     --backlog_packets_;
     ++forwarded_;
-    PP_OBS(if (ctr_forwarded_) {
-      ctr_forwarded_->inc();
-      twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
-    });
+    PP_OBS(if (twg_backlog_) twg_backlog_->set(
+               sim_.now(), static_cast<double>(backlog_bytes_)));
     medium_.transmit(radio_id_, std::move(p));
   });
 }
@@ -202,8 +195,7 @@ void AccessPoint::disassociate(Ipv4Addr ip) {
     ++dropped_;
     ++assoc_flushed_;
     const Chunk* c = q.front();
-    PP_OBS(if (ctr_dropped_) ctr_dropped_->inc();
-           if (auto* tl = obs_.timeline())
+    PP_OBS(if (auto* tl = obs_.timeline())
                tl->record(sim_.now(), obs::EventKind::Drop,
                           c->data->pkt.dst.raw(), c->length));
     (void)c;

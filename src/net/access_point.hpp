@@ -70,8 +70,10 @@ class AccessPoint : public PacketSink, public WirelessStation {
   bool stalled() const { return stalled_; }
   std::uint64_t stalled_frames() const { return stalled_q_.size(); }
 
-  // Publish drop/forward counters and the backlog depth gauge.
+  // Attach the backlog depth gauge and the drop timeline events.
   void set_obs(obs::Hook hook);
+  // Write the drop/forward counters from this AP's own counts.
+  void publish(obs::MetricsRegistry& m) const;
 
   // -- 802.11 power-save mode (see net/psm.hpp) -----------------------------------
   // Begin broadcasting beacons every `interval`.  Frames destined to
@@ -101,6 +103,9 @@ class AccessPoint : public PacketSink, public WirelessStation {
   void send_beacon();
   void forward_downlink(Packet pkt);
   void dispatch_downlink(Packet pkt);
+  // Draw one service delay: base delay, uniform jitter, and the occasional
+  // spike.
+  sim::Duration service_delay();
   void note_drop(const Packet& pkt);
   sim::Simulator& sim_;
   WirelessMedium& medium_;
@@ -117,8 +122,6 @@ class AccessPoint : public PacketSink, public WirelessStation {
   std::deque<Packet> stalled_q_;
 
   obs::Hook obs_;
-  obs::Counter* ctr_dropped_ = nullptr;
-  obs::Counter* ctr_forwarded_ = nullptr;
   obs::TimeWeightedGauge* twg_backlog_ = nullptr;
 
   // PSM state.  Parked queues are ChunkQueues (the shared downlink queue

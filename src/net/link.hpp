@@ -84,7 +84,6 @@ class PointToPointLink {
       : a_to_b_{sim, params, b}, b_to_a_{sim, params, a} {}
 
   bool send_a_to_b(Packet pkt) { return a_to_b_.transmit(std::move(pkt)); }
-  bool send_b_to_a(Packet pkt) { return b_to_a_.transmit(std::move(pkt)); }
   bool send_burst_a_to_b(ChunkQueue burst) {
     return a_to_b_.transmit_burst(std::move(burst));
   }

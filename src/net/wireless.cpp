@@ -29,12 +29,15 @@ WirelessMedium::StationId WirelessMedium::attach_station(WirelessStation& st,
 void WirelessMedium::set_obs(obs::Hook hook) {
   (void)hook;
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_frames_sent_ = m->counter("net.frames_sent");
-    ctr_frames_missed_ = m->counter("net.frames_missed");
-    ctr_bursts_ = m->counter("net.bursts");
     hist_airtime_us_ = m->histogram("net.frame_airtime_us");
     hist_burst_frames_ = m->histogram("net.burst_frames");
   });
+}
+
+void WirelessMedium::publish(obs::MetricsRegistry& m) const {
+  m.counter("net.frames_sent")->inc(frames_sent_);
+  m.counter("net.frames_missed")->inc(frames_missed_);
+  m.counter("net.bursts")->inc(bursts_);
 }
 
 void WirelessMedium::set_faded(Ipv4Addr ip, bool on) {
@@ -71,10 +74,8 @@ void WirelessMedium::transmit(StationId sender, Packet pkt) {
   const sim::Time end = start + airtime;
   busy_until_ = end;
   ++frames_sent_;
-  PP_OBS(if (ctr_frames_sent_) {
-    ctr_frames_sent_->inc();
-    hist_airtime_us_->observe(static_cast<std::uint64_t>(airtime.count_us()));
-  });
+  PP_OBS(if (hist_airtime_us_) hist_airtime_us_->observe(
+             static_cast<std::uint64_t>(airtime.count_us())));
   stations_[sender].station->on_air(start, airtime);
   sim_.at(end + params_.propagation,
           [this, sender, airtime, start, p = std::move(pkt)]() mutable {
@@ -105,9 +106,8 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
   const sim::Time end = start + airtime;
   busy_until_ = end;
   frames_sent_ += n;
-  PP_OBS(if (ctr_frames_sent_) {
-    ctr_frames_sent_->inc(n);
-    ctr_bursts_->inc();
+  ++bursts_;
+  PP_OBS(if (hist_burst_frames_) {
     hist_burst_frames_->observe(n);
     burst.for_each([this](const Chunk& c) {
       hist_airtime_us_->observe(static_cast<std::uint64_t>(
@@ -180,7 +180,6 @@ void WirelessMedium::deliver_to(StationId receiver, StationId channel,
   } else {
     st.missed(pkt, airtime);
     ++frames_missed_;
-    PP_OBS(if (ctr_frames_missed_) ctr_frames_missed_->inc());
   }
 }
 

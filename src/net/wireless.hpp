@@ -131,11 +131,14 @@ class WirelessMedium {
 
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_missed() const { return frames_missed_; }
+  std::uint64_t bursts() const { return bursts_; }
 
   const WirelessParams& params() const { return params_; }
 
-  // Publish per-frame counters and the airtime histogram to an observer.
+  // Attach the airtime and burst-size histograms to an observer.
   void set_obs(obs::Hook hook);
+  // Write the frame and burst counters from the medium's own counts.
+  void publish(obs::MetricsRegistry& m) const;
 
   // Install a corruption model that overrides uniform p_loss (nullptr
   // restores the built-in draw).  Not owned; must outlive the medium.
@@ -175,13 +178,11 @@ class WirelessMedium {
   std::vector<SnifferFn> sniffers_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_missed_ = 0;
+  std::uint64_t bursts_ = 0;  // transmit_burst reservations
   std::uint64_t fade_losses_ = 0;
   ChannelLossModel* loss_model_ = nullptr;
 
   obs::Hook obs_;
-  obs::Counter* ctr_frames_sent_ = nullptr;
-  obs::Counter* ctr_frames_missed_ = nullptr;
-  obs::Counter* ctr_bursts_ = nullptr;
   obs::Histogram* hist_airtime_us_ = nullptr;
   obs::Histogram* hist_burst_frames_ = nullptr;
 };

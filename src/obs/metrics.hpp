@@ -2,11 +2,12 @@
 // log-bucketed histograms.
 //
 // One registry serves a whole simulation (it lives in exp::Testbed's
-// Observer).  Components resolve handles once — counter()/time_gauge()/... are
-// map lookups — and then update through the returned pointer on the hot
-// path.  Handles stay valid for the registry's lifetime (std::map nodes
-// are stable).  Iteration order is the sorted name order, so exports are
-// deterministic.
+// Observer).  Counters are written once, at the end of a run, from the
+// components' own stats (exp::Testbed::publish_metrics).  Gauges and
+// histograms are resolved once — time_gauge()/histogram() are map lookups —
+// and then updated through the returned pointer on the hot path.  Handles
+// stay valid for the registry's lifetime (std::map nodes are stable).
+// Iteration order is the sorted name order, so exports are deterministic.
 #pragma once
 
 #include <array>

@@ -136,12 +136,8 @@ void BurstSession::open() {
   // before it sleeps on the mark.
   if (need_empty_marker) emit_empty_marker();
 
-  if (p.table_.membership(id) == Membership::Draining && burst_bytes > 0) {
+  if (p.table_.membership(id) == Membership::Draining)
     p.stats_.churn_drained_bytes += burst_bytes;
-    PP_OBS(if (auto* c = p.churn_counter(p.ctr_churn_drained_,
-                                         "proxy.churn.drained_bytes"))
-               c->inc(burst_bytes));
-  }
 
   PP_OBS(if (p.hist_burst_bytes_) p.hist_burst_bytes_->observe(burst_bytes);
          if (auto* tl = p.obs_.timeline())
@@ -175,8 +171,7 @@ void BurstSession::emit_empty_marker() {
   pkt.marked = true;
   pkt.sent_at = p.sim_.now();
   ++p.stats_.empty_burst_markers;
-  PP_OBS(if (p.ctr_empty_markers_) p.ctr_empty_markers_->inc();
-         if (auto* tl = p.obs_.timeline())
+  PP_OBS(if (auto* tl = p.obs_.timeline())
              tl->record(p.sim_.now(), obs::EventKind::EmptyBurstMarker,
                         entry_.client.raw()));
   p.wireless_tx_(std::move(pkt));

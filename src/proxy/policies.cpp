@@ -53,10 +53,8 @@ sim::Rng policy_stream(std::uint64_t run_seed) {
 
 // -- LongestQueueFirstScheduler ----------------------------------------------------
 
-void LongestQueueFirstScheduler::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(if (auto* m = hook.metrics())
-             ctr_starved_ = m->counter("sched.policy.lqf.starved"));
+void LongestQueueFirstScheduler::publish(obs::MetricsRegistry& m) const {
+  m.counter("sched.policy.lqf.starved")->inc(starved_);
 }
 
 BuiltSchedule LongestQueueFirstScheduler::build(
@@ -77,13 +75,12 @@ BuiltSchedule LongestQueueFirstScheduler::build(
   std::vector<std::pair<net::Ipv4Addr, sim::Duration>> slots;
   slots.reserve(active.size());
   sim::Duration used = sim::Time::zero();
-  std::uint64_t starved = 0;
   for (const ClientDemand* d : active) {
     const sim::Duration remaining = available - used;
     // A slot shorter than the burst guard carries no data: starve instead
     // of emitting a useless (or zero-length) entry.
     if (remaining <= sp_.burst_guard) {
-      ++starved;
+      ++starved_;
       continue;
     }
     sim::Duration cost = widened_cost(*d, est, sp_);
@@ -91,18 +88,15 @@ BuiltSchedule LongestQueueFirstScheduler::build(
     slots.emplace_back(d->ip, cost);
     used += cost;
   }
-  PP_OBS(if (ctr_starved_ && starved > 0) ctr_starved_->inc(starved));
   return BuiltSchedule{interval_, false, lay_out(slots, sp_.lead)};
 }
 
 // -- ChannelAwareOpportunisticScheduler --------------------------------------------
 
-void ChannelAwareOpportunisticScheduler::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(if (auto* m = hook.metrics()) {
-    ctr_deferrals_ = m->counter("sched.policy.opp.deferrals");
-    ctr_forced_ = m->counter("sched.policy.opp.forced");
-  });
+void ChannelAwareOpportunisticScheduler::publish(
+    obs::MetricsRegistry& m) const {
+  m.counter("sched.policy.opp.deferrals")->inc(deferrals_);
+  m.counter("sched.policy.opp.forced")->inc(forced_);
 }
 
 BuiltSchedule ChannelAwareOpportunisticScheduler::build(
@@ -110,8 +104,6 @@ BuiltSchedule ChannelAwareOpportunisticScheduler::build(
   const sim::Duration available = interval_ - sp_.lead;
   std::vector<const ClientDemand*> served;
   served.reserve(demands.size());
-  std::uint64_t deferrals = 0;
-  std::uint64_t forced = 0;
   for (const ClientDemand& d : demands) {
     if (d.total() == 0) {
       // Queue drained: the skip streak (if any) is over.
@@ -125,15 +117,13 @@ BuiltSchedule ChannelAwareOpportunisticScheduler::build(
     const bool can_wait = d.deadline_slack > interval_;
     if (bad && can_wait && skips < max_deferrals_) {
       ++skips;
-      ++deferrals;
+      ++deferrals_;
       continue;
     }
-    if (bad) ++forced;  // bad channel, but late or skip-capped: serve anyway
+    if (bad) ++forced_;  // bad channel, but late or skip-capped: serve anyway
     skips = 0;
     served.push_back(&d);
   }
-  PP_OBS(if (ctr_deferrals_ && deferrals > 0) ctr_deferrals_->inc(deferrals);
-         if (ctr_forced_ && forced > 0) ctr_forced_->inc(forced));
   // Lay out the admitted set deepest-queue-first at full drain cost (the
   // LQF rule): under overcommit the airtime reclaimed from deferred
   // bad-channel clients must reach the deepest good-state queues whole,
@@ -166,12 +156,10 @@ BufferAwareProbabilisticScheduler::BufferAwareProbabilisticScheduler(
       sp_{sp},
       rng_{policy_stream(run_seed)} {}
 
-void BufferAwareProbabilisticScheduler::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(if (auto* m = hook.metrics()) {
-    ctr_skips_ = m->counter("sched.policy.prob.skips");
-    ctr_forced_ = m->counter("sched.policy.prob.forced");
-  });
+void BufferAwareProbabilisticScheduler::publish(
+    obs::MetricsRegistry& m) const {
+  m.counter("sched.policy.prob.skips")->inc(skips_);
+  m.counter("sched.policy.prob.forced")->inc(forced_);
 }
 
 BuiltSchedule BufferAwareProbabilisticScheduler::build(
@@ -179,8 +167,6 @@ BuiltSchedule BufferAwareProbabilisticScheduler::build(
   const sim::Duration available = interval_ - sp_.lead;
   std::vector<const ClientDemand*> served;
   served.reserve(demands.size());
-  std::uint64_t skips = 0;
-  std::uint64_t forced = 0;
   for (const ClientDemand& d : demands) {
     if (d.total() == 0) continue;
     const double q = static_cast<double>(d.total());
@@ -190,14 +176,12 @@ BuiltSchedule BufferAwareProbabilisticScheduler::build(
     const bool admit = rng_.chance(p);
     const bool urgent = d.deadline_slack <= interval_;
     if (!admit && !urgent) {
-      ++skips;
+      ++skips_;
       continue;
     }
-    if (!admit) ++forced;  // lost the draw but the deadline overrides it
+    if (!admit) ++forced_;  // lost the draw but the deadline overrides it
     served.push_back(&d);
   }
-  PP_OBS(if (ctr_skips_ && skips > 0) ctr_skips_->inc(skips);
-         if (ctr_forced_ && forced > 0) ctr_forced_->inc(forced));
   const auto slots =
       fit_proportional(served, available, [&](const ClientDemand& d) {
         return widened_cost(d, est, sp_);

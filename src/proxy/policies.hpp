@@ -38,12 +38,14 @@ class LongestQueueFirstScheduler final : public Scheduler {
       : interval_{interval}, sp_{sp} {}
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
-  void set_obs(obs::Hook hook) override;
+  void publish(obs::MetricsRegistry& m) const override;
+  // Backlogged clients left without a slot, summed over every SRP.
+  std::uint64_t starved() const { return starved_; }
 
  private:
   sim::Duration interval_;
   SlotParams sp_;
-  obs::Counter* ctr_starved_ = nullptr;
+  std::uint64_t starved_ = 0;
 };
 
 class ChannelAwareOpportunisticScheduler final : public Scheduler {
@@ -62,7 +64,11 @@ class ChannelAwareOpportunisticScheduler final : public Scheduler {
   }
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
-  void set_obs(obs::Hook hook) override;
+  void publish(obs::MetricsRegistry& m) const override;
+  // Bad-channel clients deferred, and those served anyway (late or
+  // skip-capped), summed over every SRP.
+  std::uint64_t deferrals() const { return deferrals_; }
+  std::uint64_t forced() const { return forced_; }
 
  private:
   sim::Duration interval_;
@@ -71,8 +77,8 @@ class ChannelAwareOpportunisticScheduler final : public Scheduler {
   // Consecutive deferrals per client (ordered map: layout must never
   // follow hash-bucket order).
   std::map<std::uint32_t, int> deferred_;
-  obs::Counter* ctr_deferrals_ = nullptr;
-  obs::Counter* ctr_forced_ = nullptr;
+  std::uint64_t deferrals_ = 0;
+  std::uint64_t forced_ = 0;
 };
 
 class BufferAwareProbabilisticScheduler final : public Scheduler {
@@ -84,15 +90,19 @@ class BufferAwareProbabilisticScheduler final : public Scheduler {
                                     SlotParams sp = {});
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
-  void set_obs(obs::Hook hook) override;
+  void publish(obs::MetricsRegistry& m) const override;
+  // Clients that lost the admission draw and were skipped, and those
+  // served anyway on deadline, summed over every SRP.
+  std::uint64_t skips() const { return skips_; }
+  std::uint64_t forced() const { return forced_; }
 
  private:
   sim::Duration interval_;
   std::uint64_t threshold_bytes_;
   SlotParams sp_;
   sim::Rng rng_;  // named stream: policy draws only, never sim.rng()
-  obs::Counter* ctr_skips_ = nullptr;
-  obs::Counter* ctr_forced_ = nullptr;
+  std::uint64_t skips_ = 0;
+  std::uint64_t forced_ = 0;
 };
 
 // The named policy RNG stream: an independent generator derived from the

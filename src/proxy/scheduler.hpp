@@ -67,9 +67,9 @@ class Scheduler {
   virtual ~Scheduler() = default;
   virtual BuiltSchedule build(const std::vector<ClientDemand>& demands,
                               const BandwidthEstimator& est) = 0;
-  // Publish sched.policy.* counters (default: nothing to publish).  The
-  // proxy forwards its own hook here at wiring time.
-  virtual void set_obs(obs::Hook hook) { (void)hook; }
+  // Write this policy's sched.policy.* counters (default: it has none).
+  // The proxy calls this from its own publish().
+  virtual void publish(obs::MetricsRegistry&) const {}
   // Size slots by the ChannelView's measured EWMA goodput when it is worse
   // than the calibrated nominal rate (see widened_cost).  Composes with
   // every demand-driven policy; the static schedules ignore per-client

@@ -50,25 +50,52 @@ void TransparentProxy::calibrate(const net::WirelessMedium& medium) {
 void TransparentProxy::set_obs(obs::Hook hook) {
   (void)hook;
   PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_schedules_ = m->counter("proxy.schedules_sent");
-    ctr_queue_drops_ = m->counter("proxy.queue_drops");
-    ctr_queued_ = m->counter("proxy.queued_packets");
-    ctr_empty_markers_ = m->counter("proxy.empty_burst_markers");
     hist_burst_us_ = m->histogram("proxy.burst_duration_us");
     hist_burst_bytes_ = m->histogram("proxy.burst_bytes");
     hist_interval_us_ = m->histogram("proxy.schedule_interval_us");
     twg_queue_depth_ = m->time_gauge("proxy.queue_depth_bytes");
     twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
   });
-  scheduler_->set_obs(hook);
 }
 
-obs::Counter* TransparentProxy::churn_counter(obs::Counter*& slot,
-                                              const char* name) {
-  if (slot == nullptr) {
-    if (auto* m = obs_.metrics()) slot = m->counter(name);
+void TransparentProxy::publish(obs::MetricsRegistry& m) const {
+  m.counter("proxy.schedules_sent")->inc(stats_.schedules_sent);
+  m.counter("proxy.queue_drops")->inc(stats_.queue_drops);
+  m.counter("proxy.queued_packets")->inc(stats_.queued_packets);
+  m.counter("proxy.empty_burst_markers")->inc(stats_.empty_burst_markers);
+  // Churn counters exist only where churn happened, so a churn-free run
+  // publishes none of them.
+  if (stats_.joins > 0) m.counter("proxy.churn.joins")->inc(stats_.joins);
+  if (stats_.leaves > 0) m.counter("proxy.churn.leaves")->inc(stats_.leaves);
+  if (stats_.renegotiations > 0)
+    m.counter("proxy.churn.renegotiations")->inc(stats_.renegotiations);
+  if (stats_.churn_drained_bytes > 0)
+    m.counter("proxy.churn.drained_bytes")->inc(stats_.churn_drained_bytes);
+  if (stats_.churn_dropped_bytes > 0)
+    m.counter("proxy.churn.dropped_bytes")->inc(stats_.churn_dropped_bytes);
+  if (stats_.splices_created > 0) {
+    const transport::TcpStats tcp = splice_tcp_stats();
+    m.counter("tcp.retransmissions")->inc(tcp.retransmissions);
+    m.counter("tcp.timeouts")->inc(tcp.timeouts);
+    m.counter("tcp.fast_retransmits")->inc(tcp.fast_retransmits);
   }
-  return slot;
+  scheduler_->publish(m);
+}
+
+transport::TcpStats TransparentProxy::splice_tcp_stats() const {
+  transport::TcpStats total = closed_splice_tcp_;
+  // pp-lint: allow(unordered-iter): order-insensitive sum over live splices
+  for (const auto& [key, sp] : by_client_flow_) {
+    total += sp->client_side->stats();
+    total += sp->server_side->stats();
+  }
+  return total;
+}
+
+void TransparentProxy::retire_splice(const Splice& s) {
+  closed_splice_tcp_ += s.client_side->stats();
+  closed_splice_tcp_ += s.server_side->stats();
+  ++stats_.splices_closed;
 }
 
 void TransparentProxy::start(sim::Time first_srp) {
@@ -120,11 +147,6 @@ std::uint64_t TransparentProxy::buffered_bytes(net::Ipv4Addr client) const {
   return total;
 }
 
-void TransparentProxy::reserve_clients(std::size_t n) {
-  table_.reserve(n);
-  demands_scratch_.reserve(n);
-}
-
 void TransparentProxy::register_client(net::Ipv4Addr ip) {
   const ClientId id = table_.ensure(ip, sim_.now());
   if (table_.membership(id) == Membership::Joined) return;
@@ -144,9 +166,7 @@ void TransparentProxy::deregister_client(net::Ipv4Addr ip) {
   abort_splices(id);
   table_.membership(id) = Membership::Departed;
   ++stats_.leaves;
-  PP_OBS(if (auto* c = churn_counter(ctr_leaves_, "proxy.churn.leaves"))
-             c->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::ClientLeave, ip.raw()));
 }
 
@@ -168,9 +188,7 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
         table_.membership(id) = Membership::Joined;
         table_.last_activity(id) = sim_.now();
         ++stats_.joins;
-        PP_OBS(if (auto* c = churn_counter(ctr_joins_, "proxy.churn.joins"))
-                   c->inc();
-               if (auto* tl = obs_.timeline())
+        PP_OBS(if (auto* tl = obs_.timeline())
                    tl->record(sim_.now(), obs::EventKind::ClientJoin,
                               table_.ip(id).raw()));
       }
@@ -235,9 +253,6 @@ void TransparentProxy::send_assoc(AssocKind kind, net::Ipv4Addr client,
 void TransparentProxy::renegotiate() {
   if (!running_ || paused_) return;
   ++stats_.renegotiations;
-  PP_OBS(if (auto* c =
-                 churn_counter(ctr_renegs_, "proxy.churn.renegotiations"))
-             c->inc());
   // Collapse the current interval: cancel the pending SRP and every
   // burst/repeat timer, close the gates, and broadcast a fresh schedule
   // right away on the normal path.
@@ -269,9 +284,7 @@ void TransparentProxy::finish_leave(ClientId id, bool timed_out) {
   abort_splices(id);
   table_.membership(id) = Membership::Departed;
   ++stats_.leaves;
-  PP_OBS(if (auto* c = churn_counter(ctr_leaves_, "proxy.churn.leaves"))
-             c->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::ClientLeave,
                         table_.ip(id).raw(), dropped));
   send_assoc(AssocKind::LeaveAck, table_.ip(id), table_.leave_seq(id));
@@ -287,13 +300,8 @@ void TransparentProxy::drop_queue(ClientId id) {
   }
   stats_.churn_dropped_bytes += bytes;
   PP_CHECK_AT(q.bytes() == 0, "proxy.churn.queue_drop", sim_.now());
-  PP_OBS(if (bytes > 0) {
-    if (auto* c =
-            churn_counter(ctr_churn_dropped_, "proxy.churn.dropped_bytes"))
-      c->inc(bytes);
-    if (twg_queue_depth_)
-      twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
-  });
+  PP_OBS(if (bytes > 0 && twg_queue_depth_) twg_queue_depth_->set(
+             sim_.now(), static_cast<double>(total_q_bytes_)));
 }
 
 void TransparentProxy::abort_splices(ClientId id) {
@@ -306,8 +314,8 @@ void TransparentProxy::abort_splices(ClientId id) {
     Splice* sp = splices.back();
     splices.pop_back();
     by_server_flow_.erase(sp->key.reversed());
+    retire_splice(*sp);
     by_client_flow_.erase(sp->key);
-    ++stats_.splices_closed;
   }
 }
 
@@ -317,8 +325,7 @@ void TransparentProxy::enqueue_downlink(net::Packet pkt) {
   // at the door (counted with the queue-limit drops).
   if (table_.membership(id) == Membership::Departed) {
     ++stats_.queue_drops;
-    PP_OBS(if (ctr_queue_drops_) ctr_queue_drops_->inc();
-           if (auto* tl = obs_.timeline())
+    PP_OBS(if (auto* tl = obs_.timeline())
                tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
                           pkt.payload));
     return;
@@ -329,8 +336,7 @@ void TransparentProxy::enqueue_downlink(net::Packet pkt) {
   // application buffering (see net/chunk.hpp).
   if (q.bytes() + pkt.payload > params_.queue_limit_bytes) {
     ++stats_.queue_drops;
-    PP_OBS(if (ctr_queue_drops_) ctr_queue_drops_->inc();
-           if (auto* tl = obs_.timeline())
+    PP_OBS(if (auto* tl = obs_.timeline())
                tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
                           pkt.payload));
     return;
@@ -338,10 +344,8 @@ void TransparentProxy::enqueue_downlink(net::Packet pkt) {
   total_q_bytes_ += pkt.payload;
   q.push(std::move(pkt));
   ++stats_.queued_packets;
-  PP_OBS(if (ctr_queued_) {
-    ctr_queued_->inc();
-    twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
-  });
+  PP_OBS(if (twg_queue_depth_) twg_queue_depth_->set(
+             sim_.now(), static_cast<double>(total_q_bytes_)));
 }
 
 void TransparentProxy::on_wired_packet(net::Packet pkt) {
@@ -473,8 +477,8 @@ void TransparentProxy::reap_splices() {
     by_server_flow_.erase(key.reversed());
     auto& vec = table_.splices(table_.ensure(sp->client_ip, sim_.now()));
     std::erase(vec, sp);
+    retire_splice(*sp);
     by_client_flow_.erase(it);
-    ++stats_.splices_closed;
   }
 }
 
@@ -589,8 +593,7 @@ void TransparentProxy::schedule_tick() {
   bc.sent_at = sim_.now();
   wireless_tx_(std::move(bc));
   ++stats_.schedules_sent;
-  PP_OBS(if (ctr_schedules_) {
-    ctr_schedules_->inc();
+  PP_OBS(if (hist_interval_us_) {
     hist_interval_us_->observe(
         static_cast<std::uint64_t>(built.interval.count_us()));
     for (const ScheduleEntry& entry : msg->entries)

@@ -155,8 +155,6 @@ class TransparentProxy {
   // Fit the send-cost model from the medium (the microbenchmark of
   // Section 3.2.2).  Must be called before start().
   void calibrate(const net::WirelessMedium& medium);
-  // Provide an already-fitted estimator instead.
-  void set_estimator(BandwidthEstimator est) { estimator_ = est; }
 
   // Begin the schedule loop with the first SRP at `first_srp`.
   void start(sim::Time first_srp);
@@ -182,8 +180,6 @@ class TransparentProxy {
   void deregister_client(net::Ipv4Addr ip);
   // True while the client is in the demand set (Joined or Draining).
   bool client_active(net::Ipv4Addr ip) const;
-  // Pre-size the client table (and demand scratch) for a known fleet.
-  void reserve_clients(std::size_t n);
 
   // Wire a channel-quality observer (owned elsewhere — typically the
   // testbed's ChannelModel).  When set, each SRP's demand snapshot carries
@@ -193,12 +189,20 @@ class TransparentProxy {
     channel_obs_ = obs;
   }
 
-  // Publish schedule/burst/drop metrics and timeline spans.  Also forwarded
-  // to the TCP connections of every splice created afterwards.
+  // Attach the schedule/burst histograms, the queue-depth gauge and the
+  // timeline.  Also forwarded to the TCP connections of every splice
+  // created afterwards.
   void set_obs(obs::Hook hook);
+  // Write the proxy counters from stats(): the proxy.churn.* ones only
+  // when nonzero, the tcp.* ones (from splice_tcp_stats()) only once a
+  // splice exists, and the scheduler's own.
+  void publish(obs::MetricsRegistry& m) const;
 
   // -- Introspection ------------------------------------------------------------
   const ProxyStats& stats() const { return stats_; }
+  const Scheduler& scheduler() const { return *scheduler_; }
+  // TCP counters summed over every splice's two sockets, closed or live.
+  transport::TcpStats splice_tcp_stats() const;
   const BandwidthEstimator& estimator() const { return estimator_; }
   std::uint64_t buffered_bytes(net::Ipv4Addr client) const;
   std::size_t splice_count() const { return by_client_flow_.size(); }
@@ -252,11 +256,9 @@ class TransparentProxy {
   Splice& create_splice(const net::Packet& syn);
   void maybe_finish_splice(Splice& s);
   void reap_splices();
-
-  // Churn counters register on first use, not at set_obs: a churn-free run
-  // must publish no churn metrics, or its digest would shift against the
-  // pinned legacy fingerprints.
-  obs::Counter* churn_counter(obs::Counter*& slot, const char* name);
+  // Fold a splice's TCP counters into the closed total before it is
+  // destroyed.
+  void retire_splice(const Splice& s);
   void schedule_tick();
 
   // Burst emission lives in BurstSession (proxy/burst.hpp): one session
@@ -287,15 +289,6 @@ class TransparentProxy {
       by_server_flow_;  // key: server -> client
 
   obs::Hook obs_;
-  obs::Counter* ctr_schedules_ = nullptr;
-  obs::Counter* ctr_queue_drops_ = nullptr;
-  obs::Counter* ctr_queued_ = nullptr;
-  obs::Counter* ctr_empty_markers_ = nullptr;
-  obs::Counter* ctr_joins_ = nullptr;
-  obs::Counter* ctr_leaves_ = nullptr;
-  obs::Counter* ctr_renegs_ = nullptr;
-  obs::Counter* ctr_churn_drained_ = nullptr;
-  obs::Counter* ctr_churn_dropped_ = nullptr;
   obs::Histogram* hist_burst_us_ = nullptr;
   obs::Histogram* hist_burst_bytes_ = nullptr;
   obs::Histogram* hist_interval_us_ = nullptr;
@@ -314,6 +307,7 @@ class TransparentProxy {
   sim::EventHandle tick_handle_;
   std::vector<sim::EventHandle> burst_handles_;
   ProxyStats stats_;
+  transport::TcpStats closed_splice_tcp_;  // splices already destroyed
 };
 
 }  // namespace pp::proxy

@@ -101,13 +101,4 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   return rep;
 }
 
-std::vector<PostmortemReport> PostmortemAnalyzer::analyze_all(
-    const std::vector<net::Ipv4Addr>& clients, const client::DaemonConfig& cfg,
-    sim::Time horizon) const {
-  std::vector<PostmortemReport> out;
-  out.reserve(clients.size());
-  for (const auto& c : clients) out.push_back(analyze(c, cfg, horizon));
-  return out;
-}
-
 }  // namespace pp::trace

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "client/power_daemon.hpp"
 #include "energy/wnic.hpp"
@@ -53,12 +52,6 @@ class PostmortemAnalyzer {
   PostmortemReport analyze(net::Ipv4Addr client,
                            const client::DaemonConfig& cfg,
                            sim::Time horizon = sim::Time::zero()) const;
-
-  // Convenience: analyze several clients under one config.
-  std::vector<PostmortemReport> analyze_all(
-      const std::vector<net::Ipv4Addr>& clients,
-      const client::DaemonConfig& cfg,
-      sim::Time horizon = sim::Time::zero()) const;
 
  private:
   const TraceBuffer& trace_;

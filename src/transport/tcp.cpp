@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 
 namespace pp::transport {
@@ -72,10 +71,7 @@ void TcpConnection::emit(std::uint64_t seq, std::uint32_t len, bool syn,
   pkt.sent_at = sim_.now();
   ++stats_.segments_sent;
   stats_.bytes_sent += len;
-  if (is_rtx) {
-    ++stats_.retransmissions;
-    PP_OBS(if (ctr_rtx_) ctr_rtx_->inc());
-  }
+  if (is_rtx) ++stats_.retransmissions;
 
   // Karn's algorithm: time one un-retransmitted data segment at a time.
   if (!is_rtx && len > 0 && !timing_) {
@@ -186,11 +182,7 @@ void TcpConnection::arm_rtx_timer() {
 
 void TcpConnection::set_obs(obs::Hook hook) {
   (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    ctr_rtx_ = m->counter("tcp.retransmissions");
-    ctr_timeouts_ = m->counter("tcp.timeouts");
-    ctr_fast_rtx_ = m->counter("tcp.fast_retransmits");
-  });
+  PP_OBS(obs_ = hook);
 }
 
 void TcpConnection::cancel_rtx_timer() { rtx_timer_.cancel(); }
@@ -202,8 +194,7 @@ void TcpConnection::on_rtx_timeout() {
   if (!syn_out && !fin_out && bytes_in_flight() == 0) return;  // all acked
 
   ++stats_.timeouts;
-  PP_OBS(if (ctr_timeouts_) ctr_timeouts_->inc();
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::TcpStall,
                         remote_.ip.raw(), stats_.timeouts));
   if (timing_) timing_ = false;  // Karn: retransmitted samples are invalid
@@ -337,7 +328,6 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
                                           std::uint64_t{2} * opts_.mss);
       cwnd_ = ssthresh_ + std::uint64_t{3} * opts_.mss;
       ++stats_.fast_retransmits;
-      PP_OBS(if (ctr_fast_rtx_) ctr_fast_rtx_->inc());
       retransmit_one();
       arm_rtx_timer();
     }

@@ -75,6 +75,18 @@ struct TcpStats {
   std::uint64_t fast_retransmits = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t dup_acks_received = 0;
+
+  TcpStats& operator+=(const TcpStats& o) {
+    segments_sent += o.segments_sent;
+    segments_received += o.segments_received;
+    bytes_sent += o.bytes_sent;
+    bytes_delivered += o.bytes_delivered;
+    retransmissions += o.retransmissions;
+    fast_retransmits += o.fast_retransmits;
+    timeouts += o.timeouts;
+    dup_acks_received += o.dup_acks_received;
+    return *this;
+  }
 };
 
 class TcpConnection : public net::SegmentHandler {
@@ -109,10 +121,10 @@ class TcpConnection : public net::SegmentHandler {
 
   // -- Proxy hooks -------------------------------------------------------------
   void set_send_gate(bool open);
-  bool send_gate() const { return gate_open_; }
   void set_egress_hook(EgressHook h) { egress_hook_ = std::move(h); }
 
-  // Publish retransmission/timeout counters and RTO-stall timeline events.
+  // Record RTO-stall timeline events.  The retransmission and timeout
+  // counts live in stats(); the proxy publishes its splices' totals.
   void set_obs(obs::Hook hook);
 
   // -- Introspection -----------------------------------------------------------
@@ -216,9 +228,6 @@ class TcpConnection : public net::SegmentHandler {
   bool closed_notified_ = false;
 
   obs::Hook obs_;
-  obs::Counter* ctr_rtx_ = nullptr;
-  obs::Counter* ctr_timeouts_ = nullptr;
-  obs::Counter* ctr_fast_rtx_ = nullptr;
 };
 
 // -- Node conveniences ---------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "exp/builder.hpp"
 #include "exp/digest.hpp"
@@ -10,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/timeline.hpp"
+#include "proxy/policies.hpp"
 
 namespace pp::obs {
 namespace {
@@ -330,6 +333,129 @@ TEST(ObsIntegration, ScenarioExportsTopLineMetrics) {
   EXPECT_EQ(n_sched, res.proxy_stats.schedules_sent);
   EXPECT_GT(n_burst, 0u);
   EXPECT_GT(n_sleep, 0u);
+}
+
+// A run with every counter-owning component live: a channel ladder, one
+// deep fade, a churn storm, a web client (splices) and the opportunistic
+// policy.
+exp::ScenarioConfig all_components_config() {
+  exp::ScenarioBuilder b = exp::ScenarioBuilder{}
+                               .video(3, 1)
+                               .video(2, 2)
+                               .web(1)
+                               .policy(exp::IntervalPolicy::Opportunistic500)
+                               .duration_s(14.0)
+                               .channel(channel::ChannelSpec::ladder(3, 0.85))
+                               .keep_obs();
+  b.fault_spec()
+      .fade(exp::testbed_client_ip(0), Time::ms(3000), Time::ms(1500))
+      .churn_storm(Time::seconds(2.0), Time::seconds(10.0), 0.25);
+  return b.build();
+}
+
+// Every published counter is the sum of the stats its components kept: the
+// registry holds no count of its own.
+TEST(ObsIntegration, PublishedCountersEqualComponentStats) {
+  exp::ScenarioRun run{all_components_config()};
+  run.advance(run.horizon());
+  const exp::ScenarioResult res = run.finish();
+  ASSERT_NE(res.obs, nullptr);
+  exp::Testbed& bed = run.bed();
+
+  std::map<std::string, std::uint64_t> want;
+  const sim::EventQueue::Stats& qs = bed.sim().queue_stats();
+  want["sim.events.scheduled"] = qs.scheduled;
+  want["sim.events.fired"] = qs.fired;
+  want["sim.events.cancelled"] = qs.cancelled;
+  want["sim.events.stale_pruned"] = qs.stale_pruned;
+  want["sim.events.slab_slots"] = bed.sim().queue_slab_slots();
+
+  want["net.frames_sent"] = bed.medium().frames_sent();
+  want["net.frames_missed"] = bed.medium().frames_missed();
+  want["net.bursts"] = bed.medium().bursts();
+  want["ap.downlink_dropped"] = bed.access_point().downlink_dropped();
+  want["ap.downlink_forwarded"] = bed.access_point().downlink_forwarded();
+
+  const proxy::ProxyStats& ps = bed.proxy().stats();
+  want["proxy.schedules_sent"] = ps.schedules_sent;
+  want["proxy.queue_drops"] = ps.queue_drops;
+  want["proxy.queued_packets"] = ps.queued_packets;
+  want["proxy.empty_burst_markers"] = ps.empty_burst_markers;
+  want["proxy.churn.joins"] = ps.joins;
+  want["proxy.churn.leaves"] = ps.leaves;
+  want["proxy.churn.renegotiations"] = ps.renegotiations;
+  want["proxy.churn.drained_bytes"] = ps.churn_drained_bytes;
+  want["proxy.churn.dropped_bytes"] = ps.churn_dropped_bytes;
+  const transport::TcpStats tcp = bed.proxy().splice_tcp_stats();
+  want["tcp.retransmissions"] = tcp.retransmissions;
+  want["tcp.timeouts"] = tcp.timeouts;
+  want["tcp.fast_retransmits"] = tcp.fast_retransmits;
+  const auto& opp =
+      dynamic_cast<const proxy::ChannelAwareOpportunisticScheduler&>(
+          bed.proxy().scheduler());
+  want["sched.policy.opp.deferrals"] = opp.deferrals();
+  want["sched.policy.opp.forced"] = opp.forced();
+
+  ASSERT_NE(bed.channel_model(), nullptr);
+  const channel::ChannelStats& cs = bed.channel_model()->stats();
+  want["channel.state.attempts"] = cs.attempts;
+  want["channel.state.losses"] = cs.losses;
+  want["channel.state.worse_entries"] = cs.worse_entries;
+  ASSERT_NE(bed.fault_plan(), nullptr);
+  const fault::FaultStats fs = bed.fault_plan()->stats();
+  want["fault.windows_activated"] = fs.windows_activated;
+  want["fault.windows_recovered"] = fs.windows_recovered;
+
+  std::uint64_t missed = 0, resyncs = 0, retries = 0;
+  for (int i = 0; i < bed.num_clients(); ++i) {
+    const client::EnergyAwareClient& c = bed.client(i);
+    missed += c.daemon_stats().schedules_missed;
+    resyncs += c.daemon_stats().resyncs;
+    ASSERT_NE(c.assoc(), nullptr);
+    const client::AssocStats& as = c.assoc()->stats();
+    retries += as.join_retries + as.leave_retries;
+  }
+  want["client.schedules_missed"] = missed;
+  want["client.resyncs"] = resyncs;
+  want["client.assoc.retries"] = retries;
+
+  // The run exercised the paths that feed the counters.
+  EXPECT_GT(ps.joins, 0u);
+  EXPECT_GT(ps.splices_created, 0u);
+  EXPECT_GT(opp.deferrals(), 0u);
+  EXPECT_GT(cs.losses, 0u);
+  EXPECT_GT(fs.windows_activated, 0u);
+
+  std::map<std::string, std::uint64_t> got;
+  for (const auto& [name, ctr] : res.obs->metrics.counters())
+    got[name] = ctr.value();
+  EXPECT_EQ(got, want);
+}
+
+// Churn counters exist only in runs that churned: a churn-free run
+// publishes none, a churn-storm run publishes all five.
+TEST(ObsIntegration, ChurnCountersPublishedOnlyWhenNonzero) {
+  const auto churn_counters = [](const exp::ScenarioConfig& cfg) {
+    const auto res = exp::run_scenario(cfg);
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, ctr] : res.obs->metrics.counters())
+      if (name.rfind("proxy.churn.", 0) == 0) out[name] = ctr.value();
+    return out;
+  };
+
+  exp::ScenarioConfig calm = all_components_config();
+  calm.fault = {};
+  EXPECT_TRUE(churn_counters(calm).empty());
+
+  const auto storm = churn_counters(all_components_config());
+  ASSERT_EQ(storm.size(), 5u);
+  for (const char* name :
+       {"proxy.churn.joins", "proxy.churn.leaves",
+        "proxy.churn.renegotiations", "proxy.churn.drained_bytes",
+        "proxy.churn.dropped_bytes"}) {
+    ASSERT_EQ(storm.count(name), 1u) << name;
+    EXPECT_GT(storm.at(name), 0u) << name;
+  }
 }
 
 TEST(ObsIntegration, ObserveFalseDetachesEverything) {

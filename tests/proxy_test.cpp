@@ -140,6 +140,7 @@ TEST_F(ProxyFixture, QueueDropAccountingMatchesMonitoringStation) {
 #if PP_OBS_ENABLED
   // The metrics registry and the drop timeline agree with ProxyStats.
   ASSERT_NE(bed.metrics(), nullptr);
+  bed.publish_metrics();  // counters reach the registry at the end of a run
   const auto* ctr = bed.metrics()->find_counter("proxy.queue_drops");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->value(), drops);
