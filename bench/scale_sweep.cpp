@@ -1,5 +1,5 @@
-// Multi-cell scale sweep: aggregate throughput of the lockstep-epoch
-// engine on a large mostly-idle fleet (E17).
+// Multi-cell scale sweep: aggregate throughput of the multi-cell engine
+// (every cell run to the horizon alone) on a large mostly-idle fleet (E17).
 //
 // The full configuration is 16 cells x 6250 clients = 100k clients: a few
 // video and web clients per cell generate in-cell load, deterministic

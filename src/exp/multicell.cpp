@@ -1,11 +1,8 @@
 #include "exp/multicell.hpp"
 
-#include <algorithm>
 #include <functional>
-#include <numeric>
 #include <stdexcept>
 
-#include "check/check.hpp"
 #include "exp/digest.hpp"
 #include "exp/parallel.hpp"
 
@@ -18,53 +15,71 @@ namespace {
 // traffic), but the datagram still rides the full proxy downlink path.
 constexpr net::Port kBackbonePort = 7977;
 
+bool carries_traffic(const MultiCellConfig& cfg) {
+  return cfg.cross.enabled && cfg.num_cells > 1 && cfg.cross.fanout > 0;
+}
+
+// Source cell `src`'s first send, phase-staggered by cell id so the
+// backbone pattern interleaves deterministically instead of synchronizing.
+sim::Time first_send(const CrossTrafficSpec& cross, int src, int num_cells) {
+  return sim::Time::seconds(cross.start_s) +
+         sim::Time::ns(cross.period.count_ns() * src / num_cells);
+}
+
+// Messages sent at or before `horizon`, summed over sources.
+std::uint64_t messages_sent(const MultiCellConfig& cfg, sim::Time horizon) {
+  if (!carries_traffic(cfg)) return 0;
+  std::uint64_t emissions = 0;
+  for (int src = 0; src < cfg.num_cells; ++src) {
+    const sim::Time first = first_send(cfg.cross, src, cfg.num_cells);
+    if (first <= horizon)
+      emissions += static_cast<std::uint64_t>(
+          (horizon - first).count_ns() / cfg.cross.period.count_ns() + 1);
+  }
+  return emissions * static_cast<std::uint64_t>(cfg.cross.fanout);
+}
+
 }  // namespace
 
 Cell::Cell(int id, const MultiCellConfig& cfg)
-    : id_{id}, num_cells_{cfg.num_cells}, cross_{cfg.cross} {
+    : id_{id},
+      num_cells_{cfg.num_cells},
+      cross_{cfg.cross},
+      latency_{cfg.backbone_latency} {
   ScenarioConfig cell_cfg = cfg.cell;
   // Statistically independent cells, each individually reproducible.
   cell_cfg.seed = cfg.cell.seed + 9973ULL * static_cast<std::uint64_t>(id);
-  run_ = std::make_unique<ScenarioRun>(cell_cfg, [this](Testbed& bed) {
-    // pp-lint: allow(hot-path-alloc): once per cell at construction
-    gateway_ = &bed.add_server("backbone" + std::to_string(id_));
-  });
-  gw_sock_ = std::make_unique<transport::UdpSocket>(*gateway_, kBackbonePort);
+  net::Node* gateway = nullptr;  // owned by the cell's Testbed
+  run_ = std::make_unique<ScenarioRun>(
+      cell_cfg, [this, &gateway](Testbed& bed) {
+        // pp-lint: allow(hot-path-alloc): once per cell at construction
+        gateway = &bed.add_server("backbone" + std::to_string(id_));
+      });
+  gw_sock_ = std::make_unique<transport::UdpSocket>(*gateway, kBackbonePort);
 
-  if (cross_.enabled && num_cells_ > 1 && cross_.fanout > 0) {
-    // Phase-stagger emissions by cell id so the backbone exchange pattern
-    // interleaves deterministically instead of synchronizing.
-    const sim::Duration phase = sim::Time::ns(
-        cross_.period.count_ns() * id_ / num_cells_);
-    const sim::Time first = sim::Time::seconds(cross_.start_s) + phase;
-    run_->bed().sim().at(first, [this] { emit(run_->bed().sim().now()); });
-    // Start the round-robin cursors at this cell's id so the first targets
-    // differ across cells.
-    rr_cell_ = id_;
+  if (!carries_traffic(cfg)) return;
+  // Source src's messages to this cell are m = r, r + (n-1), r + 2(n-1),
+  // ... with r = (id - src - 1) mod n.
+  for (int src = 0; src < num_cells_; ++src) {
+    if (src == id_) continue;
+    arm(src, (id_ - src - 1 + num_cells_) % num_cells_);
   }
 }
 
-void Cell::emit(sim::Time now) {
-  const int clients_per_cell =
-      static_cast<int>(run_->config().roles.size());
-  outbox_.reserve(outbox_.size() + static_cast<std::size_t>(cross_.fanout));
-  for (int k = 0; k < cross_.fanout; ++k) {
-    rr_cell_ = (rr_cell_ + 1) % num_cells_;
-    if (rr_cell_ == id_) rr_cell_ = (rr_cell_ + 1) % num_cells_;
-    outbox_.push_back(Msg{rr_cell_, rr_client_ % clients_per_cell,
-                          cross_.bytes, now});
-    ++rr_client_;
-  }
-  run_->bed().sim().at(now + cross_.period,
-                       [this] { emit(run_->bed().sim().now()); });
+void Cell::arm(int src, std::int64_t m) {
+  const sim::Time sent =
+      first_send(cross_, src, num_cells_) + cross_.period * (m / cross_.fanout);
+  run_->bed().sim().at(sent + latency_, [this, src, m] { arrive(src, m); });
 }
 
-void Cell::inject(const Msg& m, sim::Time at) {
-  transport::UdpSocket* sock = gw_sock_.get();
-  const net::Ipv4Addr dst = testbed_client_ip(m.dst_client);
-  const std::uint32_t bytes = m.bytes;
-  run_->bed().sim().at(
-      at, [sock, dst, bytes] { sock->send_to(dst, kBackbonePort, bytes); });
+void Cell::arrive(int src, std::int64_t m) {
+  // Re-arm first: when fanout exceeds n-1 the next message lands at this
+  // same instant, and it must still fire ahead of anything send_to
+  // schedules for now.
+  arm(src, m + num_cells_ - 1);
+  const auto clients = static_cast<std::int64_t>(run_->config().roles.size());
+  gw_sock_->send_to(testbed_client_ip(static_cast<int>(m % clients)),
+                    kBackbonePort, cross_.bytes);
 }
 
 MultiCellTestbed::MultiCellTestbed(const MultiCellConfig& cfg) : cfg_{cfg} {
@@ -72,8 +87,10 @@ MultiCellTestbed::MultiCellTestbed(const MultiCellConfig& cfg) : cfg_{cfg} {
     throw std::invalid_argument("MultiCellTestbed: num_cells must be >= 1");
   if (cfg.backbone_latency <= sim::Time::zero())
     throw std::invalid_argument(
-        "MultiCellTestbed: backbone_latency must be positive (it is the "
-        "epoch length)");
+        "MultiCellTestbed: backbone_latency must be positive");
+  if (carries_traffic(cfg) && cfg.cross.period <= sim::Time::zero())
+    throw std::invalid_argument(
+        "MultiCellTestbed: cross.period must be positive");
   cells_.reserve(static_cast<std::size_t>(cfg.num_cells));
   for (int c = 0; c < cfg.num_cells; ++c)
     cells_.push_back(std::make_unique<Cell>(c, cfg));
@@ -81,59 +98,27 @@ MultiCellTestbed::MultiCellTestbed(const MultiCellConfig& cfg) : cfg_{cfg} {
 
 MultiCellTestbed::~MultiCellTestbed() = default;
 
-MultiCellResult MultiCellTestbed::run(unsigned threads,
-                                      const std::vector<int>& cell_order) {
+MultiCellResult MultiCellTestbed::run(unsigned threads) {
   const sim::Time horizon = sim::Time::seconds(cfg_.cell.duration_s);
-  const sim::Duration epoch = cfg_.backbone_latency;
-
-  std::vector<int> order(cells_.size());
-  if (cell_order.empty()) {
-    std::iota(order.begin(), order.end(), 0);
-  } else {
-    PP_CHECK(cell_order.size() == cells_.size(),
-             "exp.multicell.order_size");
-    order = cell_order;
+  // Every arrival is already armed in its destination's own queue, so each
+  // cell runs to the horizon alone, touching only its own state.
+  // pp-lint: allow(hot-path-alloc): one task per cell, once per run
+  std::vector<std::function<int()>> tasks;
+  tasks.reserve(cells_.size());
+  for (auto& cp : cells_) {
+    tasks.push_back([run = &cp->run(), horizon] {
+      run->advance(horizon);
+      return 0;
+    });
   }
+  run_parallel(tasks, threads);
 
-  sim::Time t = sim::Time::zero();
-  while (t < horizon) {
-    const sim::Time t_next = std::min(t + epoch, horizon);
-    // Advance every cell one epoch in parallel; a cell touches only its
-    // own simulator, so the only shared state is the task queue itself.
-    // pp-lint: allow(hot-path-alloc): one task list per epoch, not per event
-    std::vector<std::function<int()>> tasks;
-    tasks.reserve(order.size());
-    for (const int idx : order) {
-      Cell* cell = cells_[static_cast<std::size_t>(idx)].get();
-      tasks.push_back([cell, t_next] {
-        cell->advance(t_next);
-        return 0;
-      });
-    }
-    run_parallel(tasks, threads);
-    // Epoch barrier: route every outbox in cell-id order (NOT dispatch
-    // order — routing must not depend on the permutation above).  A
-    // message sent during [t, t_next) arrives at send + L, which is >=
-    // t_next = every cell's current clock: never in anyone's past.
-    for (auto& src : cells_) {
-      for (const Cell::Msg& m : src->outbox()) {
-        const sim::Time at = m.sent_at + cfg_.backbone_latency;
-        Cell& dst = *cells_[static_cast<std::size_t>(m.dst_cell)];
-        PP_CHECK_AT(at >= t_next, "exp.multicell.backbone_causality", at);
-        dst.inject(m, at);
-        ++backbone_messages_;
-      }
-      src->outbox().clear();
-    }
-    t = t_next;
-  }
-
-  // Teardown: finalize and collect serially in cell-id order; fold the
-  // per-cell observer digests and merge the per-cell registries in that
-  // same fixed order so the results are independent of worker count.
+  // Teardown: finalize, collect and fold the per-cell observer digests
+  // serially in cell-id order, so the results are independent of worker
+  // count.
   MultiCellResult res;
   res.cells.reserve(cells_.size());
-  res.backbone_messages = backbone_messages_;
+  res.backbone_messages = messages_sent(cfg_, horizon);
   std::uint64_t digest = kFnvOffset;
   bool any_obs = false;
   for (auto& cp : cells_) {
@@ -142,7 +127,6 @@ MultiCellResult MultiCellTestbed::run(unsigned threads,
     if (auto obs = cp->run().bed().observer()) {
       digest = fnv1a_u64(digest, observer_digest(*obs));
       any_obs = true;
-      res.merged.merge_from(obs->metrics);
     }
   }
   res.digest = any_obs ? digest : 0;

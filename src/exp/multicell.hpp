@@ -1,29 +1,27 @@
-// Multi-cell scale-out: N independent cells stepped in lockstep epochs.
+// Multi-cell scale-out: N independent cells, each run to the horizon alone.
 //
 // A Cell is a full cell partition — AP + wireless medium + proxy shard +
 // its clients — owning an independent simulator and event queue (a
 // ScenarioRun).  Cells share nothing mutable, so a MultiCellTestbed can
 // advance all of them concurrently through exp::run_parallel.
 //
-// Cross-cell traffic crosses at the wired backbone only, and the backbone
-// has a fixed latency L.  That bound makes conservative time-windowed
-// synchronization exact rather than approximate: with epoch length L, a
-// message emitted during epoch k (send time in [kL, (k+1)L)) arrives at
-// send + L, which always falls inside epoch k+1's window [(k+1)L, (k+2)L).
-// So cells advance one epoch in parallel, meet at a barrier, and the
-// coordinator routes every outbox — in cell-id order, scheduling arrivals
-// into the destination cells' event queues — before the next epoch begins.
-// No cell ever receives an event in its past, and the exchange schedule is
-// a pure function of the configuration, so replay digests are independent
-// of worker count, hash salt, and cell execution order.
-//
-// The generator is deterministic by construction (no RNG): each cell emits
-// a fixed-size message every `period`, phase-staggered by cell id, to
-// destination cells in round-robin order (skipping itself) and to clients
-// in round-robin order within the destination.  Arrivals enter the
+// Cross-cell traffic crosses at the wired backbone only, with a fixed
+// latency L.  Its generator is deterministic by construction (no RNG):
+// source cell s sends its m-th message (0-based) at
+//   start + phase_s + floor(m / fanout) * period,   phase_s = period * s / n
+// to client (m mod clients) of cell (s + 1 + m mod (n-1)) mod n — that is,
+// round-robin over the other cells and over the destination's clients.
+// Every message is therefore a pure function of the configuration, so a
+// destination cell knows its whole inbound schedule at construction: it
+// arms one self-re-arming arrival event per source in its own event
+// queue, and no cell ever waits on another.  Arrivals enter the
 // destination through a backbone gateway node on the wired LAN and flow
 // down the normal proxy path: interception, per-client queueing, burst
-// scheduling.
+// scheduling.  Replay digests are independent of worker count, hash salt
+// and the order cells run in.
+//
+// A generator whose messages depend on simulation state (handoff, say)
+// would need a synchronization barrier again; none exists today.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "obs/metrics.hpp"
 #include "transport/udp.hpp"
 
 namespace pp::exp {
@@ -50,9 +47,7 @@ struct MultiCellConfig {
   // Per-cell scenario; cell c runs it with seed = cell.seed + 9973 * c so
   // cells are statistically independent but individually reproducible.
   ScenarioConfig cell;
-  // Wired backbone latency between any two cells; also the epoch length
-  // (see the header comment — the equality is what makes the windowed
-  // exchange conservative).
+  // Wired backbone latency between any two cells.
   sim::Duration backbone_latency = sim::Time::ms(20);
   CrossTrafficSpec cross;
 };
@@ -62,53 +57,33 @@ struct MultiCellResult {
   // FNV-1a fold of the per-cell observer digests in cell-id order; 0 when
   // observability is compiled out.  Bit-identical across worker counts.
   std::uint64_t digest = 0;
-  // Fleet-wide aggregation of the per-cell metrics registries (counters
-  // and histograms summed, time gauges unioned), merged at teardown in
-  // cell-id order.
-  obs::MetricsRegistry merged;
-  std::uint64_t backbone_messages = 0;  // routed across the backbone
-  std::uint64_t events_total = 0;       // sum of per-cell events fired
+  // Messages sent at or before the horizon (some arrive after it).
+  std::uint64_t backbone_messages = 0;
+  std::uint64_t events_total = 0;  // sum of per-cell events fired
 };
 
 // One cell partition: an independent ScenarioRun plus the backbone
 // gateway (a wired server node whose UDP socket injects arrivals into the
-// cell) and the outbox the coordinator drains at each epoch barrier.
+// cell) and the arrival events that carry every other cell's messages.
 class Cell {
  public:
-  struct Msg {
-    int dst_cell;
-    int dst_client;       // client index within the destination cell
-    std::uint32_t bytes;
-    sim::Time sent_at;    // source-cell send time
-  };
-
   Cell(int id, const MultiCellConfig& cfg);
 
   int id() const { return id_; }
   ScenarioRun& run() { return *run_; }
-  std::vector<Msg>& outbox() { return outbox_; }
-
-  // Advance this cell's simulator to `t` (one epoch; called from a worker
-  // thread — touches only this cell's state).
-  void advance(sim::Time t) { run_->advance(t); }
-
-  // Schedule a routed message to arrive at `at` (>= this cell's clock):
-  // the gateway sends a UDP datagram to the target client, entering the
-  // proxy's normal downlink path.
-  void inject(const Msg& m, sim::Time at);
 
  private:
-  void emit(sim::Time now);
+  // Schedule the arrival here of source cell `src`'s m-th message; each
+  // arrival re-arms the source's next message to this cell.
+  void arm(int src, std::int64_t m);
+  void arrive(int src, std::int64_t m);
 
   int id_;
   int num_cells_;
   CrossTrafficSpec cross_;
+  sim::Duration latency_;
   std::unique_ptr<ScenarioRun> run_;
-  net::Node* gateway_ = nullptr;  // owned by the cell's Testbed
   std::unique_ptr<transport::UdpSocket> gw_sock_;
-  std::vector<Msg> outbox_;
-  int rr_cell_ = 0;    // round-robin destination cell cursor
-  int rr_client_ = 0;  // round-robin destination client cursor
 };
 
 class MultiCellTestbed {
@@ -119,18 +94,14 @@ class MultiCellTestbed {
   int num_cells() const { return static_cast<int>(cells_.size()); }
   Cell& cell(int i) { return *cells_.at(static_cast<std::size_t>(i)); }
 
-  // Run all cells to the configured horizon in lockstep epochs on
-  // `threads` workers (0 = resolve from PP_THREADS / hardware), then
-  // finalize and collect.  `cell_order` (when non-empty) permutes the
-  // order cells are *dispatched* in — results must not depend on it; the
-  // determinism tests exercise that.
-  MultiCellResult run(unsigned threads = 0,
-                      const std::vector<int>& cell_order = {});
+  // Run every cell to the configured horizon on `threads` workers (0 =
+  // resolve from PP_THREADS / hardware), then finalize and collect in
+  // cell-id order.
+  MultiCellResult run(unsigned threads = 0);
 
  private:
   MultiCellConfig cfg_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::uint64_t backbone_messages_ = 0;
 };
 
 MultiCellResult run_multicell(const MultiCellConfig& cfg,

@@ -4,7 +4,7 @@
 // state, so whole configurations are embarrassingly parallel.  Workers
 // share one atomic next-index counter: whichever worker frees up first
 // claims the next task, so a long task never leaves idle workers queued
-// behind it.  Tasks are coarse (whole simulations or whole epochs), so one
+// behind it.  Tasks are coarse (whole simulations or whole cells), so one
 // fetch_add per task costs nothing next to the work.  The calling thread
 // is one of the workers; a width-1 call spawns no thread at all.  Results
 // land at their original indices, so output is deterministic regardless

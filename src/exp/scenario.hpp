@@ -161,9 +161,8 @@ struct ScenarioResult {
 // A scenario decomposed into build / advance / collect steps.
 //
 // run_scenario() composes all three; the multi-cell engine
-// (exp/multicell.hpp) instead holds one ScenarioRun per cell and steps
-// them in lockstep epochs on worker threads, injecting backbone traffic
-// between advances.  Construction builds the full testbed (servers,
+// (exp/multicell.hpp) instead holds one ScenarioRun per cell, arms the
+// cell's backbone arrivals, and advances the cells on worker threads.  Construction builds the full testbed (servers,
 // workload apps, scheduler) and starts it; advance() drains events up to a
 // time (monotone across calls); finish() settles audits at the configured
 // horizon and collects the ScenarioResult (call once, after the last

@@ -184,9 +184,8 @@ class MetricsRegistry {
 
   // Fold another registry into this one, name by name: counters and
   // histograms add, time-weighted gauges take the union of
-  // their observation spans.  Used at multi-cell teardown to aggregate the
-  // per-cell registries into one fleet view; finalize() both registries
-  // first.  Deterministic: std::map iteration is name order.
+  // their observation spans.  Used to sum many scenarios' registries into
+  // one view; finalize() both registries first.  Deterministic: std::map iteration is name order.
   void merge_from(const MetricsRegistry& o) {
     for (const auto& [name, c] : o.counters_) counters_[name].merge_from(c);
     for (const auto& [name, g] : o.time_gauges_)

@@ -10,7 +10,6 @@ void Simulator::run() {
     auto [when, fn] = queue_.pop();
     PP_CHECK_AT(when >= now_, "sim.simulator.monotonic_clock", now_);
     now_ = when;
-    ++events_fired_;
     fn();
   }
 }
@@ -21,7 +20,6 @@ void Simulator::run_until(Time until) {
     auto [when, fn] = queue_.pop();
     PP_CHECK_AT(when >= now_, "sim.simulator.monotonic_clock", now_);
     now_ = when;
-    ++events_fired_;
     fn();
   }
   if (!stopped_ && now_ < until) now_ = until;

@@ -45,7 +45,7 @@ class Simulator {
   // Abort the run loop after the current event returns.
   void stop() { stopped_ = true; }
 
-  std::uint64_t events_fired() const { return events_fired_; }
+  std::uint64_t events_fired() const { return queue_.stats().fired; }
   // Scheduling behaviour of the event engine (sim.events.* when published
   // through obs).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
@@ -56,7 +56,6 @@ class Simulator {
   EventQueue queue_;
   Rng rng_;
   bool stopped_ = false;
-  std::uint64_t events_fired_ = 0;
 };
 
 }  // namespace pp::sim

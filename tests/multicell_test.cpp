@@ -1,15 +1,17 @@
-// Multi-cell engine tests: the lockstep-epoch exchange must produce
-// bit-identical replay digests regardless of worker count, hash salt, and
-// the order cells are dispatched in — and the backbone must actually carry
-// traffic between cells.
+// Multi-cell engine tests: cells that run to the horizon alone must
+// produce bit-identical replay digests regardless of worker count and hash
+// salt, and the backbone must carry exactly the traffic its generator
+// defines between cells.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "exp/multicell.hpp"
 #include "exp/scenario.hpp"
 #include "net/addr.hpp"
+#include "obs/hooks.hpp"
 
 namespace pp::exp {
 namespace {
@@ -60,6 +62,35 @@ TEST(MultiCell, BackboneCarriesTrafficBetweenCells) {
   EXPECT_GT(idle_bytes, 0u);
 }
 
+// The exact traffic the fleet delivers, pinned.  The message count and
+// the delivered totals do not depend on observability, so they also hold
+// with PP_OBS_DISABLED; the replay digest is pinned only when obs is in.
+TEST(MultiCell, BackboneTrafficIsPinned) {
+  struct Pin {
+    int fanout;
+    std::uint64_t messages, bytes, packets, digest;
+  };
+  for (const Pin& pin : {Pin{1, 101, 380783, 603, 0xba581364191ab968ULL},
+                         Pin{5, 505, 382717, 819, 0xb3bf24f167525b96ULL}}) {
+    MultiCellConfig mc = small_fleet();
+    mc.cross.fanout = pin.fanout;
+    const MultiCellResult res = run_multicell(mc, 1);
+    std::uint64_t bytes = 0, packets = 0;
+    for (const ScenarioResult& cell : res.cells) {
+      for (const ClientResult& c : cell.clients) {
+        bytes += c.bytes_received;
+        packets += c.packets_received;
+      }
+    }
+    EXPECT_EQ(res.backbone_messages, pin.messages) << "fanout " << pin.fanout;
+    EXPECT_EQ(bytes, pin.bytes) << "fanout " << pin.fanout;
+    EXPECT_EQ(packets, pin.packets) << "fanout " << pin.fanout;
+#if PP_OBS_ENABLED
+    EXPECT_EQ(res.digest, pin.digest) << "fanout " << pin.fanout;
+#endif
+  }
+}
+
 TEST(MultiCell, DigestIndependentOfWorkerCount) {
   const MultiCellConfig mc = small_fleet();
   const std::uint64_t serial = run_multicell(mc, 1).digest;
@@ -84,40 +115,9 @@ TEST(MultiCell, DigestInvariantUnderHashSalt) {
   EXPECT_EQ(a, b) << "hash-bucket iteration order leaked into behaviour";
 }
 
-TEST(MultiCell, DigestInvariantUnderCellDispatchOrder) {
-  const MultiCellConfig mc = small_fleet();
-  MultiCellTestbed forward{mc};
-  const MultiCellResult fr = forward.run(2, {0, 1, 2});
-  MultiCellTestbed reversed{mc};
-  const MultiCellResult rr = reversed.run(2, {2, 1, 0});
-  ASSERT_NE(fr.digest, 0u);
-  EXPECT_EQ(fr.digest, rr.digest);
-  EXPECT_EQ(fr.backbone_messages, rr.backbone_messages);
-  EXPECT_EQ(fr.events_total, rr.events_total);
-}
-
-TEST(MultiCell, MergedRegistryAggregatesCells) {
-  MultiCellConfig mc = small_fleet();
-  mc.cell.keep_obs = true;  // retain per-cell registries to check against
-  MultiCellResult res = run_multicell(mc, 1);
-  // Counter names are cell-agnostic, so the merged registry must hold the
-  // exact sum of the per-cell values, name by name.
-  std::uint64_t merged = 0;
-  if (const auto* c = res.merged.find_counter("proxy.schedules_sent"))
-    merged = c->value();
-  std::uint64_t per_cell_sum = 0;
-  for (const ScenarioResult& cell : res.cells) {
-    ASSERT_NE(cell.obs, nullptr);
-    if (const auto* c = cell.obs->metrics.find_counter("proxy.schedules_sent"))
-      per_cell_sum += c->value();
-  }
-  EXPECT_GT(per_cell_sum, 0u);
-  EXPECT_EQ(merged, per_cell_sum);
-}
-
 TEST(MultiCell, SingleCellNoCrossTrafficMatchesPlainScenario) {
   // One cell with cross-traffic off is exactly run_scenario: same events,
-  // same results — the epoch loop must not perturb anything.
+  // same results — the multi-cell wrapper must not perturb anything.
   MultiCellConfig mc;
   mc.num_cells = 1;
   mc.cell.roles = {1, kRoleWeb};
@@ -138,6 +138,12 @@ TEST(MultiCell, SingleCellNoCrossTrafficMatchesPlainScenario) {
     EXPECT_DOUBLE_EQ(res.cells[0].clients[i].energy_mj,
                      plain.clients[i].energy_mj);
   }
+}
+
+TEST(MultiCell, RejectsNonPositiveCrossTrafficPeriod) {
+  MultiCellConfig mc = small_fleet();
+  mc.cross.period = Time::zero();
+  EXPECT_THROW(MultiCellTestbed{mc}, std::invalid_argument);
 }
 
 TEST(MultiCell, SixteenBitClientAddressing) {

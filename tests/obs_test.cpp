@@ -130,6 +130,20 @@ TEST(Registry, FindDoesNotCreate) {
   EXPECT_TRUE(reg.counters().size() == 1);
 }
 
+TEST(Registry, MergeAddsCountersAndHistogramsByName) {
+  MetricsRegistry a, b;
+  a.counter("x")->inc(2);
+  b.counter("x")->inc(3);
+  b.counter("y")->inc();
+  a.histogram("h")->observe(4);
+  b.histogram("h")->observe(1024);
+  a.merge_from(b);
+  EXPECT_EQ(a.counter("x")->value(), 5u);
+  EXPECT_EQ(a.counter("y")->value(), 1u);
+  EXPECT_EQ(a.histogram("h")->count(), 2u);
+  EXPECT_EQ(b.counter("x")->value(), 3u);  // the source is untouched
+}
+
 TEST(Timeline, RecordsAndCapsAtCapacity) {
   Timeline tl;
   tl.set_capacity(3);
