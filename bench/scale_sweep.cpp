@@ -6,8 +6,10 @@
 // backbone cross-traffic touches the idle majority, and per-client
 // observability is off (the flat SoA counters and cell-level streams
 // remain).  Reported metrics are aggregate simulated events per wall
-// second and delivered bytes per client-second, plus the parallel speedup
-// over a serial (1-worker) pass of the same fleet.
+// second and delivered bytes per client-second, the parallel speedup over
+// a serial (1-worker) pass of the same fleet, and the heap bytes per
+// client that building the fleet leaves live (glibc's mallinfo2 in-use
+// bytes across MultiCellTestbed construction).
 //
 // --smoke shrinks the fleet (4 cells x 250 clients, 2 s) for the
 // bench-smoke ctest label; that mode also re-runs the fleet at the
@@ -16,6 +18,8 @@
 // engine guarantees.  --check=FILE re-measures the smoke fleet and gates
 // events/sec against the committed BENCH_scale.json row (tolerance from
 // PP_PERF_TOLERANCE, default 0.5 — CI machines are noisy and small).
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -86,6 +90,7 @@ pp::exp::MultiCellConfig fleet_config(const FleetSpec& spec) {
 
 struct Measurement {
   double wall_s = 0;
+  double heap_bytes = 0;  // live after construction, over before it
   std::uint64_t events = 0;
   std::uint64_t bytes = 0;
   std::uint64_t backbone = 0;
@@ -96,10 +101,14 @@ Measurement measure(const pp::exp::MultiCellConfig& mc, unsigned threads) {
   // pp-lint: allow(wall-clock): perf harness; wall time is the measurement
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  pp::exp::MultiCellResult res = pp::exp::run_multicell(mc, threads);
+  const std::size_t heap0 = mallinfo2().uordblks;
+  pp::exp::MultiCellTestbed bed{mc};
+  const std::size_t heap1 = mallinfo2().uordblks;
+  pp::exp::MultiCellResult res = bed.run(threads);
   const auto t1 = clock::now();
   Measurement m;
   m.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  m.heap_bytes = static_cast<double>(heap1) - static_cast<double>(heap0);
   m.events = res.events_total;
   m.backbone = res.backbone_messages;
   m.digest = res.digest;
@@ -207,6 +216,8 @@ int main(int argc, char** argv) {
         .cell("events", par.events)
         .cell("events_per_sec", eps, 0)
         .cell("bytes_per_client_sec", bytes_per_client_sec, 1)
+        .cell("heap_bytes_per_client",
+              serial.heap_bytes / static_cast<double>(total_clients), 0)
         .cell("backbone_msgs", par.backbone)
         .cell("speedup_vs_serial", speedup, 2);
   }

@@ -11,29 +11,29 @@ EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
                                      net::WirelessMedium& medium,
                                      energy::EnergyLedger& ledger,
                                      net::Ipv4Addr ip, std::string name,
-                                     ClientParams params)
+                                     const ClientParams& params)
     : RadioStation{sim, medium, ledger, ip, std::move(name)},
-      params_{params},
       daemon_{sim, ip, params.daemon, [this](bool awake) {
                 set_wnic_mode(awake ? energy::WnicMode::Idle
                                     : energy::WnicMode::Sleep);
                 record_power_state(awake);
-              }} {
+              }},
+      naive_{params.naive} {
   node().set_transmitter([this](net::Packet pkt) {
     // Uplink requires the radio on; app-initiated sends wake it and extend
     // the activity hold so the response is not slept through.  Pure TCP
     // ACKs (sent while receiving a burst) must NOT hold the radio awake,
     // or the post-burst sleep would be lost.
-    const bool hold = !params_.naive && is_request(pkt);
+    const bool hold = !naive_ && is_request(pkt);
     if (hold) daemon_.force_awake();
     transmit(std::move(pkt));
     // The channel may be busy for a while before the frame even airs;
     // measure the response hold from when it clears.
     if (hold) daemon_.extend_hold(channel_busy_until());
   });
-  if (params_.assoc.enabled) {
+  if (params.assoc.enabled) {
     assoc_ = std::make_unique<AssociationAgent>(
-        sim_, ip, params_.assoc,
+        sim_, ip, params.assoc,
         [this](net::Packet pkt) {
           // Control frames ride the raw medium path: the energy and airtime
           // accounting comes through on_air like any other uplink frame.
@@ -42,14 +42,14 @@ EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
         [this] {
           // Departed for good: radio off (naive baselines stay listening —
           // they never sleep by definition).
-          if (!params_.naive) daemon_.stop();
+          if (!naive_) daemon_.stop();
         });
   }
 }
 
 void EnergyAwareClient::start() {
   if (assoc_) assoc_->start_associated();
-  if (!params_.naive) daemon_.start();
+  if (!naive_) daemon_.start();
 }
 
 void EnergyAwareClient::set_away(bool away) {
@@ -60,17 +60,18 @@ void EnergyAwareClient::set_away(bool away) {
     // Radio up first: the JoinAck and the renegotiated schedule must be
     // heard.  The daemon resets to AwaitingSchedule, so it stays awake
     // until the fresh broadcast anchors it.
-    if (!params_.naive) daemon_.start();
+    if (!naive_) daemon_.start();
     assoc_->join();
   }
 }
 
 void EnergyAwareClient::set_obs(obs::Hook hook) {
   (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    twg_awake_ = m->time_gauge("client." + ip().str() + ".awake");
-    twg_awake_->set(sim_.now(), listening() ? 1.0 : 0.0);
-  } daemon_.set_obs(hook, ip().raw()));
+  PP_OBS(obs_ = std::make_unique<Obs>(Obs{hook});
+         if (auto* m = hook.metrics()) {
+           obs_->twg_awake = m->time_gauge("client." + ip().str() + ".awake");
+           obs_->twg_awake->set(sim_.now(), listening() ? 1.0 : 0.0);
+         } daemon_.set_obs(hook, ip().raw()));
 }
 
 void EnergyAwareClient::publish(obs::MetricsRegistry& m) const {
@@ -80,8 +81,10 @@ void EnergyAwareClient::publish(obs::MetricsRegistry& m) const {
 
 void EnergyAwareClient::record_power_state(bool awake) {
   (void)awake;
-  PP_OBS(if (twg_awake_) twg_awake_->set(sim_.now(), awake ? 1.0 : 0.0);
-         if (auto* tl = obs_.timeline())
+  PP_OBS(if (!obs_) return;
+         if (obs_->twg_awake)
+             obs_->twg_awake->set(sim_.now(), awake ? 1.0 : 0.0);
+         if (auto* tl = obs_->hook.timeline())
              tl->record(sim_.now(),
                         awake ? obs::EventKind::Wake : obs::EventKind::Sleep,
                         ip().raw()));
@@ -91,7 +94,7 @@ bool EnergyAwareClient::listening() const {
   // An in-flight association handshake pins the radio up even where the
   // daemon would sleep: the acks it is waiting for arrive outside any
   // scheduled slot.
-  return params_.naive || daemon_.awake() || (assoc_ && assoc_->needs_radio());
+  return naive_ || daemon_.awake() || (assoc_ && assoc_->needs_radio());
 }
 
 void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
@@ -118,7 +121,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
     // Control plane: charged for energy (airtime above) but not counted as
     // received traffic.
     if (assoc_) assoc_->note_schedule();
-    if (params_.naive) return;
+    if (naive_) return;
     if (auto msg =
             std::dynamic_pointer_cast<const proxy::ScheduleMessage>(pkt.data)) {
       daemon_.on_schedule(std::move(msg));
@@ -140,7 +143,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
   const std::uint32_t payload = pkt.payload;
   const bool marked = pkt.marked;
   node().handle_packet(std::move(pkt));
-  if (!params_.naive) daemon_.on_data(payload, marked);
+  if (!naive_) daemon_.on_data(payload, marked);
 }
 
 }  // namespace pp::client

@@ -33,9 +33,14 @@ struct ClientParams {
 
 class EnergyAwareClient : public RadioStation {
  public:
+  // `params` must outlive the client: its daemon references params.daemon,
+  // the one copy every client of a testbed shares.
   EnergyAwareClient(sim::Simulator& sim, net::WirelessMedium& medium,
                     energy::EnergyLedger& ledger, net::Ipv4Addr ip,
-                    std::string name, ClientParams params = {});
+                    std::string name, const ClientParams& params);
+  EnergyAwareClient(sim::Simulator&, net::WirelessMedium&,
+                    energy::EnergyLedger&, net::Ipv4Addr, std::string,
+                    ClientParams&&) = delete;
 
   // Begin the power daemon (no-op for naive clients).  An assoc-enabled
   // client starts Associated: the testbed pre-registers the fleet.
@@ -66,12 +71,16 @@ class EnergyAwareClient : public RadioStation {
  private:
   void record_power_state(bool awake);
 
-  ClientParams params_;
   PowerDaemon daemon_;
   std::unique_ptr<AssociationAgent> assoc_;
-
-  obs::Hook obs_;
-  obs::TimeWeightedGauge* twg_awake_ = nullptr;
+  // Observability handles, allocated by set_obs: null for a fleet's
+  // clients, which run with per-client observability off.
+  struct Obs {
+    obs::Hook hook;
+    obs::TimeWeightedGauge* twg_awake = nullptr;
+  };
+  std::unique_ptr<Obs> obs_;
+  bool naive_;  // ClientParams::naive
 };
 
 }  // namespace pp::client

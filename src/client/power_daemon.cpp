@@ -10,7 +10,7 @@
 namespace pp::client {
 
 PowerDaemon::PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self,
-                         DaemonConfig cfg, WnicFn wnic)
+                         const DaemonConfig& cfg, WnicFn wnic)
     : sim_{sim},
       self_{self},
       cfg_{cfg},
@@ -67,9 +67,9 @@ void PowerDaemon::reset() {
 void PowerDaemon::set_obs(obs::Hook hook, std::uint32_t subject) {
   (void)hook;
   (void)subject;
-  PP_OBS(obs_ = hook; obs_subject_ = subject; if (auto* m = obs_.metrics()) {
-    hist_outage_us_ = m->histogram("client.outage_us");
-  });
+  PP_OBS(auto* m = hook.metrics();
+         obs_ = std::make_unique<Obs>(Obs{
+             hook, subject, m ? m->histogram("client.outage_us") : nullptr}));
 }
 
 void PowerDaemon::publish(obs::MetricsRegistry& m) const {
@@ -86,11 +86,14 @@ void PowerDaemon::settle_first_wait() {
 void PowerDaemon::note_resync() {
   if (consecutive_misses_ == 0) return;
   ++stats_.resyncs;
-  PP_OBS(if (hist_outage_us_) hist_outage_us_->observe(static_cast<
-             std::uint64_t>((sim_.now() - first_miss_at_).count_us()));
-         if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::Resync, obs_subject_,
-                        consecutive_misses_));
+  PP_OBS(if (obs_) {
+    if (obs_->hist_outage_us)
+      obs_->hist_outage_us->observe(static_cast<std::uint64_t>(
+          (sim_.now() - first_miss_at_).count_us()));
+    if (auto* tl = obs_->hook.timeline())
+      tl->record(sim_.now(), obs::EventKind::Resync, obs_->subject,
+                 consecutive_misses_);
+  });
   consecutive_misses_ = 0;
   cur_grace_ = cfg_.schedule_grace;
 }
@@ -298,9 +301,9 @@ void PowerDaemon::on_schedule_grace_expired() {
   } else {
     ++stats_.repeat_misses;
   }
-  PP_OBS(if (auto* tl = obs_.timeline())
+  PP_OBS(if (auto* tl = obs_ ? obs_->hook.timeline() : nullptr)
              tl->record(sim_.now(), obs::EventKind::ScheduleMissed,
-                        obs_subject_));
+                        obs_->subject));
   // The early portion of the wait was ordinary early-transition waste; the
   // rest accrues as missed-schedule waste until a schedule shows up.
   if (waiting_first_) {

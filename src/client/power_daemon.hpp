@@ -104,8 +104,11 @@ class PowerDaemon {
  public:
   using WnicFn = std::function<void(bool awake)>;
 
-  PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self, DaemonConfig cfg,
+  // `cfg` is referenced, not copied, and must outlive the daemon: every
+  // client of a testbed shares the testbed's one copy.
+  PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self, const DaemonConfig& cfg,
               WnicFn wnic);
+  PowerDaemon(sim::Simulator&, net::Ipv4Addr, DaemonConfig&&, WnicFn) = delete;
   ~PowerDaemon();
 
   PowerDaemon(const PowerDaemon&) = delete;
@@ -168,7 +171,7 @@ class PowerDaemon {
 
   sim::Simulator& sim_;
   net::Ipv4Addr self_;
-  DaemonConfig cfg_;
+  const DaemonConfig& cfg_;
   WnicFn wnic_;
 
   State state_ = State::AwaitingSchedule;
@@ -204,9 +207,14 @@ class PowerDaemon {
   sim::Time first_miss_at_;
   int blind_coasts_ = 0;  // consecutive estimate-only re-anchors
 
-  obs::Hook obs_;
-  std::uint32_t obs_subject_ = 0;
-  obs::Histogram* hist_outage_us_ = nullptr;
+  // Observability handles, allocated by set_obs: a fleet's daemons run
+  // without them and pay one null pointer.
+  struct Obs {
+    obs::Hook hook;
+    std::uint32_t subject = 0;
+    obs::Histogram* hist_outage_us = nullptr;
+  };
+  std::unique_ptr<Obs> obs_;
 
   DaemonStats stats_;
 };

@@ -31,21 +31,24 @@ void EnergyLedger::settle(std::uint32_t row, sim::Time now) {
   last_change_[row] = now;
 }
 
-void EnergyLedger::audit(std::uint32_t row, sim::Time now,
-                         const char* component) const {
+bool EnergyLedger::balanced(std::uint32_t row, sim::Time now) const {
   // Energy conservation: every nanosecond between construction and `now`
   // is attributed to exactly one mode.  Requires finish(now) first so the
   // open residency interval is settled.
   // Auditing at a time before the last settled transition would make the
   // open-interval term below negative and could mask missing residency.
-  PP_CHECK_AT(now >= last_change_[row], component, now);
+  if (now < last_change_[row]) return false;
   sim::Duration total = sim::Time::zero();
   for (const sim::Duration& d : in_mode_[row]) {
-    PP_CHECK_AT(d >= sim::Time::zero(), component, now);
+    if (d < sim::Time::zero()) return false;
     total += d;
   }
-  PP_CHECK_AT(total + (now - last_change_[row]) == now - start_[row],
-              component, now);
+  return total + (now - last_change_[row]) == now - start_[row];
+}
+
+void EnergyLedger::audit(std::uint32_t row, sim::Time now,
+                         const char* component) const {
+  PP_CHECK_AT(balanced(row, now), component, now);
 }
 
 void EnergyLedger::set_mode(std::uint32_t row, sim::Time now, WnicMode m) {

@@ -81,6 +81,8 @@ class EnergyLedger {
            model_.wake_energy_mj();
   }
 
+  // Whether the row's mode residencies partition [start, now).
+  bool balanced(std::uint32_t row, sim::Time now) const;
   void audit(std::uint32_t row, sim::Time now, const char* component) const;
 
  private:
@@ -148,7 +150,9 @@ class EnergyAccountant {
 
   // Invariant audit (see src/check/): mode residencies partition the
   // whole [start, now) interval — Σ time_in(mode) == now - start.
-  // `component` names the owning client in the violation report.
+  // balanced() tests it; audit() fails a check unless it holds, with
+  // `component` naming the owning client in the violation report.
+  bool balanced(sim::Time now) const { return ledger_->balanced(row_, now); }
   void audit(sim::Time now, const char* component) const {
     ledger_->audit(row_, now, component);
   }

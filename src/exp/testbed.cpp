@@ -15,6 +15,17 @@ net::Ipv4Addr testbed_client_ip(int i) {
                                static_cast<std::uint8_t>(n & 0xff));
 }
 
+namespace {
+
+// Inverse of testbed_client_ip: the client index behind `ip`, or -1 when
+// `ip` is not a client address.
+int testbed_client_index(net::Ipv4Addr ip) {
+  const int i = static_cast<int>(ip.raw() & 0xffffu) - 1;
+  return i >= 0 && testbed_client_ip(i) == ip ? i : -1;
+}
+
+}  // namespace
+
 Testbed::Testbed(TestbedParams params,
                  std::unique_ptr<proxy::Scheduler> scheduler)
     : params_{params},
@@ -87,12 +98,8 @@ Testbed::Testbed(TestbedParams params,
     // AP's association table in step.  (clients_ fills later in this
     // constructor; the callback only fires at sim time, after start().)
     fault_->set_churn([this](net::Ipv4Addr ip, bool away) {
-      for (auto& c : clients_) {
-        if (c->ip() == ip) {
-          c->set_away(away);
-          break;
-        }
-      }
+      const int i = testbed_client_index(ip);
+      if (i >= 0 && i < num_clients()) clients_[i]->set_away(away);
       if (away) {
         ap_.disassociate(ip);
       } else {
@@ -171,10 +178,13 @@ void Testbed::finalize_audit(sim::Time horizon) {
   ap_.audit();
   proxy_->audit();
   for (std::size_t i = 0; i < clients_.size(); ++i) {
+    const energy::EnergyAccountant& acc = clients_[i]->accountant();
+    if (acc.balanced(sim_.now())) continue;
+    // Name the client only on the failing path.  Safe to pass c_str(): a
+    // violation never returns here (abort/throw).
     const std::string component =
         "energy.accountant.client" + std::to_string(i);
-    // Safe to pass c_str(): a violation never returns here (abort/throw).
-    clients_[i]->accountant().audit(sim_.now(), component.c_str());
+    acc.audit(sim_.now(), component.c_str());
   }
   if (auditor_) auditor_->finalize(horizon);
 }

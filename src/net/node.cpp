@@ -15,34 +15,50 @@ void Node::send(Packet pkt) {
   tx_(std::move(pkt));
 }
 
+Node::Demux& Node::demux() {
+  if (!demux_) demux_ = std::make_unique<Demux>();
+  return *demux_;
+}
+
 void Node::bind_udp(Port port, DatagramHandler& h) {
-  if (!udp_.emplace(port, &h).second)
+  if (!demux().udp.emplace(port, &h).second)
     // pp-lint: allow(hot-path-alloc): error-path message; the throw aborts
     throw std::logic_error(name_ + ": UDP port already bound");
 }
 
-void Node::unbind_udp(Port port) { udp_.erase(port); }
+void Node::unbind_udp(Port port) {
+  if (demux_) demux_->udp.erase(port);
+}
 
 void Node::register_tcp(const FlowKey& incoming, SegmentHandler& h) {
-  if (!tcp_.emplace(incoming, &h).second)
+  if (!demux().tcp.emplace(incoming, &h).second)
     // pp-lint: allow(hot-path-alloc): error-path message; the throw aborts
     throw std::logic_error(name_ + ": TCP flow already registered: " +
                            incoming.str());
 }
 
-void Node::unregister_tcp(const FlowKey& incoming) { tcp_.erase(incoming); }
-
-void Node::listen_tcp(Port port, TcpAcceptFn accept) {
-  listeners_[port] = std::move(accept);
+void Node::unregister_tcp(const FlowKey& incoming) {
+  if (demux_) demux_->tcp.erase(incoming);
 }
 
-void Node::unlisten_tcp(Port port) { listeners_.erase(port); }
+void Node::listen_tcp(Port port, TcpAcceptFn accept) {
+  demux().listeners[port] = std::move(accept);
+}
+
+void Node::unlisten_tcp(Port port) {
+  if (demux_) demux_->listeners.erase(port);
+}
 
 void Node::handle_packet(Packet pkt) {
   ++packets_received_;
+  if (!demux_) {  // nothing was ever bound
+    ++packets_unrouted_;
+    return;
+  }
+  Demux& d = *demux_;
   if (pkt.proto == Protocol::Udp) {
-    auto it = udp_.find(pkt.dst_port);
-    if (it != udp_.end()) {
+    auto it = d.udp.find(pkt.dst_port);
+    if (it != d.udp.end()) {
       it->second->on_datagram(pkt);
     } else {
       ++packets_unrouted_;
@@ -50,14 +66,14 @@ void Node::handle_packet(Packet pkt) {
     return;
   }
   // TCP: established flows first, then listeners for SYNs.
-  auto it = tcp_.find(pkt.flow());
-  if (it != tcp_.end()) {
+  auto it = d.tcp.find(pkt.flow());
+  if (it != d.tcp.end()) {
     it->second->on_segment(pkt);
     return;
   }
   if (pkt.tcp.syn && !pkt.tcp.ack_flag) {
-    auto lit = listeners_.find(pkt.dst_port);
-    if (lit != listeners_.end()) {
+    auto lit = d.listeners.find(pkt.dst_port);
+    if (lit != d.listeners.end()) {
       if (SegmentHandler* h = lit->second(pkt)) {
         register_tcp(pkt.flow(), *h);
         h->on_segment(pkt);

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -68,15 +69,23 @@ class Node : public PacketSink {
   std::uint64_t packets_unrouted() const { return packets_unrouted_; }
 
  private:
+  struct Demux {
+    std::unordered_map<Port, DatagramHandler*> udp;
+    std::unordered_map<FlowKey, SegmentHandler*, FlowKeyHash> tcp;
+    std::unordered_map<Port, TcpAcceptFn> listeners;
+  };
+  Demux& demux();  // allocates demux_ on first use
+
   sim::Simulator& sim_;
   Ipv4Addr ip_;
   std::string name_;
   // pp-lint: allow(hot-path-alloc): assigned once; invocation does not allocate
   std::function<void(Packet)> tx_;
   Port next_port_ = 40000;
-  std::unordered_map<Port, DatagramHandler*> udp_;
-  std::unordered_map<FlowKey, SegmentHandler*, FlowKeyHash> tcp_;
-  std::unordered_map<Port, TcpAcceptFn> listeners_;
+  // Allocated by the first bind, register or listen: an idle client never
+  // binds a socket, and at fleet scale three empty maps per node would
+  // cost more than the rest of its stack.
+  std::unique_ptr<Demux> demux_;
   std::uint64_t packets_received_ = 0;
   std::uint64_t packets_unrouted_ = 0;
 };

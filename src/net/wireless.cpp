@@ -1,5 +1,6 @@
 #include "net/wireless.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -22,8 +23,37 @@ WirelessMedium::StationId WirelessMedium::attach_access_point(
 
 WirelessMedium::StationId WirelessMedium::attach_station(WirelessStation& st,
                                                          Ipv4Addr ip) {
+  PP_CHECK_AT(station_of(ip) == kNoStation, "net.wireless.station_ip",
+              sim_.now());
   stations_.push_back(Entry{&st, ip});
+  index_station(stations_.size() - 1);
   return stations_.size() - 1;
+}
+
+void WirelessMedium::index_station(StationId id) {
+  const auto insert = [this](StationId s) {
+    const std::size_t mask = by_ip_.size() - 1;
+    std::size_t h = Ipv4AddrHash{}(stations_[s].ip) & mask;
+    while (by_ip_[h] != kFreeSlot) h = (h + 1) & mask;
+    by_ip_[h] = static_cast<std::uint32_t>(s);
+  };
+  if (2 * stations_.size() <= by_ip_.size()) {
+    insert(id);
+    return;
+  }
+  by_ip_.assign(std::max<std::size_t>(16, 2 * by_ip_.size()), kFreeSlot);
+  for (StationId s = 0; s < stations_.size(); ++s)
+    if (s != ap_) insert(s);
+}
+
+WirelessMedium::StationId WirelessMedium::station_of(Ipv4Addr ip) const {
+  if (by_ip_.empty()) return kNoStation;
+  const std::size_t mask = by_ip_.size() - 1;
+  for (std::size_t h = Ipv4AddrHash{}(ip) & mask;; h = (h + 1) & mask) {
+    const std::uint32_t s = by_ip_[h];
+    if (s == kFreeSlot) return kNoStation;
+    if (stations_[s].ip == ip) return s;
+  }
 }
 
 void WirelessMedium::set_obs(obs::Hook hook) {
@@ -41,20 +71,16 @@ void WirelessMedium::publish(obs::MetricsRegistry& m) const {
 }
 
 void WirelessMedium::set_faded(Ipv4Addr ip, bool on) {
-  for (StationId i = 0; i < stations_.size(); ++i) {
-    if (i == ap_ || stations_[i].ip != ip) continue;
-    int& fades = stations_[i].fades;
-    fades += on ? 1 : -1;
-    PP_CHECK_AT(fades >= 0, "net.wireless.fade_pairing", sim_.now());
-    return;
-  }
+  const StationId i = station_of(ip);
+  if (i == kNoStation) return;
+  int& fades = stations_[i].fades;
+  fades += on ? 1 : -1;
+  PP_CHECK_AT(fades >= 0, "net.wireless.fade_pairing", sim_.now());
 }
 
 bool WirelessMedium::station_listening(Ipv4Addr ip) const {
-  for (const auto& e : stations_) {
-    if (e.ip == ip) return e.station->listening();
-  }
-  return false;
+  const StationId i = station_of(ip);
+  return i != kNoStation && stations_[i].station->listening();
 }
 
 sim::Duration WirelessMedium::airtime_of(const Packet& pkt) const {
@@ -128,14 +154,7 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
 
 void WirelessMedium::finish_burst(ChunkQueue burst, sim::Time air_start) {
   // Resolve the addressed station once: the whole chain shares one client.
-  const Ipv4Addr dst = burst.front()->data->pkt.dst;
-  StationId receiver = kNoStation;
-  for (StationId i = 0; i < stations_.size(); ++i) {
-    if (i != ap_ && stations_[i].ip == dst) {
-      receiver = i;
-      break;
-    }
-  }
+  const StationId receiver = station_of(burst.front()->data->pkt.dst);
   const bool keep = !sniffers_.empty();
   sim::Time t = air_start;
   while (!burst.empty()) {
@@ -210,19 +229,14 @@ void WirelessMedium::finish_frame(StationId sender, Packet pkt,
       }
     } else {
       // Unicast downlink: find the addressed station.
-      bool found = false;
-      for (StationId i = 0; i < stations_.size(); ++i) {
-        if (i != ap_ && stations_[i].ip == pkt.dst) {
-          if (keep) {
-            deliver_to(i, i, pkt, airtime, any_delivered);
-          } else {
-            deliver_to(i, i, std::move(pkt), airtime, any_delivered);
-          }
-          found = true;
-          break;
-        }
+      const StationId i = station_of(pkt.dst);
+      if (i == kNoStation) {
+        ++frames_missed_;  // no such station; frame vanishes
+      } else if (keep) {
+        deliver_to(i, i, pkt, airtime, any_delivered);
+      } else {
+        deliver_to(i, i, std::move(pkt), airtime, any_delivered);
       }
-      if (!found) ++frames_missed_;  // no such station; frame vanishes
     }
   } else {
     // Uplink: always handed to the access point (infrastructure mode).

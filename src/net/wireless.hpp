@@ -104,7 +104,8 @@ class WirelessMedium {
 
   // Attach the access point's radio (exactly one per medium).
   StationId attach_access_point(WirelessStation& ap);
-  // Attach a client station with its IP address.
+  // Attach a client station with its IP address, which no other station
+  // on this medium may share.
   StationId attach_station(WirelessStation& st, Ipv4Addr ip);
 
   // Queue a frame for transmission.  The channel serializes requests.
@@ -159,6 +160,11 @@ class WirelessMedium {
     int fades = 0;  // open deep-fade windows on this station's channel
   };
 
+  // The client station with address `ip`, or kNoStation.
+  StationId station_of(Ipv4Addr ip) const;
+  // Enter client station `id` into by_ip_, growing it to stay at most
+  // half full.
+  void index_station(StationId id);
   void finish_frame(StationId sender, Packet pkt, sim::Time air_start,
                     sim::Duration airtime);
   void finish_burst(ChunkQueue burst, sim::Time air_start);
@@ -173,6 +179,13 @@ class WirelessMedium {
   sim::Simulator& sim_;
   WirelessParams params_;
   std::vector<Entry> stations_;
+  // Client stations by address, open-addressed with linear probing over
+  // a power-of-two table of station ids (kFreeSlot when empty; the access
+  // point has no slot).  Every unicast frame and burst resolves its
+  // receiver here, and a fleet cell pays 4 bytes a slot, not a heap node
+  // per station.
+  static constexpr std::uint32_t kFreeSlot = 0xFFFF'FFFFu;
+  std::vector<std::uint32_t> by_ip_;
   StationId ap_ = kNoStation;
   sim::Time busy_until_ = sim::Time::zero();
   std::vector<SnifferFn> sniffers_;

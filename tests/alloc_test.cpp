@@ -7,7 +7,11 @@
 // performs exactly zero heap allocations.  That every capture fits the
 // SBO buffer is a compile-time check in EventCallback itself; a
 // scenario-level test runs a UDP video-streaming workload through it.
+//
+// The same replacement also tracks the bytes live on the heap, which
+// bounds what an idle client costs once its testbed is built.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -24,12 +28,25 @@
 
 namespace {
 
-std::uint64_t g_allocs = 0;  // single-threaded binary; plain counter is fine
+// Single-threaded binary; plain counters are fine.
+std::uint64_t g_allocs = 0;
+std::int64_t g_live_bytes = 0;  // usable bytes of every live allocation
+
+void* counted_malloc(std::size_t n) noexcept {
+  ++g_allocs;
+  void* p = std::malloc(n ? n : 1);
+  if (p) g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  return p;
+}
 
 void* counted_alloc(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc{};
+}
+
+void counted_free(void* p) noexcept {
+  if (p) g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
 }
 
 }  // namespace
@@ -38,16 +55,15 @@ void* operator new(std::size_t n) { return counted_alloc(n); }  // pp-lint: allo
 void* operator new[](std::size_t n) { return counted_alloc(n); }  // pp-lint: allow(raw-new): counting operator new replacement under test
 // pp-lint: allow(raw-new): counting operator new replacement under test
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n ? n : 1);
+  return counted_malloc(n);
 }
-void operator delete(void* p) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
-void operator delete[](void* p) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete(void* p) noexcept { counted_free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete[](void* p) noexcept { counted_free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
 // pp-lint: allow(raw-delete): operator delete replacement under test
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace pp {
@@ -176,6 +192,27 @@ TEST(Alloc, UdpStreamingScenarioSchedulesEverythingInline) {
   ASSERT_NE(res.obs, nullptr);
   obs::MetricsRegistry& m = res.obs->metrics;
   EXPECT_GT(m.counter("sim.events.scheduled")->value(), 1000u);
+}
+
+// Footprint of the fleet's majority: a cell of idle clients with
+// per-client observability off.  What construction leaves live on the
+// heap (clients, their ledger rows and proxy table columns, the armed
+// daemon timers, and the cell's fixed cost spread over the fleet) stays
+// under a per-client bound; allocations freed along the way, such as
+// vector growth, do not count.
+TEST(Alloc, IdleClientHeapFootprintIsBounded) {
+  constexpr int kClients = 2000;
+  exp::ScenarioConfig cfg;
+  cfg.roles.assign(kClients, exp::kRoleIdle);
+  cfg.per_client_obs = false;
+  cfg.duration_s = 1.0;
+  const std::int64_t before = g_live_bytes;
+  const exp::ScenarioRun run{cfg};
+  const double per_client =
+      static_cast<double>(g_live_bytes - before) / kClients;
+  // About 1,050 B on x86-64 glibc; a client object holding its own copy
+  // of the testbed's configuration and empty socket tables keeps 1,550.
+  EXPECT_LT(per_client, 1300.0);
 }
 
 }  // namespace

@@ -38,8 +38,8 @@ net::Packet data_pkt(bool marked, std::uint32_t payload = 1000) {
 }
 
 struct Harness {
-  explicit Harness(DaemonConfig cfg = {})
-      : daemon{sim, kSelf, cfg, [this](bool awake) {
+  explicit Harness(DaemonConfig config = {})
+      : cfg{config}, daemon{sim, kSelf, cfg, [this](bool awake) {
                  transitions.emplace_back(sim.now(), awake);
                }} {
     daemon.start();
@@ -75,6 +75,7 @@ struct Harness {
   std::vector<std::pair<sim::Time, bool>> transitions;
   int delivered = 0;
   int missed = 0;
+  DaemonConfig cfg;  // the daemon references it
   PowerDaemon daemon;
 };
 

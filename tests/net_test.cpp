@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "check/check.hpp"
 #include "net/access_point.hpp"
 #include "net/addr.hpp"
 #include "net/link.hpp"
@@ -262,6 +263,16 @@ TEST_F(WirelessFixture, SnifferSeesEveryFrameWithDeliveryFlag) {
   EXPECT_TRUE(records[0].from_ap);
 }
 
+TEST(Wireless, SecondStationWithSameIpTripsCheck) {
+  check::ScopedFailureHandler guard{check::throwing_handler};
+  sim::Simulator sim;
+  WirelessMedium medium{sim};
+  FakeStation a, b;
+  medium.attach_station(a, Ipv4Addr::octets(172, 16, 0, 1));
+  EXPECT_THROW(medium.attach_station(b, Ipv4Addr::octets(172, 16, 0, 1)),
+               check::CheckError);
+}
+
 TEST_F(WirelessFixture, RandomLossDropsFraction) {
   WirelessParams p = params();
   p.p_loss = 0.5;
@@ -371,6 +382,47 @@ TEST(Node, UnroutedPacketsCounted) {
   p.dst_port = 1234;
   n.handle_packet(p);
   EXPECT_EQ(n.packets_unrouted(), 1u);
+}
+
+class FakeSegmentHandler : public SegmentHandler {
+ public:
+  void on_segment(const Packet& p) override { received.push_back(p); }
+  std::vector<Packet> received;
+};
+
+// An idle client's node never binds a socket: a datagram and a SYN both
+// go unrouted (unbinding is a no-op), and the first bind or listen routes
+// the next packet.
+TEST(Node, NodeWithNoSocketsRoutesNothingUntilBound) {
+  sim::Simulator sim;
+  Node n{sim, Ipv4Addr::octets(172, 16, 0, 1), "idle"};
+  Packet dgram = make_packet();
+  dgram.proto = Protocol::Udp;
+  dgram.dst_port = 5000;
+  Packet syn = make_packet();
+  syn.proto = Protocol::Tcp;
+  syn.src = Ipv4Addr::octets(10, 0, 0, 1);
+  syn.src_port = 40000;
+  syn.dst = n.ip();
+  syn.dst_port = 80;
+  syn.tcp.syn = true;
+  n.unbind_udp(5000);
+  n.unlisten_tcp(80);
+  n.unregister_tcp(syn.flow());
+  n.handle_packet(dgram);
+  n.handle_packet(syn);
+  EXPECT_EQ(n.packets_received(), 2u);
+  EXPECT_EQ(n.packets_unrouted(), 2u);
+
+  FakeDatagramHandler udp;
+  n.bind_udp(5000, udp);
+  n.handle_packet(dgram);
+  EXPECT_EQ(udp.received.size(), 1u);
+  FakeSegmentHandler tcp;
+  n.listen_tcp(80, [&tcp](const Packet&) -> SegmentHandler* { return &tcp; });
+  n.handle_packet(syn);
+  EXPECT_EQ(tcp.received.size(), 1u);
+  EXPECT_EQ(n.packets_unrouted(), 2u);
 }
 
 TEST(Node, DuplicateUdpBindThrows) {
