@@ -1,7 +1,7 @@
 // Event-engine perf baseline (BENCH_sim_core.json).
 //
 // Measures events/sec through sim::EventQueue for three hot shapes:
-// schedule-fire (packet-sized captures, depth-64 churn), schedule-cancel
+// schedule-fire (40-byte captures, depth-64 churn), schedule-cancel
 // (half the events cancelled before firing) and broadcast-fanout (a cell's
 // idle clients re-arming their timers at one shared time, half of them
 // cancelled).  End-to-end simulation rates live in the perfbench
@@ -44,11 +44,13 @@ double seconds_since(WallClock::time_point t0) {
   return std::chrono::duration<double>(WallClock::now() - t0).count();
 }
 
-// The capture every packet hop schedules: `this` plus a net::Packet.
-struct PacketSized {
-  unsigned char bytes[120] = {};
+// The fattest capture the simulator schedules: 40 bytes, as in the proxy's
+// burst-slot timers (`this` plus a 32-byte schedule entry).  Packets never
+// ride in an event; links keep them in FIFO rings of their own.
+struct CaptureState {
+  unsigned char bytes[32] = {};
 };
-static_assert(pp::sim::EventCallback::fits_inline<PacketSized>());
+static_assert(pp::sim::EventCallback::fits_inline<CaptureState>());
 
 constexpr int kDepth = 64;  // concurrent events, ~the testbed's working set
 
@@ -63,7 +65,7 @@ double measure_schedule_fire(std::int64_t target_events) {
   const auto t0 = WallClock::now();
   while (done < target_events) {
     for (int i = 0; i < kDepth; ++i) {
-      PacketSized payload;
+      CaptureState payload;
       payload.bytes[0] = static_cast<unsigned char>(i);
       const auto when = static_cast<std::int64_t>(rng.next_u64() % 1'000'000);
       q.push(Time::ns(when), [&sink, payload] { sink += payload.bytes[0]; });
@@ -90,7 +92,7 @@ double measure_schedule_cancel(std::int64_t target_events) {
   while (scheduled < target_events) {
     pp::sim::EventHandle hs[kDepth];
     for (int i = 0; i < kDepth; ++i) {
-      PacketSized payload;
+      CaptureState payload;
       const auto when = static_cast<std::int64_t>(rng.next_u64() % 1'000'000);
       hs[i] = q.push(Time::ns(when), [payload] {});
     }

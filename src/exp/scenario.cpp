@@ -96,12 +96,10 @@ struct ScenarioRun::Apps {
   std::unique_ptr<workload::VideoServer> video_server;
   std::unique_ptr<workload::HttpServer> http_server;
   std::unique_ptr<workload::FtpServer> ftp_server;
+  // One app per client of the role, in client order.
   std::vector<std::unique_ptr<workload::VideoClient>> video_apps;
   std::vector<std::unique_ptr<workload::WebBrowsingClient>> web_apps;
   std::vector<std::unique_ptr<workload::FtpClient>> ftp_apps;
-  std::vector<workload::VideoClient*> video_by_client;
-  std::vector<workload::WebBrowsingClient*> web_by_client;
-  std::vector<workload::FtpClient*> ftp_by_client;
 };
 
 // pp-lint: allow(hot-path-alloc): construction-time hook, runs once per cell
@@ -155,10 +153,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   a.http_server = std::make_unique<workload::HttpServer>(web_node);
   a.ftp_server = std::make_unique<workload::FtpServer>(web_node);
 
-  a.video_by_client.assign(cfg.roles.size(), nullptr);
-  a.web_by_client.assign(cfg.roles.size(), nullptr);
-  a.ftp_by_client.assign(cfg.roles.size(), nullptr);
-
   // Reserve exact per-role counts: at fleet scale most clients are idle,
   // so a roles.size() upper bound would overshoot by orders of magnitude.
   {
@@ -185,7 +179,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
       app->play(sim::Time::seconds(cfg.video_start_s +
                                    video_order * cfg.video_spacing_s));
       ++video_order;
-      a.video_by_client[i] = app.get();
       a.video_apps.push_back(std::move(app));
     } else if (role == kRoleWeb) {
       workload::WebScriptParams wsp;
@@ -196,14 +189,12 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
       auto app = std::make_unique<workload::WebBrowsingClient>(
           cl.node(), web_node.ip(), std::move(script));
       app->start(sim::Time::seconds(1.0 + 0.3 * static_cast<double>(i)));
-      a.web_by_client[i] = app.get();
       a.web_apps.push_back(std::move(app));
     } else if (role == kRoleFtp) {
       a.ftp_server->add_file(cl.ip(), cfg.ftp_bytes);
       auto app = std::make_unique<workload::FtpClient>(cl.node(),
                                                        web_node.ip());
       app->download(sim::Time::seconds(3.0 + 0.5 * static_cast<double>(i)));
-      a.ftp_by_client[i] = app.get();
       a.ftp_apps.push_back(std::move(app));
     } else if (role == kRoleIdle) {
       // Associated and power-managed, no application: downlink traffic (if
@@ -234,6 +225,11 @@ ScenarioResult ScenarioRun::finish() {
   res.frames_on_air = bed.medium().frames_sent();
   if (auto* fp = bed.fault_plan()) res.fault_stats = fp->stats();
   res.clients.reserve(cfg_.roles.size());
+  // Apps were pushed in client order, so one cursor per app vector walks
+  // each role's clients in step with i.
+  auto video = a.video_apps.begin();
+  auto web = a.web_apps.begin();
+  auto ftp = a.ftp_apps.begin();
   for (std::size_t i = 0; i < cfg_.roles.size(); ++i) {
     auto& cl = bed.client(static_cast<int>(i));
     ClientResult r;
@@ -265,18 +261,21 @@ ScenarioResult ScenarioRun::finish() {
       r.assoc_leaves = ag->stats().leaves_sent;
       r.assoc_retries = ag->stats().join_retries + ag->stats().leave_retries;
     }
-    if (auto* v = a.video_by_client[i]) {
+    if (is_video_role(r.role)) {
+      const auto& v = *video++;
       r.app_loss_pct = 100.0 * v->loss_fraction();
       r.video_fidelity_final = v->stats().fidelity_seen;
       r.app_bytes = v->stats().bytes;
-    } else if (auto* w = a.web_by_client[i]) {
+    } else if (r.role == kRoleWeb) {
+      const auto& w = *web++;
       r.pages_completed = w->stats().pages_completed;
       r.page_time_ms = w->stats().pages_completed > 0
                            ? w->stats().total_page_time.to_ms() /
                                  w->stats().pages_completed
                            : 0;
       r.app_bytes = w->stats().bytes_received;
-    } else if (auto* f = a.ftp_by_client[i]) {
+    } else if (r.role == kRoleFtp) {
+      const auto& f = *ftp++;
       r.ftp_seconds = f->stats().finished ? f->stats().transfer_seconds() : -1;
       r.app_bytes = f->stats().bytes_received;
     }

@@ -69,7 +69,8 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
   sim::Time depart = sim_.now() + service_delay();
   if (depart < last_departure_) depart = last_departure_;
   last_departure_ = depart;
-  sim_.at(depart, [this, wire, n, b = std::move(burst)]() mutable {
+  departing_bursts_.push(std::move(burst));
+  sim_.at(depart, [this, wire, n] {
     PP_CHECK_AT(backlog_bytes_ >= wire && backlog_packets_ >= n,
                 "net.access_point.backlog", sim_.now());
     backlog_bytes_ -= wire;
@@ -77,7 +78,7 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
     forwarded_ += n;
     PP_OBS(if (twg_backlog_) twg_backlog_->set(
                sim_.now(), static_cast<double>(backlog_bytes_)));
-    medium_.transmit_burst(radio_id_, std::move(b));
+    medium_.transmit_burst(radio_id_, departing_bursts_.pop());
   });
 }
 
@@ -149,7 +150,8 @@ void AccessPoint::dispatch_downlink(Packet pkt) {
   last_departure_ = depart;
 
   const std::uint32_t wire = pkt.wire_size();
-  sim_.at(depart, [this, wire, p = std::move(pkt)]() mutable {
+  departing_.push(std::move(pkt));
+  sim_.at(depart, [this, wire] {
     PP_CHECK_AT(backlog_bytes_ >= wire && backlog_packets_ > 0,
                 "net.access_point.backlog", sim_.now());
     backlog_bytes_ -= wire;
@@ -157,7 +159,7 @@ void AccessPoint::dispatch_downlink(Packet pkt) {
     ++forwarded_;
     PP_OBS(if (twg_backlog_) twg_backlog_->set(
                sim_.now(), static_cast<double>(backlog_bytes_)));
-    medium_.transmit(radio_id_, std::move(p));
+    medium_.transmit(radio_id_, departing_.pop());
   });
 }
 

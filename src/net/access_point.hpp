@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/chunk.hpp"
+#include "net/fifo_ring.hpp"
 #include "net/link.hpp"
 #include "net/psm.hpp"
 #include "net/wireless.hpp"
@@ -113,6 +114,11 @@ class AccessPoint : public PacketSink, public WirelessStation {
   AccessPointParams params_;
   PacketSink* uplink_ = nullptr;
   sim::Time last_departure_ = sim::Time::zero();
+  // Frames and burst chains awaiting their departure events.  Both paths
+  // share the last_departure_ clamp, so each ring's departures fire in
+  // its push order (see net/fifo_ring.hpp).
+  FifoRing<Packet> departing_;
+  FifoRing<ChunkQueue> departing_bursts_;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t backlog_packets_ = 0;
   std::uint64_t downlink_in_ = 0;

@@ -19,9 +19,9 @@
 // wire_size(): they model link budgets, not application buffering.
 //
 // Nodes come from a ChunkPool slab allocator.  Queues hold the pool by
-// shared_ptr because burst chains are captured into event callbacks: a
-// chain destroyed after its owning component (testbed teardown order) must
-// still be able to return its nodes.
+// shared_ptr because burst chains wait in other components' in-flight
+// rings (net/fifo_ring.hpp): a chain destroyed after its owning component
+// (testbed teardown order) must still be able to return its nodes.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +89,8 @@ class ChunkPool {
 
 // An intrusive chain of Chunk views with O(1) push/pop/splice and running
 // packet/byte totals (so demand snapshots are O(1)).  Move-only, 48 bytes:
-// it is passed by value through the burst path and fits the simulator's
-// inline event-callback storage alongside its captures.
+// it is passed by value through the burst path and waits out each hop in
+// that link's in-flight ring, never in an event.
 class ChunkQueue {
  public:
   ChunkQueue() = default;

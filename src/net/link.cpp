@@ -32,13 +32,12 @@ bool Channel::transmit(Packet pkt) {
   backlog_bytes_ += pkt.wire_size();
   ++packets_sent_;
   const std::uint32_t wire = pkt.wire_size();
-  sim_.at(done + params_.propagation,
-          [this, wire, p = std::move(pkt)]() mutable {
-            PP_CHECK_AT(backlog_bytes_ >= wire, "net.channel.backlog",
-                        sim_.now());
-            backlog_bytes_ -= wire;
-            sink_.handle_packet(std::move(p));
-          });
+  in_flight_.push(std::move(pkt));
+  sim_.at(done + params_.propagation, [this, wire] {
+    PP_CHECK_AT(backlog_bytes_ >= wire, "net.channel.backlog", sim_.now());
+    backlog_bytes_ -= wire;
+    sink_.handle_packet(in_flight_.pop());
+  });
   return true;
 }
 
@@ -64,13 +63,12 @@ bool Channel::transmit_burst(ChunkQueue burst) {
   busy_until_ = done;
   backlog_bytes_ += wire;
   packets_sent_ += n;
-  sim_.at(done + params_.propagation,
-          [this, wire, b = std::move(burst)]() mutable {
-            PP_CHECK_AT(backlog_bytes_ >= wire, "net.channel.backlog",
-                        sim_.now());
-            backlog_bytes_ -= wire;
-            sink_.handle_burst(std::move(b));
-          });
+  bursts_in_flight_.push(std::move(burst));
+  sim_.at(done + params_.propagation, [this, wire] {
+    PP_CHECK_AT(backlog_bytes_ >= wire, "net.channel.backlog", sim_.now());
+    backlog_bytes_ -= wire;
+    sink_.handle_burst(bursts_in_flight_.pop());
+  });
   return true;
 }
 
@@ -79,12 +77,17 @@ EthernetLan::EthernetLan(sim::Simulator& sim, WiredParams params)
 
 EthernetLan::PortId EthernetLan::do_attach(PacketSink& sink) {
   egress_.push_back(std::make_unique<Channel>(sim_, params_, sink));
+  port_ip_.emplace_back();
   return egress_.size() - 1;
 }
 
 EthernetLan::PortId EthernetLan::attach(PacketSink& sink, Ipv4Addr ip) {
   const PortId port = do_attach(sink);
-  by_ip_.emplace(ip, port);
+  port_ip_[port] = ip;
+  const auto key_of = [this](std::uint32_t p) { return port_ip_[p]; };
+  // The first port attached with an address keeps it.
+  if (by_ip_.find(ip, key_of) == IpIndex::kNone)
+    by_ip_.insert(static_cast<std::uint32_t>(port), key_of);
   return port;
 }
 
@@ -94,10 +97,11 @@ EthernetLan::PortId EthernetLan::attach_default(PacketSink& sink) {
 }
 
 bool EthernetLan::send(PortId from, Packet pkt) {
-  auto it = by_ip_.find(pkt.dst);
+  const std::uint32_t port =
+      by_ip_.find(pkt.dst, [this](std::uint32_t p) { return port_ip_[p]; });
   PortId to;
-  if (it != by_ip_.end()) {
-    to = it->second;
+  if (port != IpIndex::kNone) {
+    to = port;
   } else if (default_port_ != static_cast<PortId>(-1)) {
     to = default_port_;
   } else {

@@ -6,11 +6,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/addr.hpp"
 #include "net/chunk.hpp"
+#include "net/fifo_ring.hpp"
+#include "net/ip_index.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 
@@ -70,6 +71,11 @@ class Channel {
   WiredParams params_;
   PacketSink& sink_;
   sim::Time busy_until_ = sim::Time::zero();
+  // Packets and burst chains on the wire.  Every delivery lands at
+  // busy_until_ + propagation, so each ring's deliveries fire in its push
+  // order (see net/fifo_ring.hpp).
+  FifoRing<Packet> in_flight_;
+  FifoRing<ChunkQueue> bursts_in_flight_;
   bool down_ = false;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t packets_sent_ = 0;
@@ -133,7 +139,8 @@ class EthernetLan {
   sim::Simulator& sim_;
   WiredParams params_;
   std::vector<std::unique_ptr<Channel>> egress_;  // one per port
-  std::unordered_map<Ipv4Addr, PortId, Ipv4AddrHash> by_ip_;
+  std::vector<Ipv4Addr> port_ip_;  // per port; unset for the default port
+  IpIndex by_ip_;                  // ports attached with an IP
   PortId default_port_ = static_cast<PortId>(-1);
   std::uint64_t packets_forwarded_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "net/wireless.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -26,34 +25,16 @@ WirelessMedium::StationId WirelessMedium::attach_station(WirelessStation& st,
   PP_CHECK_AT(station_of(ip) == kNoStation, "net.wireless.station_ip",
               sim_.now());
   stations_.push_back(Entry{&st, ip});
-  index_station(stations_.size() - 1);
-  return stations_.size() - 1;
-}
-
-void WirelessMedium::index_station(StationId id) {
-  const auto insert = [this](StationId s) {
-    const std::size_t mask = by_ip_.size() - 1;
-    std::size_t h = Ipv4AddrHash{}(stations_[s].ip) & mask;
-    while (by_ip_[h] != kFreeSlot) h = (h + 1) & mask;
-    by_ip_[h] = static_cast<std::uint32_t>(s);
-  };
-  if (2 * stations_.size() <= by_ip_.size()) {
-    insert(id);
-    return;
-  }
-  by_ip_.assign(std::max<std::size_t>(16, 2 * by_ip_.size()), kFreeSlot);
-  for (StationId s = 0; s < stations_.size(); ++s)
-    if (s != ap_) insert(s);
+  const StationId id = stations_.size() - 1;
+  by_ip_.insert(static_cast<std::uint32_t>(id),
+                [this](std::uint32_t s) { return stations_[s].ip; });
+  return id;
 }
 
 WirelessMedium::StationId WirelessMedium::station_of(Ipv4Addr ip) const {
-  if (by_ip_.empty()) return kNoStation;
-  const std::size_t mask = by_ip_.size() - 1;
-  for (std::size_t h = Ipv4AddrHash{}(ip) & mask;; h = (h + 1) & mask) {
-    const std::uint32_t s = by_ip_[h];
-    if (s == kFreeSlot) return kNoStation;
-    if (stations_[s].ip == ip) return s;
-  }
+  const std::uint32_t s =
+      by_ip_.find(ip, [this](std::uint32_t id) { return stations_[id].ip; });
+  return s == IpIndex::kNone ? kNoStation : s;
 }
 
 void WirelessMedium::set_obs(obs::Hook hook) {
@@ -103,10 +84,11 @@ void WirelessMedium::transmit(StationId sender, Packet pkt) {
   PP_OBS(if (hist_airtime_us_) hist_airtime_us_->observe(
              static_cast<std::uint64_t>(airtime.count_us())));
   stations_[sender].station->on_air(start, airtime);
-  sim_.at(end + params_.propagation,
-          [this, sender, airtime, start, p = std::move(pkt)]() mutable {
-            finish_frame(sender, std::move(p), start, airtime);
-          });
+  frames_.push(FrameInFlight{sender, start, airtime, std::move(pkt)});
+  sim_.at(end + params_.propagation, [this] {
+    FrameInFlight f = frames_.pop();
+    finish_frame(f.sender, std::move(f.pkt), f.air_start, f.airtime);
+  });
 }
 
 void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
@@ -146,10 +128,11 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
     });
   });
   stations_[sender].station->on_air(start, airtime);
-  sim_.at(end + params_.propagation,
-          [this, start, b = std::move(burst)]() mutable {
-            finish_burst(std::move(b), start);
-          });
+  bursts_in_flight_.push(BurstInFlight{start, std::move(burst)});
+  sim_.at(end + params_.propagation, [this] {
+    BurstInFlight b = bursts_in_flight_.pop();
+    finish_burst(std::move(b.burst), b.air_start);
+  });
 }
 
 void WirelessMedium::finish_burst(ChunkQueue burst, sim::Time air_start) {

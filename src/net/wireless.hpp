@@ -19,6 +19,8 @@
 
 #include "net/addr.hpp"
 #include "net/chunk.hpp"
+#include "net/fifo_ring.hpp"
+#include "net/ip_index.hpp"
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
 #include "sim/simulator.hpp"
@@ -160,11 +162,21 @@ class WirelessMedium {
     int fades = 0;  // open deep-fade windows on this station's channel
   };
 
+  // A frame on the air, waiting in frames_ for its finish event.
+  struct FrameInFlight {
+    StationId sender = kNoStation;
+    sim::Time air_start;
+    sim::Duration airtime;
+    Packet pkt;
+  };
+  // A burst reservation on the air, waiting in bursts_in_flight_.
+  struct BurstInFlight {
+    sim::Time air_start;
+    ChunkQueue burst;
+  };
+
   // The client station with address `ip`, or kNoStation.
   StationId station_of(Ipv4Addr ip) const;
-  // Enter client station `id` into by_ip_, growing it to stay at most
-  // half full.
-  void index_station(StationId id);
   void finish_frame(StationId sender, Packet pkt, sim::Time air_start,
                     sim::Duration airtime);
   void finish_burst(ChunkQueue burst, sim::Time air_start);
@@ -179,15 +191,15 @@ class WirelessMedium {
   sim::Simulator& sim_;
   WirelessParams params_;
   std::vector<Entry> stations_;
-  // Client stations by address, open-addressed with linear probing over
-  // a power-of-two table of station ids (kFreeSlot when empty; the access
-  // point has no slot).  Every unicast frame and burst resolves its
-  // receiver here, and a fleet cell pays 4 bytes a slot, not a heap node
-  // per station.
-  static constexpr std::uint32_t kFreeSlot = 0xFFFF'FFFFu;
-  std::vector<std::uint32_t> by_ip_;
+  // Client stations by address (the access point is not indexed).  Every
+  // unicast frame and burst resolves its receiver here.
+  IpIndex by_ip_;
   StationId ap_ = kNoStation;
   sim::Time busy_until_ = sim::Time::zero();
+  // Frames and bursts share busy_until_, so each ring's finish events
+  // fire in its push order (see net/fifo_ring.hpp).
+  FifoRing<FrameInFlight> frames_;
+  FifoRing<BurstInFlight> bursts_in_flight_;
   std::vector<SnifferFn> sniffers_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_missed_ = 0;

@@ -2,21 +2,9 @@
 
 namespace pp::proxy {
 
-void ClientTable::reserve(std::size_t n) {
-  ip_.reserve(n);
-  pkt_q_.reserve(n);
-  splices_.reserve(n);
-  last_activity_.reserve(n);
-  membership_.reserve(n);
-  leave_seq_.reserve(n);
-  drain_timer_.reserve(n);
-  channel_.reserve(n);
-  index_.reserve(n);
-}
-
 ClientId ClientTable::ensure(net::Ipv4Addr ip, sim::Time now) {
-  const auto it = index_.find(ip);
-  if (it != index_.end()) return it->second;
+  const ClientId found = find(ip);
+  if (found != kNoClient) return found;
   const auto id = static_cast<ClientId>(ip_.size());
   ip_.push_back(ip);
   pkt_q_.emplace_back();
@@ -27,7 +15,7 @@ ClientId ClientTable::ensure(net::Ipv4Addr ip, sim::Time now) {
   leave_seq_.push_back(0);
   drain_timer_.emplace_back();
   channel_.emplace_back();
-  index_.emplace(ip, id);
+  index_.insert(id, [this](ClientId i) { return ip_[i]; });
   return id;
 }
 

@@ -15,18 +15,19 @@
 //   * Departed clients keep their row (queues empty), so sustained churn
 //     reuses slots and ids stay dense and stable for a run's lifetime.
 //
-// The ip -> id index is a salted unordered_map, but it is only ever used
-// for point lookups — no iteration — so replay digests stay salt-invariant.
+// The ip -> id index is the open-addressed net::IpIndex over the ip_
+// column (4 bytes a slot).  It is salted but only ever probed — never
+// iterated — so replay digests stay salt-invariant.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "channel/observer.hpp"
 #include "net/addr.hpp"
 #include "net/chunk.hpp"
+#include "net/ip_index.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::proxy {
@@ -34,7 +35,7 @@ namespace pp::proxy {
 struct Splice;  // defined in transparent_proxy.hpp
 
 using ClientId = std::uint32_t;
-inline constexpr ClientId kNoClient = 0xFFFF'FFFFu;
+inline constexpr ClientId kNoClient = net::IpIndex::kNone;
 
 // Association lifecycle as the proxy sees it.  Departed rows are retained
 // (zero queued bytes, no splices) so churn never grows the table.
@@ -46,12 +47,10 @@ class ClientTable {
       : pool_{std::move(pool)} {}
 
   std::size_t size() const { return ip_.size(); }
-  void reserve(std::size_t n);
 
   // Point lookup; kNoClient when the ip has never been seen.
   ClientId find(net::Ipv4Addr ip) const {
-    const auto it = index_.find(ip);
-    return it == index_.end() ? kNoClient : it->second;
+    return index_.find(ip, [this](ClientId id) { return ip_[id]; });
   }
   // Lookup-or-append: a fresh row starts Joined with an empty queue.
   ClientId ensure(net::Ipv4Addr ip, sim::Time now);
@@ -83,7 +82,7 @@ class ClientTable {
   std::vector<std::uint64_t> leave_seq_;
   std::vector<sim::EventHandle> drain_timer_;
   std::vector<channel::ChannelView> channel_;
-  std::unordered_map<net::Ipv4Addr, ClientId, net::Ipv4AddrHash> index_;
+  net::IpIndex index_;  // ip -> id over ip_
 };
 
 }  // namespace pp::proxy

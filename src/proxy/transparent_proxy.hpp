@@ -276,7 +276,8 @@ class TransparentProxy {
   std::function<void(net::Packet)> wireless_tx_;
   std::function<void(net::ChunkQueue)> wireless_burst_tx_;
   // Backing store for every per-client queue and burst chain.  shared_ptr:
-  // chains captured in pending events may outlive the proxy at teardown.
+  // chains still in a link's in-flight ring may outlive the proxy at
+  // teardown.
   std::shared_ptr<net::ChunkPool> chunk_pool_ =
       std::make_shared<net::ChunkPool>();
 

@@ -1,14 +1,18 @@
 // EventCallback: the engine's move-only, type-erased `void()` callable.
 //
-// Scheduling an event must not touch the global heap.  std::function's
-// small-buffer is implementation-defined and far too small for the packet
-// path (a lambda capturing `this` plus a net::Packet is ~120 bytes), so
-// every hop of every packet used to pay a heap allocation.  EventCallback
-// fixes the buffer size at kInlineCapacity — chosen to hold the largest
-// steady-state capture in the simulator with headroom — and always stores
-// the callable inline: a capture that does not fit (or whose move can
-// throw) is a compile error at the scheduling call site, so there is no
-// fallback path to count or to warm up.
+// Scheduling an event must not touch the global heap, and std::function's
+// small buffer is implementation-defined.  EventCallback fixes the buffer
+// at kInlineCapacity and always stores the callable inline: a capture that
+// does not fit (or whose move can throw) is a compile error at the
+// scheduling call site, so there is no fallback path to count or to warm
+// up.
+//
+// Events carry no packets.  The links that deliver packets (net::Channel,
+// net::AccessPoint, net::WirelessMedium) keep their in-flight payloads in
+// a FIFO ring of their own and schedule events that capture `this` and a
+// count or two (see net/fifo_ring.hpp).  So the buffer is sized for small
+// captures, and a callback plus its slot's bookkeeping fills one 64-byte
+// cache line.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +25,10 @@ namespace pp::sim {
 class EventCallback {
  public:
   // The SBO threshold: captures up to this many bytes (nothrow-movable,
-  // alignment <= max_align_t) are stored inline.  Sized to hold the
-  // wireless medium's frame-completion lambda — the fattest steady-state
-  // capture (this + StationId + two times + a net::Packet) — with room for
-  // the packet struct to grow.
-  static constexpr std::size_t kInlineCapacity = 152;
+  // alignment <= max_align_t) are stored inline.  The largest capture in
+  // the simulator is 40 bytes (`this` plus four words of state); a lambda
+  // that captures a net::Packet does not fit, by design.
+  static constexpr std::size_t kInlineCapacity = 40;
 
   EventCallback() = default;
 
@@ -116,8 +119,8 @@ class EventCallback {
   const Ops* ops_ = nullptr;
 };
 
-static_assert(sizeof(EventCallback) == 160,
-              "one cache-line-aligned slab slot payload; revisit "
-              "kInlineCapacity if this drifts");
+static_assert(sizeof(EventCallback) == 48,
+              "buffer plus ops pointer: with the slot's seq and generation "
+              "it must fit one 64-byte slab slot");
 
 }  // namespace pp::sim

@@ -1,11 +1,17 @@
 // Pending-event set for the discrete-event engine.
 //
 // Layout: a slab of fixed-size slots holds the callbacks (EventCallback,
-// small-buffer-optimized; see callback.hpp) and a 4-ary min-heap of
-// 24-byte nodes orders them.  Sift operations therefore move small PODs,
-// never callbacks, and the steady-state schedule/fire cycle performs zero
-// heap allocations: fired and cancelled slots are eagerly recycled through
-// a free list, and every capture lives inline in its slot.
+// inline-only; see callback.hpp) and a 4-ary min-heap of 24-byte nodes
+// orders them.  Sift operations therefore move small PODs, never
+// callbacks, and the steady-state schedule/fire cycle performs zero heap
+// allocations: fired and cancelled slots are eagerly recycled through a
+// free list, and every capture lives inline in its slot.
+//
+// A slot is one 64-byte cache line: the callback (48 bytes), its seq and
+// its generation, plus 4 spare bytes.  It is that small because events
+// carry no packets: links keep their in-flight payloads in FIFO rings of
+// their own (net/fifo_ring.hpp), so a fleet cell's thousands of pending
+// wake timers cost one line each.
 //
 // Ordering is (time, insertion sequence) — simultaneous events fire in
 // schedule order, which keeps runs bit-deterministic and replay digests
@@ -129,11 +135,12 @@ class EventQueue {
  private:
   friend class EventHandle;
 
-  struct Slot {
+  struct alignas(64) Slot {
     EventCallback cb;
     std::uint64_t seq = kNoSeq;  // kNoSeq while the slot is free
     std::uint32_t gen = 0;       // bumped on every release
   };
+  static_assert(sizeof(Slot) == 64, "one slab slot per cache line");
 
   // One run: the head entry's key and slot, plus the chunk chain holding
   // the entries behind it (kNoChunk for a run of one).  The run's k-th

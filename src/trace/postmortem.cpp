@@ -47,25 +47,26 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
     if (!to_me && !is_schedule) continue;
     addressed_airtime += rec.airtime;
 
-    // NOTE: rec and is_schedule are captured by value — the loop locals are
-    // long gone when these events fire.
-    replay.at(rec.air_end(), [&rep, &daemon, &acc, rec, is_schedule] {
+    // NOTE: the record is captured by address — trace_ outlives the
+    // replay — and is_schedule by value, since the loop locals are long
+    // gone when these events fire.
+    replay.at(rec.air_end(), [&rep, &daemon, &acc, r = &rec, is_schedule] {
       if (!daemon.awake()) {
-        if (!rec.is_broadcast()) ++rep.packets_missed;
+        if (!r->is_broadcast()) ++rep.packets_missed;
         return;
       }
-      acc.add_transient(energy::WnicMode::Receive, rec.airtime);
+      acc.add_transient(energy::WnicMode::Receive, r->airtime);
       if (is_schedule) {
         if (auto msg = std::dynamic_pointer_cast<const proxy::ScheduleMessage>(
-                rec.data)) {
+                r->data)) {
           daemon.on_schedule(std::move(msg));
         }
         return;
       }
       ++rep.packets_received;
-      rep.bytes_received += rec.payload;
+      rep.bytes_received += r->payload;
       net::Packet pkt;  // the daemon only looks at the marked bit
-      pkt.marked = rec.marked;
+      pkt.marked = r->marked;
       daemon.on_data(pkt);
     });
   }

@@ -3,10 +3,11 @@
 // The test binary replaces global operator new/delete with counting
 // versions, warms an EventQueue / Simulator to its steady-state footprint
 // (slab, heap array, and free list at peak depth), and then asserts that
-// further schedule/fire/cancel churn — including packet-sized captures —
-// performs exactly zero heap allocations.  That every capture fits the
-// SBO buffer is a compile-time check in EventCallback itself; a
-// scenario-level test runs a UDP video-streaming workload through it.
+// further schedule/fire/cancel churn — with captures as large as any the
+// simulator schedules — performs exactly zero heap allocations.  That
+// every capture fits the SBO buffer is a compile-time check in
+// EventCallback itself; a scenario-level test runs a UDP video-streaming
+// workload through it.
 //
 // The same replacement also tracks the bytes live on the heap, which
 // bounds what an idle client costs once its testbed is built.
@@ -21,6 +22,7 @@
 
 #include "exp/builder.hpp"
 #include "exp/scenario.hpp"
+#include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -44,6 +46,18 @@ void* counted_alloc(std::size_t n) {
   throw std::bad_alloc{};
 }
 
+// The event slab's slots are cache-line aligned, so the aligned forms of
+// operator new count too.
+void* counted_aligned_alloc(std::size_t n, std::align_val_t a) {
+  const auto align = static_cast<std::size_t>(a);
+  ++g_allocs;
+  void* p =
+      std::aligned_alloc(align, ((n ? n : 1) + align - 1) / align * align);
+  if (!p) throw std::bad_alloc{};
+  g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  return p;
+}
+
 void counted_free(void* p) noexcept {
   if (p) g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
   std::free(p);
@@ -65,6 +79,15 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }  // p
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   counted_free(p);
 }
+// pp-lint: allow(raw-new): counting operator new replacement under test
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+// pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
 
 namespace pp {
 namespace {
@@ -72,12 +95,17 @@ namespace {
 using sim::EventQueue;
 using sim::Time;
 
-// Mimics the fattest steady-state capture: `this` + a net::Packet-sized
-// payload, comfortably under EventCallback::kInlineCapacity.
-struct PacketSized {
-  unsigned char bytes[120] = {};
+// Mimics the fattest capture the simulator schedules: 40 bytes, as in the
+// proxy's burst-slot timers (`this` plus a 32-byte schedule entry).
+// Packets never ride in an event; links keep them in FIFO rings of their
+// own.
+struct CaptureState {
+  unsigned char bytes[32] = {};
 };
-static_assert(sim::EventCallback::fits_inline<PacketSized>());
+static_assert(sim::EventCallback::fits_inline<CaptureState>());
+using PacketCapture = decltype([p = net::Packet{}] { (void)p; });
+static_assert(!sim::EventCallback::fits_inline<PacketCapture>(),
+              "a lambda capturing a net::Packet must not fit an event slot");
 
 TEST(Alloc, QueueChurnIsAllocationFreeAfterWarmup) {
   EventQueue q;
@@ -86,7 +114,7 @@ TEST(Alloc, QueueChurnIsAllocationFreeAfterWarmup) {
   auto churn = [&](int rounds) {
     for (int r = 0; r < rounds; ++r) {
       for (int i = 0; i < kDepth; ++i) {
-        PacketSized payload;
+        CaptureState payload;
         payload.bytes[0] = static_cast<unsigned char>(i);
         q.push(Time::ms(r * kDepth + i),
                [&sink, payload] { sink += payload.bytes[0]; });
@@ -109,7 +137,7 @@ TEST(Alloc, CancelChurnIsAllocationFreeAfterWarmup) {
     for (int r = 0; r < rounds; ++r) {
       sim::EventHandle hs[kDepth];
       for (int i = 0; i < kDepth; ++i) {
-        PacketSized payload;
+        CaptureState payload;
         hs[i] = q.push(Time::ms(r * kDepth + i), [payload] {});
       }
       for (int i = 0; i < kDepth; i += 2) hs[i].cancel();
@@ -155,18 +183,20 @@ TEST(Alloc, SimulatorSteadyStateIsAllocationFree) {
   sim::Simulator sim;
   constexpr int kTicks = 2000;
   int fired = 0;
-  // Self-rescheduling tick chain with a packet-sized capture, the shape of
-  // every periodic component in the testbed.
+  // Self-rescheduling tick chain with a capture as large as the fattest
+  // one the simulator schedules, the shape of every periodic component in
+  // the testbed.
   struct Tick {
     sim::Simulator& sim;
     int& fired;
-    PacketSized payload;
+    unsigned char state[24];
     void operator()() {
       ++fired;
-      if (fired < kTicks) sim.after(Time::us(50), Tick{sim, fired, payload});
+      if (fired < kTicks) sim.after(Time::us(50), Tick{sim, fired, {}});
     }
   };
-  sim.after(Time::us(50), Tick{sim, fired, PacketSized{}});
+  static_assert(sizeof(Tick) == sim::EventCallback::kInlineCapacity);
+  sim.after(Time::us(50), Tick{sim, fired, {}});
   // Warmup: run the first handful of ticks, then measure the rest.
   sim.run_until(Time::us(50) * 10);
   const std::uint64_t before = g_allocs;
@@ -210,7 +240,7 @@ TEST(Alloc, IdleClientHeapFootprintIsBounded) {
   const exp::ScenarioRun run{cfg};
   const double per_client =
       static_cast<double>(g_live_bytes - before) / kClients;
-  // About 1,050 B on x86-64 glibc; a client object holding its own copy
+  // About 1,000 B on x86-64 glibc; a client object holding its own copy
   // of the testbed's configuration and empty socket tables keeps 1,550.
   EXPECT_LT(per_client, 1300.0);
 }

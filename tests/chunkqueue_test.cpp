@@ -32,6 +32,17 @@ void* counted_alloc(std::size_t n) {
   throw std::bad_alloc{};
 }
 
+// The event slab's slots are cache-line aligned, so the aligned forms of
+// operator new count too.
+void* counted_aligned_alloc(std::size_t n, std::align_val_t a) {
+  const auto align = static_cast<std::size_t>(a);
+  ++g_allocs;
+  if (void* p = std::aligned_alloc(
+          align, ((n ? n : 1) + align - 1) / align * align))
+    return p;
+  throw std::bad_alloc{};
+}
+
 }  // namespace
 
 void* operator new(std::size_t n) { return counted_alloc(n); }  // pp-lint: allow(raw-new): counting operator new replacement under test
@@ -47,6 +58,15 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // pp-lin
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
 // pp-lint: allow(raw-delete): operator delete replacement under test
 void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+// pp-lint: allow(raw-new): counting operator new replacement under test
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }  // pp-lint: allow(raw-delete): operator delete replacement under test
+// pp-lint: allow(raw-delete): operator delete replacement under test
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -252,8 +272,8 @@ struct CountingStation : WirelessStation {
 
 // The full downlink burst path — ChunkQueue -> wired Channel -> AccessPoint
 // -> WirelessMedium -> station — allocates nothing per burst after warmup:
-// chunk nodes recycle through the pool, the chains ride the event queue's
-// inline callback storage, and every hop moves views instead of buffers.
+// chunk nodes recycle through the pool, the chains wait in each hop's
+// grow-only in-flight ring, and every hop moves views instead of buffers.
 TEST(ChunkQueueAlloc, BurstPathEndToEndIsAllocationFreeAfterWarmup) {
   sim::Simulator sim{7};
   WirelessMedium medium{sim};
@@ -266,12 +286,15 @@ TEST(ChunkQueueAlloc, BurstPathEndToEndIsAllocationFreeAfterWarmup) {
 
   auto pool = std::make_shared<ChunkPool>();
   sim::Time t = Time::ms(1);
+  // The chain waits outside the event: a capture holds no ChunkQueue.
+  ChunkQueue pending;
   auto one_burst = [&] {
     ChunkQueue burst{pool};
     for (int i = 0; i < 25; ++i) burst.push(test_packet(1000));
     burst.mark_tail();
-    sim.at(t, [&link, b = std::move(burst)]() mutable {
-      link.send_burst_a_to_b(std::move(b));
+    pending = std::move(burst);
+    sim.at(t, [&link, &pending] {
+      link.send_burst_a_to_b(std::move(pending));
     });
     t = t + Time::ms(100);
     sim.run_until(t);

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "check/check.hpp"
 #include "net/access_point.hpp"
 #include "net/addr.hpp"
+#include "net/chunk.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/wireless.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::net {
@@ -115,6 +118,69 @@ TEST(Channel, BacklogDrainsAfterDelivery) {
   EXPECT_EQ(ch.packets_sent(), 1u);
 }
 
+// A burst chain of `n` packets with consecutive ids, all to `dst`.
+ChunkQueue make_burst(const std::shared_ptr<ChunkPool>& pool, int n,
+                      std::uint32_t payload,
+                      Ipv4Addr dst = Ipv4Addr::octets(172, 16, 0, 1)) {
+  ChunkQueue q{pool};
+  for (int i = 0; i < n; ++i) {
+    Packet p = make_packet();
+    p.dst = dst;
+    p.payload = payload;
+    q.push(std::move(p));
+  }
+  return q;
+}
+
+// Single packets and burst chains share one serializer, so they reach the
+// sink in the order they were queued, each at busy_until_ + propagation.
+TEST(Channel, PacketsAndBurstsArriveInPushOrder) {
+  sim::Simulator sim;
+  CollectSink sink;  // unbundles bursts through handle_packet
+  sink.sim_ = &sim;
+  WiredParams params;
+  params.rate_bps = 8e6;  // 1 byte per microsecond
+  params.propagation = Time::us(5);
+  params.framing_bytes = 0;
+  Channel ch{sim, params, sink};
+  auto pool = std::make_shared<ChunkPool>();
+  std::vector<std::uint64_t> order;
+  auto packet = [&] {
+    Packet p = make_packet();
+    p.payload = 972;  // 1000 wire bytes
+    order.push_back(p.id);
+    ASSERT_TRUE(ch.transmit(std::move(p)));
+  };
+  auto burst = [&](int n) {
+    ChunkQueue b = make_burst(pool, n, 472);  // 500 wire bytes each
+    b.for_each([&](const Chunk& c) { order.push_back(c.data->pkt.id); });
+    ASSERT_TRUE(ch.transmit_burst(std::move(b)));
+  };
+  // t=0: packet [0,1000), burst of 2 [1000,2000), packet [2000,3000).
+  packet();
+  burst(2);
+  packet();
+  // t=2500, mid-flight: burst of 4 [3000,5000), packet [5000,6000).
+  // t=7000, idle line: burst of 2 [7000,8000).
+  sim.at(Time::us(2500), [&] {
+    burst(4);
+    packet();
+  });
+  sim.at(Time::us(7000), [&] { burst(2); });
+  sim.run();
+
+  const std::vector<Time> want = {
+      Time::us(1005), Time::us(2005), Time::us(2005), Time::us(3005),
+      Time::us(5005), Time::us(5005), Time::us(5005), Time::us(5005),
+      Time::us(6005), Time::us(8005), Time::us(8005)};
+  ASSERT_EQ(sink.pkts.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(sink.pkts[i].id, order[i]) << "arrival " << i;
+    EXPECT_EQ(sink.times[i], want[i]) << "arrival " << i;
+  }
+  EXPECT_EQ(ch.backlog_bytes(), 0u);
+}
+
 TEST(EthernetLan, RoutesByDestinationIp) {
   sim::Simulator sim;
   CollectSink s1, s2, sbridge;
@@ -154,6 +220,7 @@ class FakeStation : public WirelessStation {
  public:
   bool listening() const override { return listen; }
   void deliver(Packet pkt, sim::Duration airtime) override {
+    if (clock) times.push_back(clock->now());
     delivered.push_back(std::move(pkt));
     last_airtime = airtime;
   }
@@ -161,7 +228,9 @@ class FakeStation : public WirelessStation {
   void on_air(sim::Time, sim::Duration d) override { air_total += d; }
 
   bool listen = true;
+  const sim::Simulator* clock = nullptr;  // set to record delivery times
   std::vector<Packet> delivered;
+  std::vector<sim::Time> times;
   int missed_count = 0;
   sim::Duration last_airtime;
   sim::Duration air_total;
@@ -263,6 +332,79 @@ TEST_F(WirelessFixture, SnifferSeesEveryFrameWithDeliveryFlag) {
   EXPECT_TRUE(records[0].from_ap);
 }
 
+// Frames and burst reservations share busy_until_: each lands at the end
+// of its own reservation, and all of them in the order they were queued.
+TEST_F(WirelessFixture, FramesAndBurstsFinishInPushOrder) {
+  const Ipv4Addr ip1 = Ipv4Addr::octets(172, 16, 0, 1);
+  const Ipv4Addr ip2 = Ipv4Addr::octets(172, 16, 0, 2);
+  c1.clock = &sim;
+  c2.clock = &sim;
+  ap.clock = &sim;
+  auto pool = std::make_shared<ChunkPool>();
+  const WirelessParams wp = params();
+  // What each reservation occupies, by the medium's own formulas.
+  auto burst_airtime = [&](const ChunkQueue& b) {
+    std::uint64_t bits = 0;
+    b.for_each([&](const Chunk& c) {
+      bits += 8 * (chunk_wire_bytes(c) + wp.mac_framing_bytes);
+    });
+    return wp.per_frame_overhead * static_cast<std::int64_t>(b.packets()) +
+           Time::seconds(static_cast<double>(bits) / wp.rate_bps);
+  };
+  struct Want {
+    std::uint64_t id;
+    Time at;
+  };
+  std::vector<Want> to_c1, to_c2, to_ap;
+  Time busy = Time::zero();
+  auto reserve = [&](Time now, sim::Duration airtime) {
+    busy = (busy > now ? busy : now) + airtime;
+    return busy;
+  };
+  auto frame = [&](WirelessMedium::StationId from, Packet p,
+                   std::vector<Want>& to) {
+    to.push_back({p.id, reserve(sim.now(), medium.airtime_of(p))});
+    medium.transmit(from, std::move(p));
+  };
+  auto burst = [&](Ipv4Addr dst, int n, std::vector<Want>& to) {
+    ChunkQueue b = make_burst(pool, n, 700, dst);
+    const Time end = reserve(sim.now(), burst_airtime(b));
+    b.for_each([&](const Chunk& c) { to.push_back({c.data->pkt.id, end}); });
+    medium.transmit_burst(ap_id, std::move(b));
+  };
+  Packet up = make_packet();
+  up.src = ip1;
+  up.dst = Ipv4Addr::octets(10, 0, 0, 1);
+  up.payload = 300;
+
+  frame(ap_id, downlink_to(ip1), to_c1);
+  burst(ip1, 3, to_c1);
+  frame(ap_id, downlink_to(ip2, 200), to_c2);
+  burst(ip2, 2, to_c2);
+  frame(c1_id, up, to_ap);
+  frame(ap_id, downlink_to(ip1, 40), to_c1);
+  auto mid_flight = [&] {
+    burst(ip1, 5, to_c1);
+    frame(ap_id, downlink_to(ip2, 1400), to_c2);
+    burst(ip2, 1, to_c2);
+  };
+  sim.at(Time::ms(3), [&mid_flight] { mid_flight(); });
+  sim.run();
+
+  auto expect_arrivals = [](const FakeStation& st,
+                            const std::vector<Want>& want) {
+    ASSERT_EQ(st.delivered.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(st.delivered[i].id, want[i].id) << "arrival " << i;
+      EXPECT_EQ(st.times[i], want[i].at) << "arrival " << i;
+    }
+  };
+  expect_arrivals(c1, to_c1);
+  expect_arrivals(c2, to_c2);
+  expect_arrivals(ap, to_ap);
+  EXPECT_EQ(medium.busy_until(), busy);
+}
+
 TEST(Wireless, SecondStationWithSameIpTripsCheck) {
   check::ScopedFailureHandler guard{check::throwing_handler};
   sim::Simulator sim;
@@ -317,6 +459,92 @@ TEST(AccessPoint, ForwardsDownlinkInFifoOrder) {
   ASSERT_EQ(client.delivered.size(), 50u);
   for (std::size_t i = 1; i < client.delivered.size(); ++i)
     EXPECT_LT(client.delivered[i - 1].id, client.delivered[i].id);
+}
+
+// Single frames and burst chains share the forwarding FIFO's
+// last_departure_ clamp.  Heavy jitter makes later arrivals draw shorter
+// delays, so many departures clamp to their predecessor's time; every
+// payload still leaves at max(now + service delay, previous departure),
+// in push order.
+TEST(AccessPoint, FramesAndBurstsDepartInPushOrderUnderJitter) {
+  constexpr std::uint64_t kSeed = 11;
+  sim::Simulator sim(kSeed);
+  WirelessParams wp;  // an instant medium: arrival time == departure time
+  wp.per_frame_overhead = Time::zero();
+  wp.rate_bps = 1e18;
+  wp.propagation = Time::zero();
+  WirelessMedium medium{sim, wp};
+  AccessPointParams app;
+  app.base_delay = Time::us(300);
+  app.jitter_max = Time::ms(5);
+  app.p_spike = 0;  // one uniform draw per service delay
+  AccessPoint ap{sim, medium, app};
+  const Ipv4Addr ip = Ipv4Addr::octets(172, 16, 0, 1);
+  FakeStation client;
+  client.clock = &sim;
+  medium.attach_station(client, ip);
+  auto pool = std::make_shared<ChunkPool>();
+
+  // The AP's service-delay draws, replayed from the same seed.
+  sim::Rng draws{kSeed};
+  Time last = Time::zero();
+  std::vector<std::uint64_t> ids;
+  std::vector<Time> want;
+  std::vector<int> push_of;  // which handle_packet/handle_burst call
+  int pushes = 0;
+  auto depart = [&] {
+    ++pushes;
+    Time t = sim.now() + app.base_delay +
+             Time::ns(static_cast<std::int64_t>(
+                 draws.uniform() *
+                 static_cast<double>(app.jitter_max.count_ns())));
+    if (t < last) t = last;
+    last = t;
+    return t;
+  };
+  auto frame = [&] {
+    Packet p = make_packet();
+    p.dst = ip;
+    p.payload = 100;
+    ids.push_back(p.id);
+    want.push_back(depart());
+    push_of.push_back(pushes);
+    ap.handle_packet(std::move(p));
+  };
+  auto burst = [&](int n) {
+    ChunkQueue b = make_burst(pool, n, 100, ip);
+    const Time t = depart();
+    b.for_each([&](const Chunk& c) {
+      ids.push_back(c.data->pkt.id);
+      want.push_back(t);
+      push_of.push_back(pushes);
+    });
+    ap.handle_burst(std::move(b));
+  };
+  auto round = [&] {
+    for (int i = 0; i < 4; ++i) {
+      frame();
+      burst(1 + i % 3);
+      frame();
+    }
+  };
+  round();
+  sim.at(Time::ms(2), round);  // while the first round is still queued
+  sim.at(Time::ms(20), round);
+  sim.run();
+
+  ASSERT_EQ(client.delivered.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(client.delivered[i].id, ids[i]) << "arrival " << i;
+    EXPECT_EQ(client.times[i], want[i]) << "arrival " << i;
+  }
+  // The clamp gave separate pushes equal departure times.
+  int clamped = 0;
+  for (std::size_t i = 1; i < ids.size(); ++i)
+    if (want[i] == want[i - 1] && push_of[i] != push_of[i - 1]) ++clamped;
+  EXPECT_GT(clamped, 0);
+  EXPECT_EQ(ap.downlink_forwarded(), ids.size());
+  EXPECT_EQ(ap.backlog_bytes(), 0u);
 }
 
 TEST(AccessPoint, UplinkForwardedToWiredSink) {
