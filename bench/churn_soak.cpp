@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   tp.seed = 7;
   tp.num_clients = clients;
   tp.observe = false;
-  tp.wireless.p_loss = 0.01;
+  tp.channel = channel::ChannelSpec::flat(0.01);
   tp.fault.churn_storm(Time::seconds(2.0), Time::seconds(seconds - 2.0),
                        0.25);
   // Fast flapping: several full leave/rejoin cycles per flapper per minute

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
                 .policy(p.policy)
                 .seed(42)
                 .duration_s(duration)
-                .wireless_p_loss(0.0)  // the ladder is the only loss
                 .channel(channel::ChannelSpec::ladder(3, b.burstiness))
                 .build());
       }

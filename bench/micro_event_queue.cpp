@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -141,19 +140,6 @@ double best_of(int trials, double (*fn)(std::int64_t), std::int64_t events) {
   return best;
 }
 
-// Pull `"events_per_sec":<num>` out of the row tagged with this bench
-// name in a committed Report JSON document.  Returns < 0 when absent.
-double baseline_events_per_sec(const std::string& doc,
-                               const std::string& bench) {
-  const std::string tag = "\"bench\":\"" + bench + "\"";
-  const std::size_t row = doc.find(tag);
-  if (row == std::string::npos) return -1;
-  const std::string key = "\"events_per_sec\":";
-  const std::size_t val = doc.find(key, row);
-  if (val == std::string::npos) return -1;
-  return std::strtod(doc.c_str() + val + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -198,48 +184,12 @@ int main(int argc, char** argv) {
       "micro_event_queue --out=BENCH_sim_core.json");
 
   if (!check_path.empty()) {
-    std::ifstream in{check_path};
-    if (!in) {
-      std::fprintf(stderr, "micro_event_queue: cannot read baseline %s\n",
-                   check_path.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string doc = ss.str();
-    double tolerance = 0.30;
-    if (const char* env = std::getenv("PP_PERF_TOLERANCE")) {
-      tolerance = std::strtod(env, nullptr);
-    }
-    int failures = 0;
-    const struct {
-      const char* bench;
-      double measured;
-    } checks[] = {{"schedule_fire", fire_eps},
-                  {"schedule_cancel", cancel_eps},
-                  {"broadcast_fanout", fanout_eps}};
-    for (const auto& c : checks) {
-      const double base = baseline_events_per_sec(doc, c.bench);
-      if (base <= 0) {
-        std::fprintf(stderr, "micro_event_queue: baseline for %s missing\n",
-                     c.bench);
-        ++failures;
-        continue;
-      }
-      const double floor = base * (1.0 - tolerance);
-      const bool ok = c.measured >= floor;
-      std::printf("%-16s %12.0f ev/s  baseline %12.0f  floor %12.0f  %s\n",
-                  c.bench, c.measured, base, floor, ok ? "OK" : "REGRESSED");
-      if (!ok) ++failures;
-    }
-    if (failures > 0) {
-      std::fprintf(stderr,
-                   "micro_event_queue: %d regression(s) beyond %.0f%% "
-                   "(set PP_PERF_TOLERANCE to adjust)\n",
-                   failures, tolerance * 100.0);
-      return 1;
-    }
-    return 0;
+    return bench::check_baseline(
+        "micro_event_queue", check_path,
+        {{"schedule_fire", "events_per_sec", fire_eps},
+         {"schedule_cancel", "events_per_sec", cancel_eps},
+         {"broadcast_fanout", "events_per_sec", fanout_eps}},
+        0.30);
   }
 
   if (!out_path.empty()) {

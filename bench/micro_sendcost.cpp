@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,14 +180,6 @@ ForwardResult best_of_forwarding(int trials, double sim_seconds) {
   return best;
 }
 
-// Pull `"pkts_per_sec":<num>` out of the committed Report JSON document.
-double baseline_pkts_per_sec(const std::string& doc) {
-  const std::string key = "\"pkts_per_sec\":";
-  const std::size_t val = doc.find(key);
-  if (val == std::string::npos) return -1;
-  return std::strtod(doc.c_str() + val + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,34 +267,10 @@ int main(int argc, char** argv) {
              "micro_sendcost --forward --out=BENCH_proxy_path.json");
 
     if (!check_path.empty()) {
-      std::ifstream in(check_path);
-      if (!in) {
-        std::fprintf(stderr, "micro_sendcost: cannot read %s\n",
-                     check_path.c_str());
-        return 1;
-      }
-      std::stringstream ss;
-      ss << in.rdbuf();
-      const double base = baseline_pkts_per_sec(ss.str());
-      if (base <= 0) {
-        std::fprintf(stderr,
-                     "micro_sendcost: no pkts_per_sec baseline in %s\n",
-                     check_path.c_str());
-        return 1;
-      }
-      double tolerance = 0.30;
-      if (const char* env = std::getenv("PP_PERF_TOLERANCE"))
-        tolerance = std::atof(env);
-      const double floor = base * (1.0 - tolerance);
-      std::printf("forwarding gate: measured %.0f pkts/s, baseline %.0f, "
-                  "floor %.0f\n",
-                  r.pkts_per_sec, base, floor);
-      if (r.pkts_per_sec < floor) {
-        std::fprintf(stderr,
-                     "micro_sendcost: forwarding throughput regressed "
-                     "below the floor\n");
-        return 1;
-      }
+      const int rc = bench::check_baseline(
+          "micro_sendcost", check_path,
+          {{"splice_forward", "pkts_per_sec", r.pkts_per_sec}}, 0.30);
+      if (rc != 0) return rc;
     }
   }
 

@@ -32,7 +32,7 @@ PsmRun run_psm(int clients, int fidelity, double duration_s) {
   exp::TestbedParams tp;
   tp.num_clients = 0;  // we attach PSM clients ourselves
   tp.proxy.mode = proxy::ProxyMode::Passthrough;
-  tp.wireless.p_loss = 0.01;
+  tp.channel = channel::ChannelSpec::flat(0.01);
   exp::Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(
                            sim::Time::ms(500))};
   bed.access_point().enable_psm(sim::Time::ms(100));

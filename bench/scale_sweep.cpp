@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,18 +114,6 @@ Measurement measure(const pp::exp::MultiCellConfig& mc, unsigned threads) {
   for (const auto& cell : res.cells)
     for (const auto& c : cell.clients) m.bytes += c.bytes_received;
   return m;
-}
-
-// Pull `"events_per_sec":<num>` out of the row tagged `"bench":"<tag>"`.
-double baseline_events_per_sec(const std::string& doc,
-                               const std::string& tag) {
-  const std::string row_tag = "\"bench\":\"" + tag + "\"";
-  const std::size_t row = doc.find(row_tag);
-  if (row == std::string::npos) return -1;
-  const std::string key = "\"events_per_sec\":";
-  const std::size_t val = doc.find(key, row);
-  if (val == std::string::npos) return -1;
-  return std::strtod(doc.c_str() + val + key.size(), nullptr);
 }
 
 }  // namespace
@@ -225,37 +212,12 @@ int main(int argc, char** argv) {
            "1.00 on a single-core runner is expected, not a regression");
   rep.note("refresh: Release build, quiet machine: "
            "scale_sweep --out=BENCH_scale.json");
-  const double eps = smoke_eps;
 
   if (!check_path.empty()) {
-    std::ifstream in{check_path};
-    if (!in) {
-      std::fprintf(stderr, "scale_sweep: cannot read baseline %s\n",
-                   check_path.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    double tolerance = 0.5;
-    if (const char* env = std::getenv("PP_PERF_TOLERANCE"))
-      tolerance = std::strtod(env, nullptr);
-    const double base = baseline_events_per_sec(ss.str(), "smoke");
-    if (base <= 0) {
-      std::fprintf(stderr, "scale_sweep: smoke baseline row missing in %s\n",
-                   check_path.c_str());
-      return 2;
-    }
-    const double floor = base * (1.0 - tolerance);
-    const bool ok = eps >= floor;
-    std::printf("smoke %12.0f ev/s  baseline %12.0f  floor %12.0f  %s\n",
-                eps, base, floor, ok ? "OK" : "REGRESSED");
-    if (!ok) {
-      std::fprintf(stderr,
-                   "scale_sweep: events/sec regressed beyond %.0f%% "
-                   "(set PP_PERF_TOLERANCE to adjust)\n",
-                   tolerance * 100.0);
-      return 1;
-    }
+    const int rc = bench::check_baseline(
+        "scale_sweep", check_path, {{"smoke", "events_per_sec", smoke_eps}},
+        0.5);
+    if (rc != 0) return rc;
   }
 
   if (!out_path.empty()) {

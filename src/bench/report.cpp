@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 namespace pp::bench {
 
@@ -212,6 +215,42 @@ std::string Report::json() const {
   }
   out += "]}";
   return out;
+}
+
+int check_baseline(const char* prog, const std::string& path,
+                   const std::vector<GateRow>& rows, double default_tolerance) {
+  std::ifstream in{path};
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot read baseline %s\n", prog, path.c_str());
+    return 2;
+  }
+  const std::string doc{std::istreambuf_iterator<char>{in}, {}};
+  const char* env = std::getenv("PP_PERF_TOLERANCE");
+  const double tolerance = env ? std::strtod(env, nullptr) : default_tolerance;
+  int failures = 0;
+  for (const GateRow& r : rows) {
+    const std::string tag = "\"bench\":\"" + r.bench + "\"";
+    const std::string field = "\"" + r.key + "\":";
+    const std::size_t row = doc.find(tag);
+    const std::size_t val =
+        row == std::string::npos ? row : doc.find(field, row);
+    const double base = val == std::string::npos
+                            ? -1
+                            : std::strtod(doc.c_str() + val + field.size(),
+                                          nullptr);
+    const double floor = base * (1.0 - tolerance);
+    const bool ok = base > 0 && r.measured >= floor;
+    std::printf("%-16s %12.0f %s  baseline %12.0f  floor %12.0f  %s\n",
+                r.bench.c_str(), r.measured, r.key.c_str(), base, floor,
+                base <= 0 ? "MISSING" : ok ? "OK" : "REGRESSED");
+    if (!ok) ++failures;
+  }
+  if (failures == 0) return 0;
+  std::fprintf(stderr,
+               "%s: %d row(s) missing or regressed beyond %.0f%% "
+               "(set PP_PERF_TOLERANCE to adjust)\n",
+               prog, failures, tolerance * 100.0);
+  return 1;
 }
 
 }  // namespace pp::bench

@@ -81,4 +81,17 @@ class Report {
 // backslashes, control characters).
 std::string json_escape(const std::string& s);
 
+// The --check perf gate: each row's `measured` value must reach
+// (1 - tolerance) times the `key` cell of the row tagged `"bench":"<bench>"`
+// in the committed Report JSON at `path` (tolerance: PP_PERF_TOLERANCE, a
+// fraction, else `default_tolerance`).  Prints one verdict per row; returns
+// 0 when all hold, 1 when any regressed or is missing, 2 when `path` is
+// unreadable.
+struct GateRow {
+  std::string bench, key;
+  double measured = 0;
+};
+int check_baseline(const char* prog, const std::string& path,
+                   const std::vector<GateRow>& rows, double default_tolerance);
+
 }  // namespace pp::bench

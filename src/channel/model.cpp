@@ -24,20 +24,18 @@ std::uint64_t client_stream_seed(std::uint64_t run_seed, std::uint32_t raw_ip) {
          kClientSeedMix * (static_cast<std::uint64_t>(raw_ip) + 1);
 }
 
-// The wireless channel belongs to the (client, AP) pair: downlink frames
-// carry the client as receiver; uplink frames reach the AP radio (address
-// 0.0.0.0), so the transmitting client identifies the channel.
-net::Ipv4Addr station_of(const net::Packet& pkt, net::Ipv4Addr receiver) {
-  return receiver.raw() != 0 ? receiver : pkt.src;
-}
-
 }  // namespace
+
+ChannelSpec ChannelSpec::flat(double p) {
+  ChannelSpec s;
+  if (p != 0) s.rungs.push_back(ChannelRung{/*p_up=*/0.0, /*p_down=*/0.0, p});
+  return s;
+}
 
 ChannelSpec ChannelSpec::two_state(double p_good_bad, double p_bad_good,
                                    double loss_good, double loss_bad,
                                    double goodput_bps) {
   ChannelSpec s;
-  s.enabled = true;
   s.rungs.push_back(
       ChannelRung{/*p_up=*/0.0, /*p_down=*/p_good_bad, loss_good, goodput_bps});
   s.rungs.push_back(ChannelRung{/*p_up=*/p_bad_good, /*p_down=*/0.0, loss_bad,
@@ -48,7 +46,6 @@ ChannelSpec ChannelSpec::two_state(double p_good_bad, double p_bad_good,
 ChannelSpec ChannelSpec::ladder(int n, double burstiness,
                                 double top_goodput_bps) {
   ChannelSpec s;
-  s.enabled = true;
   s.rungs.reserve(static_cast<std::size_t>(n));
   // The ladder fades in wall-clock time (the model's chain tick), not per
   // attempt: a client that is not being served still sees its fade end,
@@ -83,50 +80,48 @@ void ChannelModel::publish(obs::MetricsRegistry& m) const {
   m.counter("channel.state.worse_entries")->inc(stats_.worse_entries);
 }
 
-ChannelModel::Station& ChannelModel::station(std::uint32_t raw) {
-  auto it = stations_.find(raw);
-  if (it != stations_.end()) return it->second;
-  return stations_.emplace(raw, Station{client_stream_seed(seed_, raw)})
-      .first->second;
+std::uint32_t ChannelModel::row_of(net::Ipv4Addr station) {
+  const auto key_of = [this](std::uint32_t row) { return ips_[row]; };
+  std::uint32_t row = by_ip_.find(station, key_of);
+  if (row != net::IpIndex::kNone) return row;
+  row = static_cast<std::uint32_t>(stations_.size());
+  stations_.emplace_back(client_stream_seed(seed_, station.raw()));
+  ips_.push_back(station);
+  by_ip_.insert(row, key_of);
+  return row;
 }
 
 // One transition draw: exactly one uniform per step.  Returns true when the
 // chain moved to a worse rung.
 bool ChannelModel::step(Station& st) {
-  const int last = spec_.num_states() - 1;
-  if (last == 0) return false;
   const ChannelRung& r = spec_.rungs[static_cast<std::size_t>(st.state)];
+  const double up = st.state == 0 ? 0.0 : r.p_up;
+  const double down = st.state == spec_.num_states() - 1 ? 0.0 : r.p_down;
   const double u = st.rng.uniform();
-  if (st.state == 0) {
-    if (u < r.p_down) {
-      ++st.state;
-      return true;
-    }
-  } else if (st.state == last) {
-    if (u < r.p_up) --st.state;
-  } else {
-    if (u < r.p_up) {
-      --st.state;
-    } else if (u < r.p_up + r.p_down) {
-      ++st.state;
-      return true;
-    }
+  if (u < up) {
+    --st.state;
+  } else if (u < up + down) {
+    ++st.state;
+    return true;
   }
   return false;
 }
 
-ChannelModel::Attempt ChannelModel::attempt(net::Ipv4Addr client,
+ChannelModel::Attempt ChannelModel::attempt(std::uint32_t row,
                                             sim::Time now) {
-  Station& st = station(client.raw());
+  Station& st = stations_[row];
+  st.attempted = true;
   // Catch the chain up: one transition draw per tick elapsed since the
   // station's epoch.  The chain thus evolves in wall-clock time whether or
   // not the client is being served — a fade ends while a deferred client
   // sleeps.  The draw count is a pure function of `now`, so replay stays
-  // deterministic and salt-invariant.
-  const std::int64_t target = now.count_ns() / kTick.count_ns();
+  // deterministic and salt-invariant.  A one-rung chain never moves.
   Attempt a;
-  for (; st.ticks_done < target; ++st.ticks_done) {
-    a.worsened = step(st) || a.worsened;
+  if (spec_.num_states() > 1) {
+    const std::int64_t target = now.count_ns() / kTick.count_ns();
+    for (; st.ticks_done < target; ++st.ticks_done) {
+      a.worsened = step(st) || a.worsened;
+    }
   }
   a.state = st.state;
 
@@ -142,23 +137,20 @@ ChannelModel::Attempt ChannelModel::attempt(net::Ipv4Addr client,
   return a;
 }
 
-bool ChannelModel::corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
-                             sim::Time now) {
-  return attempt(station_of(pkt, receiver), now).lost;
-}
-
 ChannelView ChannelModel::view_of(net::Ipv4Addr client) const {
   ChannelView v;
   v.num_states = spec_.num_states();
-  const auto it = stations_.find(client.raw());
-  if (it == stations_.end()) {
+  const std::uint32_t row =
+      by_ip_.find(client, [this](std::uint32_t r) { return ips_[r]; });
+  if (row == net::IpIndex::kNone || !stations_[row].attempted) {
     // Never attempted: report the best rung's nominal goodput.
-    v.goodput_bps = spec_.rungs.empty() ? 0.0 : spec_.rungs[0].goodput_bps;
+    v.goodput_bps = spec_.rungs[0].goodput_bps;
     return v;
   }
+  const Station& st = stations_[row];
   v.known = true;
-  v.state = it->second.state;
-  v.loss_ewma = it->second.ewma;
+  v.state = st.state;
+  v.loss_ewma = st.ewma;
   v.goodput_bps =
       spec_.rungs[static_cast<std::size_t>(v.state)].goodput_bps *
       (1.0 - v.loss_ewma);

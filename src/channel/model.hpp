@@ -3,8 +3,8 @@
 // Owns every client's Markov quality chain plus the RNG that drives it.
 // Each client's chain draws from an independent stream derived from the
 // run seed and the client address, so one client's traffic volume can
-// never shift another's draws and replay digests stay salt-invariant
-// (state lives in an ordered map).
+// never shift another's draws and replay digests stay salt-invariant.
+// Chains are rows of a flat vector, in the order the medium resolved them.
 //
 // The model is both a net::ChannelLossModel (install it on the medium to
 // corrupt frames) and a ChannelObserver (schedulers query per-client
@@ -12,10 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "channel/observer.hpp"
 #include "channel/spec.hpp"
+#include "net/ip_index.hpp"
 #include "net/wireless.hpp"
 #include "obs/hooks.hpp"
 #include "sim/rng.hpp"
@@ -47,14 +48,18 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
   ChannelModel(const ChannelModel&) = delete;
   ChannelModel& operator=(const ChannelModel&) = delete;
 
-  // Catch `client`'s chain up with one transition draw per tick elapsed
+  // net::ChannelLossModel: the row of `station`, created on first call.
+  std::uint32_t row_of(net::Ipv4Addr station) override;
+
+  // Catch `row`'s chain up with one transition draw per tick elapsed
   // before `now`, then draw corruption from the resulting rung (a loss
   // draw only when the rung's loss probability is positive).
-  Attempt attempt(net::Ipv4Addr client, sim::Time now);
+  Attempt attempt(std::uint32_t row, sim::Time now);
 
-  // net::ChannelLossModel: attempt() on the frame's station-side channel.
-  bool corrupted(const net::Packet& pkt, net::Ipv4Addr receiver,
-                 sim::Time now) override;
+  // net::ChannelLossModel: attempt() on the frame's channel row.
+  bool corrupted(std::uint32_t row, sim::Time now) override {
+    return attempt(row, now).lost;
+  }
 
   // ChannelObserver: pure query, never draws or mutates.
   ChannelView view_of(net::Ipv4Addr client) const override;
@@ -63,25 +68,24 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
   void publish(obs::MetricsRegistry& m) const;
 
   const ChannelStats& stats() const { return stats_; }
-  const ChannelSpec& spec() const { return spec_; }
 
  private:
   struct Station {
     explicit Station(std::uint64_t seed) : rng{seed} {}
-    int state = 0;  // every channel starts in the best rung
+    sim::Rng rng;
     double ewma = 0.0;
     std::int64_t ticks_done = 0;  // chain ticks consumed
-    sim::Rng rng;
+    int state = 0;  // every channel starts in the best rung
+    bool attempted = false;  // view_of reports it only after an attempt
   };
 
-  Station& station(std::uint32_t raw);
   bool step(Station& st);
 
   ChannelSpec spec_;
   std::uint64_t seed_ = 0;
-  // Ordered map: chain state and stream creation must never follow
-  // hash-bucket layout.
-  std::map<std::uint32_t, Station> stations_;
+  std::vector<Station> stations_;  // by row
+  std::vector<net::Ipv4Addr> ips_;  // by row: the index's key column
+  net::IpIndex by_ip_;
 
   ChannelStats stats_;
 };

@@ -11,7 +11,7 @@
 // client's fade can end while it sleeps.  The two-rung special case is the
 // classic Gilbert-Elliott channel; the N-rung generalization is the
 // rate-ladder channel of the joint queue/channel-aware scheduling
-// literature (arXiv:1807.10128).
+// literature (arXiv:1807.10128).  One rung is flat loss; none is lossless.
 //
 // Deliberately light on dependencies (plain numbers only) so config-level
 // code can embed a spec without pulling in the network stack.  The runtime
@@ -34,14 +34,16 @@ struct ChannelRung {
 };
 
 struct ChannelSpec {
-  bool enabled = false;
   // Recent-loss EWMA smoothing per attempt (observer surface only).
   double ewma_alpha = 0.05;
-  std::vector<ChannelRung> rungs;  // index 0 = best; needs >= 2 when enabled
+  std::vector<ChannelRung> rungs;  // index 0 = best; empty = lossless
 
   int num_states() const { return static_cast<int>(rungs.size()); }
 
   // -- Presets ----------------------------------------------------------------------
+  // Flat loss: one rung losing each attempt with probability `p` (empty
+  // when `p` is 0).
+  static ChannelSpec flat(double p);
   // The classic two-state Gilbert-Elliott channel (rung 0 = good).  The
   // transition probabilities are per chain tick, so the mean sojourn in a
   // state is 1/p_exit ticks.

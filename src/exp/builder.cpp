@@ -141,8 +141,7 @@ ScenarioBuilder& ScenarioBuilder::naive_clients(bool on) {
 }
 
 ScenarioBuilder& ScenarioBuilder::wireless_p_loss(double p) {
-  cfg_.wireless_p_loss = p;
-  return *this;
+  return channel(channel::ChannelSpec::flat(p));
 }
 
 ScenarioBuilder& ScenarioBuilder::ap_jitter(double p_spike,
@@ -206,9 +205,6 @@ ScenarioConfig ScenarioBuilder::build() const {
   if (c.video_start_s < 0) fail("video_start_s must be non-negative");
   if (c.video_spacing_s < 0) fail("video_spacing_s must be non-negative");
   if (!(c.cost_model_scale > 0)) fail("cost_model_scale must be positive");
-  if (c.wireless_p_loss < 0 || c.wireless_p_loss >= 1.0) {
-    fail("wireless_p_loss must be in [0, 1)");
-  }
   if (c.schedule_repeats < 1) fail("schedule_repeats must be >= 1");
   if (c.schedule_repeats > 1 &&
       c.schedule_repeat_spacing <= sim::Duration{}) {
@@ -220,10 +216,7 @@ ScenarioConfig ScenarioBuilder::build() const {
   check_web("web_pages must be positive", c.web_pages > 0);
   check_web("web_think_mean_s must be positive", c.web_think_mean_s > 0);
   check_web("ftp_bytes must be positive", c.ftp_bytes > 0);
-  if (c.channel.enabled) {
-    if (c.channel.rungs.size() < 2) {
-      fail("channel model needs at least 2 quality rungs");
-    }
+  if (!c.channel.rungs.empty()) {
     if (!(c.channel.ewma_alpha > 0.0 && c.channel.ewma_alpha <= 1.0)) {
       fail("channel ewma_alpha must be in (0, 1]");
     }

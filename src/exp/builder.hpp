@@ -67,14 +67,14 @@ class ScenarioBuilder {
   ScenarioBuilder& proxy_mode(proxy::ProxyMode m);
   ScenarioBuilder& cost_model_scale(double scale);
   ScenarioBuilder& naive_clients(bool on = true);
-  ScenarioBuilder& wireless_p_loss(double p);
+  ScenarioBuilder& wireless_p_loss(double p);  // channel(flat(p))
   ScenarioBuilder& ap_jitter(double p_spike, sim::Duration spike_max);
 
   // -- Faults & retention ----------------------------------------------------------
   ScenarioBuilder& fault(fault::FaultSpec spec);
   // Mutable access for incremental window building (validated at build()).
   fault::FaultSpec& fault_spec() { return cfg_.fault; }
-  // Channel-quality model; composes with fault windows and churn storms.
+  // Wireless loss (default flat 1%); composes with faults and churn storms.
   ScenarioBuilder& channel(channel::ChannelSpec spec);
   ScenarioBuilder& keep_trace(bool on = true);
   ScenarioBuilder& keep_obs(bool on = true);

@@ -109,7 +109,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   TestbedParams tp;
   tp.seed = cfg.seed;
   tp.num_clients = static_cast<int>(cfg.roles.size());
-  tp.wireless.p_loss = cfg.wireless_p_loss;
   tp.ap = cfg.ap;
   tp.client.daemon.comp.mode = cfg.compensation;
   // Worst case between consecutive broadcasts: previous one maximally

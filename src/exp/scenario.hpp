@@ -81,22 +81,18 @@ struct ScenarioConfig {
   // cell-level counters — per-client results still come from the clients'
   // own counters, which are always maintained.
   bool per_client_obs = true;
-  // Default per-frame corruption probability on the wireless medium (real
-  // 802.11b loses the occasional frame; lost marks and schedules are what
-  // produce the paper's worst-case clients).
-  double wireless_p_loss = 0.01;
   // Access-point forwarding jitter and delay spikes (see ap_jitter()).
   net::AccessPointParams ap{};
   bool video_adaptive = true;  // RealServer loss adaptation on/off
   // -- Fault injection & graceful degradation (see src/fault/) -------------------
   // Typed fault windows and churn storms; empty = no faults.
   fault::FaultSpec fault{};
-  // -- Channel-quality model (see src/channel/) ----------------------------------
-  // Per-client multi-state loss ladder (e.g. the Gilbert-Elliott two_state
-  // preset) with deterministic per-client RNG streams; composes with
-  // `fault`, whose deep fades override it on the faded channel.  Disabled =
-  // the flat wireless_p_loss above.
-  channel::ChannelSpec channel{};
+  // -- Wireless loss (see src/channel/) -------------------------------------------
+  // Flat 1% by default: real 802.11b loses the occasional frame, and lost
+  // marks and schedules make the paper's worst-case clients.  Ladders (e.g.
+  // the Gilbert-Elliott two_state preset) model fades; no rungs = lossless.
+  // Composes with `fault`, whose deep fades override it.
+  channel::ChannelSpec channel = channel::ChannelSpec::flat(0.01);
   // Proxy schedule hardening: SRP broadcast transmissions per interval.
   int schedule_repeats = 1;
   sim::Duration schedule_repeat_spacing = sim::Time::ms(3);

@@ -108,14 +108,15 @@ Testbed::Testbed(TestbedParams params,
     });
   }
 
-  // Channel-quality model: replaces the medium's flat p_loss with the
-  // per-client state ladder and gives the proxy a quality observer.  It
-  // composes with fault windows: a deep fade overrides it on the medium.
-  if (params_.channel.enabled) {
+  // Wireless loss, installed before the clients attach so each resolves its
+  // row once.  Only a ladder's quality is worth observing at the proxy.
+  // A deep fade window overrides it on the medium.
+  if (!params_.channel.rungs.empty()) {
     channel_ = std::make_unique<channel::ChannelModel>(params_.channel,
                                                        params_.seed);
     medium_.set_loss_model(channel_.get());
-    proxy_->set_channel_observer(channel_.get());
+    if (params_.channel.num_states() > 1)
+      proxy_->set_channel_observer(channel_.get());
   }
 
   // Clients.  Energy state lives in the shared fleet ledger (one SoA row

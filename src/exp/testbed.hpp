@@ -46,10 +46,9 @@ struct TestbedParams {
   // is constructed from the run seed and wired to the medium, AP, the
   // proxy <-> AP link, and the proxy's pause control; arm() runs at start().
   fault::FaultSpec fault{};
-  // Channel-quality model (see src/channel/).  When enabled a ChannelModel
-  // with per-client deterministic streams replaces the medium's flat p_loss
-  // and the proxy observes per-client state at each SRP.  Composes with
-  // `fault`: deep-fade windows override it on the faded client's channel.
+  // Wireless loss (see src/channel/): rungs install a ChannelModel on the
+  // medium, and a ladder's per-client state reaches the proxy at each SRP.
+  // No rungs (the default) = lossless.  Deep fades in `fault` override it.
   channel::ChannelSpec channel{};
   // Attach a MetricsRegistry + Timeline to every component.  Disable to
   // run with all instrumentation hooks detached (near-zero overhead; see
@@ -126,7 +125,7 @@ class Testbed {
   check::Auditor* auditor() { return auditor_.get(); }
   // The fault plan (null when params.fault is empty).
   fault::FaultPlan* fault_plan() { return fault_.get(); }
-  // The channel model (null unless params.channel.enabled).
+  // The channel model (null when params.channel has no rungs).
   channel::ChannelModel* channel_model() { return channel_.get(); }
 
  private:

@@ -4,9 +4,9 @@
 // data: a list of typed fault windows (per-client deep fades, access-point
 // forwarding stalls, wired link flaps, proxy pause/resume, client churn)
 // plus an optional churn storm that expands into churn windows.  Random
-// frame corruption is not a fault: it belongs to the medium's loss model
-// (flat p_loss or a channel::ChannelSpec, e.g. the Gilbert-Elliott
-// two_state preset).  The spec lives in configuration structs
+// frame corruption is not a fault: it belongs to the medium's loss model,
+// a channel::ChannelSpec (e.g. the flat or Gilbert-Elliott two_state
+// preset).  The spec lives in configuration structs
 // (exp::ScenarioConfig, exp::TestbedParams); the runtime half that
 // schedules and applies it is fault::FaultPlan.
 //

@@ -109,7 +109,6 @@ bool EthernetLan::send(PortId from, Packet pkt) {
     throw std::runtime_error("EthernetLan: no route for " + pkt.dst.str());
   }
   if (to == from) return false;  // would loop back; treat as misrouted
-  ++packets_forwarded_;
   return egress_[to]->transmit(std::move(pkt));
 }
 

@@ -131,8 +131,6 @@ class EthernetLan {
   // Send from a port.  Returns false if the egress queue dropped it.
   bool send(PortId from, Packet pkt);
 
-  std::uint64_t packets_forwarded() const { return packets_forwarded_; }
-
  private:
   PortId do_attach(PacketSink& sink);
 
@@ -142,7 +140,6 @@ class EthernetLan {
   std::vector<Ipv4Addr> port_ip_;  // per port; unset for the default port
   IpIndex by_ip_;                  // ports attached with an IP
   PortId default_port_ = static_cast<PortId>(-1);
-  std::uint64_t packets_forwarded_ = 0;
 };
 
 }  // namespace pp::net

@@ -24,7 +24,8 @@ WirelessMedium::StationId WirelessMedium::attach_station(WirelessStation& st,
                                                          Ipv4Addr ip) {
   PP_CHECK_AT(station_of(ip) == kNoStation, "net.wireless.station_ip",
               sim_.now());
-  stations_.push_back(Entry{&st, ip});
+  const std::uint32_t row = loss_model_ ? loss_model_->row_of(ip) : 0;
+  stations_.push_back(Entry{.station = &st, .ip = ip, .row = row});
   const StationId id = stations_.size() - 1;
   by_ip_.insert(static_cast<std::uint32_t>(id),
                 [this](std::uint32_t s) { return stations_[s].ip; });
@@ -35,6 +36,13 @@ WirelessMedium::StationId WirelessMedium::station_of(Ipv4Addr ip) const {
   const std::uint32_t s =
       by_ip_.find(ip, [this](std::uint32_t id) { return stations_[id].ip; });
   return s == IpIndex::kNone ? kNoStation : s;
+}
+
+void WirelessMedium::set_loss_model(ChannelLossModel* model) {
+  loss_model_ = model;
+  if (model == nullptr) return;
+  for (StationId i = 0; i < stations_.size(); ++i)
+    if (i != ap_) stations_[i].row = model->row_of(stations_[i].ip);
 }
 
 void WirelessMedium::set_obs(obs::Hook hook) {
@@ -138,7 +146,7 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
 void WirelessMedium::finish_burst(ChunkQueue burst, sim::Time air_start) {
   // Resolve the addressed station once: the whole chain shares one client.
   const StationId receiver = station_of(burst.front()->data->pkt.dst);
-  const bool keep = !sniffers_.empty();
+  const bool consume = sniffers_.empty();
   sim::Time t = air_start;
   while (!burst.empty()) {
     Packet pkt = burst.pop_packet();
@@ -149,92 +157,70 @@ void WirelessMedium::finish_burst(ChunkQueue burst, sim::Time air_start) {
       ++frames_missed_;  // no such station; the frame vanishes
       continue;
     }
-    bool any_delivered = false;
-    if (keep) {
-      deliver_to(receiver, receiver, pkt, airtime, any_delivered);
-      SnifferRecord rec{std::move(pkt), frame_start, airtime,
-                       /*from_ap=*/true, any_delivered};
-      for (auto& s : sniffers_) s(rec);
-    } else {
-      deliver_to(receiver, receiver, std::move(pkt), airtime, any_delivered);
-    }
+    const bool delivered =
+        deliver_to(receiver, receiver, pkt, consume, airtime);
+    if (consume) continue;
+    SnifferRecord rec{std::move(pkt), frame_start, airtime, /*from_ap=*/true,
+                      delivered};
+    for (auto& s : sniffers_) s(rec);
   }
 }
 
-void WirelessMedium::deliver_to(StationId receiver, StationId channel,
-                                Packet pkt, sim::Duration airtime,
-                                bool& any_delivered) {
+bool WirelessMedium::deliver_to(StationId receiver, StationId channel,
+                                Packet& pkt, bool consume,
+                                sim::Duration airtime) {
   WirelessStation& st = *stations_[receiver].station;
-  // A faded channel loses the frame outright, with no draw.  Otherwise the
-  // corruption draw happens whether or not the station is listening, so
-  // installing a model (or changing p_loss) consumes the same number of
-  // draws regardless of sleep schedules.
-  const bool faded = stations_[channel].fades > 0;
+  // The frame's one fate decision: a faded channel loses it outright, with
+  // no draw; otherwise the loss model draws on the channel's row, whether
+  // or not the station is listening, so sleep schedules never shift a
+  // draw sequence.  No model: the air is lossless.
+  const Entry& ch = stations_[channel];
+  const bool faded = ch.fades > 0;
   if (faded) ++fade_losses_;
-  const bool corrupted =
+  const bool lost =
       faded ||
-      (loss_model_ != nullptr
-           ? loss_model_->corrupted(pkt, stations_[receiver].ip, sim_.now())
-           : (params_.p_loss > 0 && sim_.rng().chance(params_.p_loss)));
-  if (st.listening() && !corrupted) {
-    st.deliver(std::move(pkt), airtime);
-    any_delivered = true;
-  } else {
+      (loss_model_ != nullptr && loss_model_->corrupted(ch.row, sim_.now()));
+  if (lost || !st.listening()) {
     st.missed(pkt, airtime);
     ++frames_missed_;
+    return false;
   }
+  st.deliver(consume ? std::move(pkt) : pkt, airtime);
+  return true;
 }
 
 void WirelessMedium::finish_frame(StationId sender, Packet pkt,
                                   sim::Time air_start, sim::Duration airtime) {
   if (ap_ == kNoStation)
     throw std::logic_error("WirelessMedium: no access point attached");
-  bool any_delivered = false;
   // When no sniffers are attached, the frame's last delivery can consume
   // the packet — one fewer payload-shared_ptr refcount round trip per hop.
-  const bool keep = !sniffers_.empty();
-  if (sender == ap_) {
-    if (pkt.is_broadcast()) {
-      StationId last = kNoStation;
-      for (StationId i = stations_.size(); i-- > 0;) {
-        if (i != ap_) {
-          last = i;
-          break;
-        }
-      }
-      for (StationId i = 0; i < stations_.size(); ++i) {
-        if (i == ap_) continue;
-        if (!keep && i == last) {
-          deliver_to(i, i, std::move(pkt), airtime, any_delivered);
-        } else {
-          deliver_to(i, i, pkt, airtime, any_delivered);
-        }
-      }
+  const bool consume = sniffers_.empty();
+  bool any_delivered = false;
+  if (sender != ap_) {
+    // Uplink: always handed to the access point (infrastructure mode).
+    any_delivered = deliver_to(ap_, sender, pkt, consume, airtime);
+  } else if (!pkt.is_broadcast()) {
+    // Unicast downlink: find the addressed station.
+    const StationId i = station_of(pkt.dst);
+    if (i == kNoStation) {
+      ++frames_missed_;  // no such station; frame vanishes
     } else {
-      // Unicast downlink: find the addressed station.
-      const StationId i = station_of(pkt.dst);
-      if (i == kNoStation) {
-        ++frames_missed_;  // no such station; frame vanishes
-      } else if (keep) {
-        deliver_to(i, i, pkt, airtime, any_delivered);
-      } else {
-        deliver_to(i, i, std::move(pkt), airtime, any_delivered);
-      }
+      any_delivered = deliver_to(i, i, pkt, consume, airtime);
     }
   } else {
-    // Uplink: always handed to the access point (infrastructure mode).
-    if (keep) {
-      deliver_to(ap_, sender, pkt, airtime, any_delivered);
-    } else {
-      deliver_to(ap_, sender, std::move(pkt), airtime, any_delivered);
+    StationId last = stations_.size() - 1;
+    if (last == ap_) --last;
+    for (StationId i = 0; i < stations_.size(); ++i) {
+      if (i == ap_) continue;
+      any_delivered =
+          deliver_to(i, i, pkt, consume && i == last, airtime) || any_delivered;
     }
   }
-  const bool from_ap = sender == ap_;
-  if (!sniffers_.empty()) {
-    SnifferRecord rec{std::move(pkt), air_start, airtime, from_ap,
-                      any_delivered};
-    for (auto& s : sniffers_) s(rec);
-  }
+  if (consume) return;
+  SnifferRecord rec{std::move(pkt), air_start, airtime, sender == ap_,
+                    any_delivered};
+  for (auto& s : sniffers_) s(rec);
 }
 
 }  // namespace pp::net

@@ -55,16 +55,16 @@ class WirelessStation {
   }
 };
 
-// Pluggable frame-corruption model.  When installed via set_loss_model(),
-// the medium consults it once per (frame, receiver) delivery attempt
-// instead of drawing uniform p_loss from the shared simulator RNG; the
-// model owns its own RNG stream.  `receiver` is the station's IP (the
-// default 0.0.0.0 address for the access point's radio).
+// Pluggable frame-corruption model: the medium's one loss source besides
+// deep fades.  A frame draws on the row of the client station whose
+// channel it crosses (receiver for downlink, sender for uplink), resolved
+// once when the station attaches or the model is installed.
 class ChannelLossModel {
  public:
   virtual ~ChannelLossModel() = default;
-  virtual bool corrupted(const Packet& pkt, Ipv4Addr receiver,
-                         sim::Time now) = 0;
+  virtual std::uint32_t row_of(Ipv4Addr station) = 0;
+  // One delivery attempt on `row`'s channel: true = lost.
+  virtual bool corrupted(std::uint32_t row, sim::Time now) = 0;
 };
 
 struct WirelessParams {
@@ -79,8 +79,6 @@ struct WirelessParams {
   // channel, as they did in the paper (Section 4.3).
   sim::Duration per_frame_overhead = sim::Time::us(1750);
   sim::Duration propagation = sim::Time::us(2);
-  // Independent per-receiver corruption probability.
-  double p_loss = 0.0;
   std::uint32_t mac_framing_bytes = 34;  // 802.11 MAC header + FCS
 };
 
@@ -143,9 +141,9 @@ class WirelessMedium {
   // Write the frame and burst counters from the medium's own counts.
   void publish(obs::MetricsRegistry& m) const;
 
-  // Install a corruption model that overrides uniform p_loss (nullptr
-  // restores the built-in draw).  Not owned; must outlive the medium.
-  void set_loss_model(ChannelLossModel* model) { loss_model_ = model; }
+  // Install the loss model (nullptr = lossless, the default) and resolve
+  // each attached client's row.  Not owned; must outlive the medium.
+  void set_loss_model(ChannelLossModel* model);
 
   // Deep fade on the channel of the station owning `ip`: while faded, every
   // frame to that station, or from it to the access point, is lost before
@@ -160,6 +158,7 @@ class WirelessMedium {
     WirelessStation* station;
     Ipv4Addr ip;
     int fades = 0;  // open deep-fade windows on this station's channel
+    std::uint32_t row = 0;  // loss-model row (client stations only)
   };
 
   // A frame on the air, waiting in frames_ for its finish event.
@@ -180,13 +179,12 @@ class WirelessMedium {
   void finish_frame(StationId sender, Packet pkt, sim::Time air_start,
                     sim::Duration airtime);
   void finish_burst(ChunkQueue burst, sim::Time air_start);
-  // Takes the packet by value: callers copy for all but the final delivery
-  // of a frame and move for the last one, so a unicast frame's payload
-  // shared_ptr is handed down the stack without refcount churn.
-  // `channel` is the client station whose link the frame crosses: the
-  // receiver for downlink, the sender for uplink.
-  void deliver_to(StationId receiver, StationId channel, Packet pkt,
-                  sim::Duration airtime, bool& any_delivered);
+  // One frame's fate at `receiver`; true when delivered.  `channel` is the
+  // client station whose link the frame crosses: the receiver for
+  // downlink, the sender for uplink.  With `consume` the delivery takes
+  // `pkt` (the frame's last receiver, no sniffer attached).
+  bool deliver_to(StationId receiver, StationId channel, Packet& pkt,
+                  bool consume, sim::Duration airtime);
 
   sim::Simulator& sim_;
   WirelessParams params_;

@@ -2,7 +2,7 @@
 
 namespace pp::proxy {
 
-ClientId ClientTable::ensure(net::Ipv4Addr ip, sim::Time now) {
+ClientId ClientTable::ensure(net::Ipv4Addr ip) {
   const ClientId found = find(ip);
   if (found != kNoClient) return found;
   const auto id = static_cast<ClientId>(ip_.size());
@@ -10,11 +10,9 @@ ClientId ClientTable::ensure(net::Ipv4Addr ip, sim::Time now) {
   pkt_q_.emplace_back();
   pkt_q_.back().set_pool(pool_);
   splices_.emplace_back();
-  last_activity_.push_back(now);
   membership_.push_back(Membership::Joined);
   leave_seq_.push_back(0);
   drain_timer_.emplace_back();
-  channel_.emplace_back();
   index_.insert(id, [this](ClientId i) { return ip_[i]; });
   return id;
 }

@@ -9,7 +9,7 @@
 // registration order:
 //
 //   * the demand snapshot scans columns sequentially (queue totals,
-//     membership, activity, cached channel view) instead of pointer-hopping;
+//     membership) instead of pointer-hopping;
 //   * iteration order is id order == registration order, so every walk is
 //     deterministic by construction — no sorted_items() or lint waivers;
 //   * Departed clients keep their row (queues empty), so sustained churn
@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "channel/observer.hpp"
 #include "net/addr.hpp"
 #include "net/chunk.hpp"
 #include "net/ip_index.hpp"
@@ -53,7 +52,7 @@ class ClientTable {
     return index_.find(ip, [this](ClientId id) { return ip_[id]; });
   }
   // Lookup-or-append: a fresh row starts Joined with an empty queue.
-  ClientId ensure(net::Ipv4Addr ip, sim::Time now);
+  ClientId ensure(net::Ipv4Addr ip);
 
   // -- Columns ---------------------------------------------------------------
   net::Ipv4Addr ip(ClientId id) const { return ip_[id]; }
@@ -63,13 +62,10 @@ class ClientTable {
   const std::vector<Splice*>& splices(ClientId id) const {
     return splices_[id];
   }
-  sim::Time& last_activity(ClientId id) { return last_activity_[id]; }
   Membership& membership(ClientId id) { return membership_[id]; }
   Membership membership(ClientId id) const { return membership_[id]; }
   std::uint64_t& leave_seq(ClientId id) { return leave_seq_[id]; }
   sim::EventHandle& drain_timer(ClientId id) { return drain_timer_[id]; }
-  // Channel view cached at the most recent SRP (unknown when no observer).
-  channel::ChannelView& channel(ClientId id) { return channel_[id]; }
 
  private:
   std::shared_ptr<net::ChunkPool> pool_;
@@ -77,11 +73,9 @@ class ClientTable {
   std::vector<net::Ipv4Addr> ip_;
   std::vector<net::ChunkQueue> pkt_q_;
   std::vector<std::vector<Splice*>> splices_;
-  std::vector<sim::Time> last_activity_;
   std::vector<Membership> membership_;
   std::vector<std::uint64_t> leave_seq_;
   std::vector<sim::EventHandle> drain_timer_;
-  std::vector<channel::ChannelView> channel_;
   net::IpIndex index_;  // ip -> id over ip_
 };
 

@@ -148,13 +148,12 @@ std::uint64_t TransparentProxy::buffered_bytes(net::Ipv4Addr client) const {
 }
 
 void TransparentProxy::register_client(net::Ipv4Addr ip) {
-  const ClientId id = table_.ensure(ip, sim_.now());
+  const ClientId id = table_.ensure(ip);
   if (table_.membership(id) == Membership::Joined) return;
   // Re-join: a Draining client that comes back keeps its queue; a Departed
   // one starts clean (its queue was dropped at departure).
   table_.drain_timer(id).cancel();
   table_.membership(id) = Membership::Joined;
-  table_.last_activity(id) = sim_.now();
 }
 
 void TransparentProxy::deregister_client(net::Ipv4Addr ip) {
@@ -179,14 +178,13 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
   const auto msg = std::dynamic_pointer_cast<const AssocMessage>(pkt.data);
   if (!msg) return;
   ++stats_.assoc_rx;
-  const ClientId id = table_.ensure(pkt.src, sim_.now());
+  const ClientId id = table_.ensure(pkt.src);
   switch (msg->kind) {
     case AssocKind::Join: {
       const bool fresh = table_.membership(id) != Membership::Joined;
       if (fresh) {
         table_.drain_timer(id).cancel();
         table_.membership(id) = Membership::Joined;
-        table_.last_activity(id) = sim_.now();
         ++stats_.joins;
         PP_OBS(if (auto* tl = obs_.timeline())
                    tl->record(sim_.now(), obs::EventKind::ClientJoin,
@@ -320,7 +318,7 @@ void TransparentProxy::abort_splices(ClientId id) {
 }
 
 void TransparentProxy::enqueue_downlink(net::Packet pkt) {
-  const ClientId id = table_.ensure(pkt.dst, sim_.now());
+  const ClientId id = table_.ensure(pkt.dst);
   // No membership, no buffering: downlink for a departed client is dropped
   // at the door (counted with the queue-limit drops).
   if (table_.membership(id) == Membership::Departed) {
@@ -330,7 +328,6 @@ void TransparentProxy::enqueue_downlink(net::Packet pkt) {
                           pkt.payload));
     return;
   }
-  table_.last_activity(id) = sim_.now();
   net::ChunkQueue& q = table_.queue(id);
   // Admission in payload bytes — the one queue_limit_bytes convention for
   // application buffering (see net/chunk.hpp).
@@ -429,10 +426,7 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
     sp->server_side->set_obs(obs_);
   });
 
-  sp->server_side->set_on_deliver([this, sp](std::uint64_t n) {
-    sp->buffered += n;
-    table_.last_activity(table_.ensure(sp->client_ip, sim_.now())) = sim_.now();
-  });
+  sp->server_side->set_on_deliver([sp](std::uint64_t n) { sp->buffered += n; });
   sp->server_side->set_on_remote_fin([this, sp] {
     sp->server_fin = true;
     maybe_finish_splice(*sp);
@@ -445,7 +439,7 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
   });
 
   by_server_flow_.emplace(sp->key.reversed(), sp);
-  table_.splices(table_.ensure(syn.src, sim_.now())).push_back(sp);
+  table_.splices(table_.ensure(syn.src)).push_back(sp);
   ++stats_.splices_created;
   auto [it, ok] = by_client_flow_.emplace(sp->key, std::move(splice));
   PP_CHECK_AT(ok, "proxy.splice.duplicate_flow", sim_.now());
@@ -475,7 +469,7 @@ void TransparentProxy::reap_splices() {
     auto it = by_client_flow_.find(key);
     Splice* sp = it->second.get();
     by_server_flow_.erase(key.reversed());
-    auto& vec = table_.splices(table_.ensure(sp->client_ip, sim_.now()));
+    auto& vec = table_.splices(table_.ensure(sp->client_ip));
     std::erase(vec, sp);
     retire_splice(*sp);
     by_client_flow_.erase(it);
@@ -553,12 +547,7 @@ void TransparentProxy::schedule_tick() {
                              ? sim::Time::zero()
                              : params_.delay_target - age;
     }
-    if (channel_obs_ != nullptr) {
-      // Refresh the flat channel column once per SRP; the demand snapshot
-      // (and any multi-pass policy) reads the cached copy.
-      table_.channel(id) = channel_obs_->view_of(d.ip);
-      d.channel = table_.channel(id);
-    }
+    if (channel_obs_ != nullptr) d.channel = channel_obs_->view_of(d.ip);
     demands.push_back(d);
   }
 

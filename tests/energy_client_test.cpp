@@ -13,12 +13,11 @@ namespace {
 
 using sim::Time;
 
-std::unique_ptr<exp::Testbed> make_bed(int clients, ClientParams cp = {},
-                                       double p_loss = 0.0) {
+// Lossless air: TestbedParams installs no loss model by default.
+std::unique_ptr<exp::Testbed> make_bed(int clients, ClientParams cp = {}) {
   exp::TestbedParams tp;
   tp.num_clients = clients;
   tp.client = cp;
-  tp.wireless.p_loss = p_loss;
   return std::make_unique<exp::Testbed>(
       tp, std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(100)));
 }

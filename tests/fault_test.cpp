@@ -58,9 +58,11 @@ TEST(GilbertElliott, CorruptionSequenceIsDeterministic) {
       channel::ChannelSpec::two_state(0.1, 0.2, 0.001, 0.85);
   channel::ChannelModel m1{spec, 7};
   channel::ChannelModel m2{spec, 7};
+  const std::uint32_t r1 = m1.row_of(kClient);
+  const std::uint32_t r2 = m2.row_of(kClient);
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(m1.attempt(kClient, Time::ms(i)).lost,
-              m2.attempt(kClient, Time::ms(i)).lost);
+    EXPECT_EQ(m1.attempt(r1, Time::ms(i)).lost,
+              m2.attempt(r2, Time::ms(i)).lost);
   }
   EXPECT_EQ(m1.stats().losses, m2.stats().losses);
   EXPECT_EQ(m1.stats().worse_entries, m2.stats().worse_entries);
@@ -78,8 +80,9 @@ TEST(GilbertElliott, LossesClusterInBadState) {
   int losses = 0;
   int adjacent = 0;  // lost frame immediately following a lost frame
   bool prev = false;
+  const std::uint32_t row = model.row_of(kClient);
   for (int i = 0; i < n; ++i) {
-    const bool lost = model.attempt(kClient, Time::ms(5 * i)).lost;
+    const bool lost = model.attempt(row, Time::ms(5 * i)).lost;
     if (lost) {
       ++losses;
       if (prev) ++adjacent;
@@ -97,20 +100,17 @@ TEST(GilbertElliott, LossesClusterInBadState) {
 TEST(GilbertElliott, PerClientChainsAreIndependent) {
   channel::ChannelModel model{
       channel::ChannelSpec::two_state(0.05, 0.05, 0.0, 1.0), 3};
-  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
-  // Interleaved draws on two channels both make progress; the keying uses
-  // the receiver for downlink and the source for uplink (AP receiver).
-  const net::Packet down_a = downlink_to(kClient);
-  net::Packet up_a = net::make_packet();
-  up_a.src = kClient;
-  up_a.dst = net::Ipv4Addr::octets(10, 0, 0, 1);
+  // Interleaved draws on two channels both make progress.  (Which row a
+  // frame draws on is the medium's call: see net_test's
+  // WirelessFixture.FrameDrawsOnItsClientsRow.)
+  const std::uint32_t a = model.row_of(kClient);
+  const std::uint32_t b =
+      model.row_of(net::Ipv4Addr::octets(172, 16, 0, 2));
   int a_lost = 0;
   int b_lost = 0;
   for (int i = 0; i < 5000; ++i) {
-    if (model.corrupted(down_a, kClient, Time::ms(5 * i))) ++a_lost;
-    if (model.corrupted(downlink_to(other), other, Time::ms(5 * i))) ++b_lost;
-    // Uplink frame from kClient advances the same chain as its downlink.
-    model.corrupted(up_a, net::Ipv4Addr{}, Time::ms(5 * i));
+    if (model.corrupted(a, Time::ms(5 * i))) ++a_lost;
+    if (model.corrupted(b, Time::ms(5 * i))) ++b_lost;
   }
   EXPECT_GT(a_lost, 0);
   EXPECT_GT(b_lost, 0);
@@ -132,7 +132,7 @@ struct Radio : net::WirelessStation {
 TEST(DeepFade, TotalLossInsideWindowOnly) {
   check::ScopedFailureHandler guard{check::throwing_handler};
   sim::Simulator sim{5};
-  net::WirelessMedium medium{sim};  // p_loss 0: the fade is the only loss
+  net::WirelessMedium medium{sim};  // no loss model: the fade is the only loss
   Radio ap, faded, clean;
   const auto ap_id = medium.attach_access_point(ap);
   const auto faded_id = medium.attach_station(faded, kClient);

@@ -65,13 +65,17 @@ TEST(MultiCell, BackboneCarriesTrafficBetweenCells) {
 // The exact traffic the fleet delivers, pinned.  The message count and
 // the delivered totals do not depend on observability, so they also hold
 // with PP_OBS_DISABLED; the replay digest is pinned only when obs is in.
+// Re-pinned once, on purpose: the cells' default flat 1% loss became the
+// one-rung ChannelSpec::flat(0.01), drawn from per-client channel streams
+// instead of the simulator's shared stream, which moves which frames are
+// lost (bytes, packets, digest); the backbone message counts did not move.
 TEST(MultiCell, BackboneTrafficIsPinned) {
   struct Pin {
     int fanout;
     std::uint64_t messages, bytes, packets, digest;
   };
-  for (const Pin& pin : {Pin{1, 101, 380783, 603, 0xba581364191ab968ULL},
-                         Pin{5, 505, 382717, 819, 0xb3bf24f167525b96ULL}}) {
+  for (const Pin& pin : {Pin{1, 101, 365941, 583, 0x36e4480a513281ecULL},
+                         Pin{5, 505, 334480, 767, 0x096e48a78f34d842ULL}}) {
     MultiCellConfig mc = small_fleet();
     mc.cross.fanout = pin.fanout;
     const MultiCellResult res = run_multicell(mc, 1);

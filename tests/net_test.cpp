@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "channel/model.hpp"
 #include "check/check.hpp"
 #include "net/access_point.hpp"
 #include "net/addr.hpp"
@@ -416,10 +417,10 @@ TEST(Wireless, SecondStationWithSameIpTripsCheck) {
 }
 
 TEST_F(WirelessFixture, RandomLossDropsFraction) {
-  WirelessParams p = params();
-  p.p_loss = 0.5;
   sim::Simulator sim2(9);
-  WirelessMedium m2{sim2, p};
+  WirelessMedium m2{sim2, params()};
+  channel::ChannelModel flat{channel::ChannelSpec::flat(0.5), 9};
+  m2.set_loss_model(&flat);
   FakeStation ap2, st;
   auto apid = m2.attach_access_point(ap2);
   m2.attach_station(st, Ipv4Addr::octets(172, 16, 0, 1));
@@ -433,6 +434,49 @@ TEST_F(WirelessFixture, RandomLossDropsFraction) {
   EXPECT_GT(st.delivered.size(), 60u);
   EXPECT_LT(st.delivered.size(), 140u);
   EXPECT_EQ(st.delivered.size() + st.missed_count, 200u);
+}
+
+// A loss model that draws nothing and records which row each delivery
+// attempt was charged to.
+struct RowLog : ChannelLossModel {
+  std::uint32_t row_of(Ipv4Addr station) override {
+    ips.push_back(station);
+    return static_cast<std::uint32_t>(ips.size() - 1);
+  }
+  bool corrupted(std::uint32_t row, sim::Time) override {
+    rows.push_back(row);
+    return false;
+  }
+  std::vector<Ipv4Addr> ips;        // by row
+  std::vector<std::uint32_t> rows;  // one per attempt, in order
+};
+
+// A frame draws on the row of the client whose channel it crosses: the
+// receiver's for downlink, the sender's for uplink.  Rows are resolved when
+// the model is installed (for stations already attached) or when a station
+// attaches; the access point has none.
+TEST_F(WirelessFixture, FrameDrawsOnItsClientsRow) {
+  RowLog log;
+  medium.set_loss_model(&log);
+  FakeStation c3;
+  const Ipv4Addr ip3 = Ipv4Addr::octets(172, 16, 0, 3);
+  medium.attach_station(c3, ip3);
+  ASSERT_EQ(log.ips, (std::vector<Ipv4Addr>{Ipv4Addr::octets(172, 16, 0, 1),
+                                            Ipv4Addr::octets(172, 16, 0, 2),
+                                            ip3}));
+  Packet up = make_packet();
+  up.src = Ipv4Addr::octets(172, 16, 0, 1);
+  up.dst = Ipv4Addr::octets(10, 0, 0, 7);
+  // An uplink from c1 and a downlink to c1 both draw on c1's row (0); the
+  // downlink to c3 on row 2; an uplink sent by c2 on row 1, whatever its
+  // source address says.
+  medium.transmit(c1_id, up);
+  medium.transmit(ap_id, downlink_to(Ipv4Addr::octets(172, 16, 0, 1)));
+  medium.transmit(ap_id, downlink_to(ip3));
+  medium.transmit(c2_id, up);
+  sim.run();
+  EXPECT_EQ(log.rows, (std::vector<std::uint32_t>{0, 0, 2, 1}));
+  EXPECT_EQ(ap.delivered.size(), 2u);
 }
 
 // -- Access point ---------------------------------------------------------------

@@ -110,7 +110,7 @@ TEST_F(ProxyFixture, QueueDropAccountingMatchesMonitoringStation) {
   // latter, so sent == aired + queue_drops once the queue drains.
   exp::TestbedParams tp;
   tp.num_clients = 1;
-  tp.wireless.p_loss = 0;  // lossless air so the count is exact
+  // TestbedParams' default air is lossless, so the count is exact.
   tp.proxy.queue_limit_bytes = 2000;
   exp::Testbed bed{tp, std::make_unique<FixedIntervalScheduler>(Time::sec(1))};
   net::Node& server = bed.add_server("srv");

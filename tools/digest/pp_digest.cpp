@@ -68,7 +68,6 @@ int main() {
   for (int i = 4; i <= 6; ++i) {
     ScenarioConfig& c = scenarios[i].cfg;
     c.roles = {1, 1, 2, 2};
-    c.wireless_p_loss = 0.0;
     c.channel = pp::channel::ChannelSpec::ladder(3, 0.8);
   }
   scenarios[4].cfg.policy = IntervalPolicy::LongestQueue500;
