@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "check/sorted.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 
@@ -20,11 +19,10 @@ void AccessPoint::handle_packet(Packet pkt) {
   ++downlink_in_;
   // PSM stations' frames are parked until the next beacon indicates them.
   if (psm_enabled_) {
-    auto it = psm_queues_.find(pkt.dst);
-    if (it != psm_queues_.end()) {
+    if (PsmStation* st = parking_station(pkt.dst)) {
       // Per-station parking cap (payload bytes), separate from the
       // forwarding backlog.
-      ChunkQueue& q = it->second;
+      ChunkQueue& q = st->parked;
       if (q.bytes() + pkt.payload > params_.queue_limit_bytes) {
         ++dropped_;
         note_drop(pkt);
@@ -42,7 +40,7 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
   // Stalled AP or PSM-parked destination: off the batched fast path —
   // unbundle onto the per-frame machinery (which re-counts downlink_in_).
   const Ipv4Addr dst = burst.front()->data->pkt.dst;
-  if (stalled_ || (psm_enabled_ && psm_queues_.count(dst) > 0)) {
+  if (stalled_ || (psm_enabled_ && parking_station(dst) != nullptr)) {
     while (!burst.empty()) handle_packet(burst.pop_packet());
     return;
   }
@@ -175,24 +173,32 @@ void AccessPoint::enable_psm(sim::Duration interval) {
   beacon_timer_ = sim_.after(interval, [this] { send_beacon(); });
 }
 
+AccessPoint::PsmStation* AccessPoint::parking_station(Ipv4Addr ip) {
+  auto it = psm_stations_.find(ip);
+  if (it == psm_stations_.end() || !it->second.associated) return nullptr;
+  return &it->second;
+}
+
 void AccessPoint::register_psm_station(Ipv4Addr ip) {
-  psm_queues_.emplace(ip, ChunkQueue{chunk_pool_});
-  psm_registered_.emplace(ip, true);
+  auto it =
+      psm_stations_.try_emplace(ip, PsmStation{ChunkQueue{chunk_pool_}}).first;
+  it->second.associated = true;
 }
 
 void AccessPoint::associate(Ipv4Addr ip) {
-  if (psm_registered_.find(ip) == psm_registered_.end()) return;
-  psm_queues_.emplace(ip, ChunkQueue{chunk_pool_});  // no-op if present
+  auto it = psm_stations_.find(ip);
+  if (it != psm_stations_.end()) it->second.associated = true;
 }
 
 void AccessPoint::disassociate(Ipv4Addr ip) {
-  auto it = psm_queues_.find(ip);
-  if (it == psm_queues_.end()) return;
+  PsmStation* st = parking_station(ip);
+  if (st == nullptr) return;
   // Flush the departed station's parked frames into the drop counter —
   // each one entered downlink_in_, so conservation demands they leave
-  // through dropped_.  Erasing the queue removes the TIM entry and stops
-  // further parking until the station re-associates.
-  ChunkQueue& q = it->second;
+  // through dropped_.  An empty queue has no TIM entry, and no further
+  // frames park until the station re-associates.
+  st->associated = false;
+  ChunkQueue& q = st->parked;
   while (!q.empty()) {
     ++dropped_;
     ++assoc_flushed_;
@@ -203,13 +209,11 @@ void AccessPoint::disassociate(Ipv4Addr ip) {
     (void)c;
     q.drop_front();
   }
-  psm_queues_.erase(it);
 }
 
 std::uint64_t AccessPoint::psm_buffered_frames() const {
   std::uint64_t n = 0;
-  // pp-lint: allow(unordered-iter): order-insensitive sum over queue sizes
-  for (const auto& [ip, q] : psm_queues_) n += q.packets();
+  for (const auto& [ip, st] : psm_stations_) n += st.parked.packets();
   return n;
 }
 
@@ -227,11 +231,10 @@ void AccessPoint::send_beacon() {
   auto msg = std::make_shared<BeaconMessage>();
   msg->seq_no = ++beacon_seq_;
   msg->beacon_interval = beacon_interval_;
-  // Sorted so the TIM element order (and hence beacon payload size per
-  // station order downstream) never depends on hash-bucket layout.
-  msg->tim.reserve(psm_queues_.size());
-  for (const auto* kv : check::sorted_items(psm_queues_))
-    if (!kv->second.empty()) msg->tim.push_back(kv->first);
+  // The TIM lists stations in address order (the map's own order).
+  msg->tim.reserve(psm_stations_.size());
+  for (const auto& [ip, st] : psm_stations_)
+    if (!st.parked.empty()) msg->tim.push_back(ip);
 
   Packet beacon = make_packet();
   beacon.dst = Ipv4Addr::broadcast();
@@ -249,11 +252,11 @@ void AccessPoint::send_beacon() {
   // for a later beacon.
   const sim::Time polled = medium_.busy_until() + sim::Time::us(200);
   sim_.at(polled, [this] {
-    // Sorted: the flush order decides downlink FIFO order across stations,
-    // which must not depend on hash-bucket layout.
-    for (auto* kv : check::sorted_items(psm_queues_)) {
-      ChunkQueue& q = kv->second;
-      if (q.empty() || !medium_.station_listening(kv->first)) continue;
+    // Address order: the flush order decides downlink FIFO order across
+    // stations.
+    for (auto& [ip, st] : psm_stations_) {
+      ChunkQueue& q = st.parked;
+      if (q.empty() || !medium_.station_listening(ip)) continue;
       while (!q.empty()) {
         Packet p = q.pop_packet();
         if (q.empty()) p.marked = true;

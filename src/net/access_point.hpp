@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/chunk.hpp"
@@ -87,9 +87,9 @@ class AccessPoint : public PacketSink, public WirelessStation {
 
   // -- Association table (client churn) -------------------------------------------
   // A departing station's parked PSM frames are flushed to the drop
-  // counter (so downlink conservation still holds) and its queue — hence
-  // its TIM entry — disappears; a returning station that was registered
-  // for PSM gets a fresh parked queue.  Both are no-ops for stations that
+  // counter (so downlink conservation still holds) and its frames stop
+  // being parked, so it has no TIM entry; a returning station that was
+  // registered for PSM is parked again.  Both are no-ops for stations that
   // never registered, so non-PSM testbeds are unaffected.
   void associate(Ipv4Addr ip);
   void disassociate(Ipv4Addr ip);
@@ -130,21 +130,26 @@ class AccessPoint : public PacketSink, public WirelessStation {
   obs::Hook obs_;
   obs::TimeWeightedGauge* twg_backlog_ = nullptr;
 
-  // PSM state.  Parked queues are ChunkQueues (the shared downlink queue
-  // type): payload-byte admission via bytes(), O(1) depth for the TIM.
-  // Nodes come from the AP's own pool — frames arriving in a burst chain
-  // are re-wrapped at the parking boundary, which costs a node move, not a
-  // payload copy.
+  // PSM state, one entry per station ever registered.  Parked queues are
+  // ChunkQueues (the shared downlink queue type): payload-byte admission
+  // via bytes(), O(1) depth for the TIM.  Nodes come from the AP's own
+  // pool — frames arriving in a burst chain are re-wrapped at the parking
+  // boundary, which costs a node move, not a payload copy.
+  struct PsmStation {
+    ChunkQueue parked;
+    bool associated = true;  // only associated stations' frames are parked
+  };
+  // The station's PSM entry if its frames are parked now, else nullptr.
+  PsmStation* parking_station(Ipv4Addr ip);
+
   std::shared_ptr<ChunkPool> chunk_pool_ = std::make_shared<ChunkPool>();
   bool psm_enabled_ = false;
   sim::Duration beacon_interval_;
   std::uint64_t beacon_seq_ = 0;
   std::uint64_t beacons_sent_ = 0;
   std::uint64_t assoc_flushed_ = 0;  // PSM frames dropped at disassociation
-  std::unordered_map<Ipv4Addr, ChunkQueue, Ipv4AddrHash> psm_queues_;
-  // Stations ever registered for PSM, so associate() knows whether to
-  // re-create a parked queue (disassociation erases the queue itself).
-  std::unordered_map<Ipv4Addr, bool, Ipv4AddrHash> psm_registered_;
+  // Address order is the TIM order and the post-beacon release order.
+  std::map<Ipv4Addr, PsmStation> psm_stations_;
   sim::EventHandle beacon_timer_;
 };
 

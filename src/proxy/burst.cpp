@@ -161,15 +161,8 @@ void BurstSession::close() {
 
 void BurstSession::emit_empty_marker() {
   TransparentProxy& p = proxy_;
-  net::Packet pkt = net::make_packet();
-  pkt.src = p.params_.proxy_ip;
-  pkt.src_port = kSchedulePort;
-  pkt.dst = entry_.client;
-  pkt.dst_port = kSchedulePort;
-  pkt.proto = net::Protocol::Udp;
-  pkt.payload = 16;
+  net::Packet pkt = p.control_packet(entry_.client, kSchedulePort, 16);
   pkt.marked = true;
-  pkt.sent_at = p.sim_.now();
   ++p.stats_.empty_burst_markers;
   PP_OBS(if (auto* tl = p.obs_.timeline())
              tl->record(p.sim_.now(), obs::EventKind::EmptyBurstMarker,

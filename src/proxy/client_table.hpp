@@ -10,8 +10,9 @@
 //
 //   * the demand snapshot scans columns sequentially (queue totals,
 //     membership) instead of pointer-hopping;
-//   * iteration order is id order == registration order, so every walk is
-//     deterministic by construction — no sorted_items() or lint waivers;
+//   * iteration order is id order == registration order, and each row's
+//     splices are in creation order, so every walk is deterministic by
+//     construction: nothing is sorted and no lint waiver is needed;
 //   * Departed clients keep their row (queues empty), so sustained churn
 //     reuses slots and ids stay dense and stable for a run's lifetime.
 //

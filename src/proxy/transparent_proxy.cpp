@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "check/sorted.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "proxy/burst.hpp"
@@ -84,18 +83,20 @@ void TransparentProxy::publish(obs::MetricsRegistry& m) const {
 
 transport::TcpStats TransparentProxy::splice_tcp_stats() const {
   transport::TcpStats total = closed_splice_tcp_;
-  // pp-lint: allow(unordered-iter): order-insensitive sum over live splices
-  for (const auto& [key, sp] : by_client_flow_) {
-    total += sp->client_side->stats();
-    total += sp->server_side->stats();
+  for (ClientId id = 0; id < table_.size(); ++id) {
+    for (const Splice* s : table_.splices(id)) {
+      total += s->client_side->stats();
+      total += s->server_side->stats();
+    }
   }
   return total;
 }
 
-void TransparentProxy::retire_splice(const Splice& s) {
+void TransparentProxy::retire_splice(Splice& s) {
   closed_splice_tcp_ += s.client_side->stats();
   closed_splice_tcp_ += s.server_side->stats();
   ++stats_.splices_closed;
+  splices_.erase(splices_.find(s.key));  // s (and s.key) die here
 }
 
 void TransparentProxy::start(sim::Time first_srp) {
@@ -236,16 +237,24 @@ void TransparentProxy::send_assoc(AssocKind kind, net::Ipv4Addr client,
   auto msg = std::make_shared<AssocMessage>();
   msg->kind = kind;
   msg->seq = seq;
+  net::Packet pkt =
+      control_packet(client, kAssocPort, AssocMessage::kWireBytes);
+  pkt.data = std::move(msg);
+  wireless_tx_(std::move(pkt));
+}
+
+net::Packet TransparentProxy::control_packet(net::Ipv4Addr dst,
+                                             net::Port port,
+                                             std::uint32_t payload) const {
   net::Packet pkt = net::make_packet();
   pkt.src = params_.proxy_ip;
-  pkt.src_port = kAssocPort;
-  pkt.dst = client;
-  pkt.dst_port = kAssocPort;
+  pkt.src_port = port;
+  pkt.dst = dst;
+  pkt.dst_port = port;
   pkt.proto = net::Protocol::Udp;
-  pkt.payload = AssocMessage::kWireBytes;
-  pkt.data = std::move(msg);
+  pkt.payload = payload;
   pkt.sent_at = sim_.now();
-  wireless_tx_(std::move(pkt));
+  return pkt;
 }
 
 void TransparentProxy::renegotiate() {
@@ -311,9 +320,7 @@ void TransparentProxy::abort_splices(ClientId id) {
   while (!splices.empty()) {
     Splice* sp = splices.back();
     splices.pop_back();
-    by_server_flow_.erase(sp->key.reversed());
     retire_splice(*sp);
-    by_client_flow_.erase(sp->key);
   }
 }
 
@@ -352,8 +359,8 @@ void TransparentProxy::on_wired_packet(net::Packet pkt) {
   }
   if (pkt.proto == net::Protocol::Tcp &&
       params_.mode == ProxyMode::Splice) {
-    auto it = by_server_flow_.find(pkt.flow());
-    if (it != by_server_flow_.end()) {
+    auto it = splices_.find(pkt.flow().reversed());
+    if (it != splices_.end()) {
       it->second->server_side->on_segment(pkt);
     } else {
       ++stats_.unmatched_packets;  // e.g. segments for a reaped splice
@@ -380,8 +387,8 @@ void TransparentProxy::on_wireless_packet(net::Packet pkt) {
     wired_tx_(std::move(pkt));  // uplink passes through unshaped
     return;
   }
-  auto it = by_client_flow_.find(pkt.flow());
-  if (it != by_client_flow_.end()) {
+  auto it = splices_.find(pkt.flow());
+  if (it != splices_.end()) {
     it->second->client_side->on_segment(pkt);
     return;
   }
@@ -402,7 +409,6 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
   auto splice = std::make_unique<Splice>();
   Splice* sp = splice.get();
   sp->key = syn.flow();
-  sp->client_ip = syn.src;
 
   const transport::Endpoint client_ep{syn.src, syn.src_port};
   const transport::Endpoint server_ep{syn.dst, syn.dst_port};
@@ -438,10 +444,9 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
     sp->server_side->close();
   });
 
-  by_server_flow_.emplace(sp->key.reversed(), sp);
   table_.splices(table_.ensure(syn.src)).push_back(sp);
   ++stats_.splices_created;
-  auto [it, ok] = by_client_flow_.emplace(sp->key, std::move(splice));
+  auto [it, ok] = splices_.emplace(sp->key, std::move(splice));
   PP_CHECK_AT(ok, "proxy.splice.duplicate_flow", sim_.now());
   sp->server_side->connect();
   return *it->second;
@@ -454,25 +459,6 @@ void TransparentProxy::maybe_finish_splice(Splice& s) {
   if (s.server_fin && s.buffered == 0 && !s.client_close_requested) {
     s.client_close_requested = true;
     s.client_side->close();
-  }
-}
-
-void TransparentProxy::reap_splices() {
-  std::vector<net::FlowKey> done;
-  done.reserve(by_client_flow_.size());
-  // Sorted scan: stats and erase order must not follow hash-bucket layout.
-  for (const auto* kv : check::sorted_items(by_client_flow_)) {
-    if (kv->second->client_side->done() && kv->second->server_side->done())
-      done.push_back(kv->first);
-  }
-  for (const auto& key : done) {
-    auto it = by_client_flow_.find(key);
-    Splice* sp = it->second.get();
-    by_server_flow_.erase(key.reversed());
-    auto& vec = table_.splices(table_.ensure(sp->client_ip));
-    std::erase(vec, sp);
-    retire_splice(*sp);
-    by_client_flow_.erase(it);
   }
 }
 
@@ -504,25 +490,31 @@ void TransparentProxy::audit() const {
 
   // Splice byte conservation: every in-order byte the server side handed
   // up is either still awaiting a burst or has been submitted to the
-  // client-side socket.  Sorted so a violation always reports the same
-  // splice first.
-  for (const auto* kv : check::sorted_items(by_client_flow_)) {
-    const Splice& s = *kv->second;
-    PP_CHECK_AT(s.server_side->stats().bytes_delivered ==
-                    s.buffered + s.client_side->bytes_submitted(),
-                "proxy.splice.byte_conservation", sim_.now());
+  // client-side socket.
+  for (ClientId id = 0; id < table_.size(); ++id) {
+    for (const Splice* s : table_.splices(id)) {
+      PP_CHECK_AT(s->server_side->stats().bytes_delivered ==
+                      s->buffered + s->client_side->bytes_submitted(),
+                  "proxy.splice.byte_conservation", sim_.now());
+    }
   }
 }
 
 void TransparentProxy::schedule_tick() {
   if (!running_ || paused_) return;
-  reap_splices();
   burst_handles_.clear();
 
   std::vector<ClientDemand>& demands = demands_scratch_;
   demands.clear();
   demands.reserve(table_.size());
   for (ClientId id = 0; id < table_.size(); ++id) {
+    // Reap first: a splice whose both sockets are done is retired before
+    // its client's demand is summed.
+    std::erase_if(table_.splices(id), [this](Splice* s) {
+      if (!s->client_side->done() || !s->server_side->done()) return false;
+      retire_splice(*s);
+      return true;
+    });
     // Departed clients are out of the demand set; Draining ones stay until
     // their queue empties or the drain deadline drops it.
     if (table_.membership(id) == Membership::Departed) continue;
@@ -571,15 +563,9 @@ void TransparentProxy::schedule_tick() {
   msg->entries = built.entries;
   last_schedule_ = msg;
 
-  net::Packet bc = net::make_packet();
-  bc.src = params_.proxy_ip;
-  bc.src_port = kSchedulePort;
-  bc.dst = net::Ipv4Addr::broadcast();
-  bc.dst_port = kSchedulePort;
-  bc.proto = net::Protocol::Udp;
-  bc.payload = msg->serialized_bytes();
+  net::Packet bc = control_packet(net::Ipv4Addr::broadcast(), kSchedulePort,
+                                  msg->serialized_bytes());
   bc.data = msg;
-  bc.sent_at = sim_.now();
   wireless_tx_(std::move(bc));
   ++stats_.schedules_sent;
   PP_OBS(if (hist_interval_us_) {
@@ -607,15 +593,9 @@ void TransparentProxy::schedule_tick() {
     burst_handles_.push_back(sim_.at(srp + lag, [this, msg, lag] {
       auto rep = std::make_shared<ScheduleMessage>(*msg);
       rep->repeat_offset = lag;
-      net::Packet rbc = net::make_packet();
-      rbc.src = params_.proxy_ip;
-      rbc.src_port = kSchedulePort;
-      rbc.dst = net::Ipv4Addr::broadcast();
-      rbc.dst_port = kSchedulePort;
-      rbc.proto = net::Protocol::Udp;
-      rbc.payload = rep->serialized_bytes();
+      net::Packet rbc = control_packet(net::Ipv4Addr::broadcast(),
+                                       kSchedulePort, rep->serialized_bytes());
       rbc.data = std::move(rep);
-      rbc.sent_at = sim_.now();
       wireless_tx_(std::move(rbc));
       ++stats_.schedule_repeats_sent;
       PP_OBS(if (auto* tl = obs_.timeline()) tl->record(

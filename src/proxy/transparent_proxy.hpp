@@ -43,10 +43,10 @@ class BurstSession;
 
 // One spliced TCP connection pair (Figure 3): the client-side socket
 // masquerades as the server, the server-side socket as the client.  Owned
-// by the proxy's flow maps; ClientTable rows hold non-owning pointers.
+// by the proxy's lookup-only splices_ map; the ClientTable row of key.src
+// holds a non-owning pointer, in creation order.
 struct Splice {
   net::FlowKey key;  // client -> server
-  net::Ipv4Addr client_ip;
   std::unique_ptr<transport::TcpConnection> client_side;
   std::unique_ptr<transport::TcpConnection> server_side;
   BurstMarker marker;
@@ -205,7 +205,7 @@ class TransparentProxy {
   transport::TcpStats splice_tcp_stats() const;
   const BandwidthEstimator& estimator() const { return estimator_; }
   std::uint64_t buffered_bytes(net::Ipv4Addr client) const;
-  std::size_t splice_count() const { return by_client_flow_.size(); }
+  std::size_t splice_count() const { return splices_.size(); }
   // Invariant audit (see src/check/): datagram-queue packet/byte
   // conservation and per-splice byte conservation.  Aborts via PP_CHECK
   // on violation.
@@ -240,6 +240,11 @@ class TransparentProxy {
   void on_wireless_packet(net::Packet pkt);
   void enqueue_downlink(net::Packet pkt);
   void on_assoc_packet(const net::Packet& pkt);
+  // A proxy-originated UDP control packet (schedule broadcast and its
+  // repeats, association replies, empty-burst markers): proxy source, the
+  // same port at both ends, stamped now.
+  net::Packet control_packet(net::Ipv4Addr dst, net::Port port,
+                             std::uint32_t payload) const;
   void send_assoc(AssocKind kind, net::Ipv4Addr client, std::uint64_t seq);
   // Membership changed: collapse the current interval and broadcast a
   // fresh schedule immediately (the k-repeat hardening rides along).
@@ -255,10 +260,9 @@ class TransparentProxy {
   void close_all_gates();
   Splice& create_splice(const net::Packet& syn);
   void maybe_finish_splice(Splice& s);
-  void reap_splices();
-  // Fold a splice's TCP counters into the closed total before it is
-  // destroyed.
-  void retire_splice(const Splice& s);
+  // Fold a splice's TCP counters into the closed total and destroy it.
+  // The caller removes it from its ClientTable row.
+  void retire_splice(Splice& s);
   void schedule_tick();
 
   // Burst emission lives in BurstSession (proxy/burst.hpp): one session
@@ -282,12 +286,13 @@ class TransparentProxy {
       std::make_shared<net::ChunkPool>();
 
   // Flat SoA per-client state, dense ClientId in registration order (see
-  // proxy/client_table.hpp).  Every fleet walk iterates ids 0..size-1.
+  // proxy/client_table.hpp).  Every walk, splices included, iterates ids
+  // 0..size-1 and then each row's splices in creation order.
   ClientTable table_{chunk_pool_};
+  // Owns every live splice, keyed client -> server.  Lookup only (a wired
+  // segment probes its reversed flow), never iterated.
   std::unordered_map<net::FlowKey, std::unique_ptr<Splice>, net::FlowKeyHash>
-      by_client_flow_;  // key: client -> server
-  std::unordered_map<net::FlowKey, Splice*, net::FlowKeyHash>
-      by_server_flow_;  // key: server -> client
+      splices_;
 
   obs::Hook obs_;
   obs::Histogram* hist_burst_us_ = nullptr;

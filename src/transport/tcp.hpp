@@ -12,8 +12,7 @@
 // Proxy-specific hooks:
 //   * set_send_gate(false) pauses all transmissions (used to confine the
 //     proxy's client-side connection to its burst slot);
-//   * set_egress_hook() observes/mutates every outgoing segment (used by
-//     the packet-marking machinery of Section 3.2.2);
+//   * set_egress_hook() observes/mutates every outgoing segment;
 //   * manual consume mode lets the owner delay freeing receive-buffer
 //     space so flow control back-pressures the sender (the proxy's
 //     server-side connection throttles fast wired servers this way).

@@ -8,13 +8,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "check/check.hpp"
-#include "check/sorted.hpp"
 #include "energy/wnic.hpp"
 #include "net/chunk.hpp"
 #include "net/packet.hpp"
@@ -250,26 +247,6 @@ TEST_F(CheckFixture, ChunkConservationAcrossSplitsAndHandoffs) {
     reassembled += c.length;
   });
   EXPECT_EQ(reassembled, 900u);
-}
-
-// -- sorted_items / sorted_keys --------------------------------------------------
-
-TEST(SortedTest, ItemsSortedByKeyAndMutable) {
-  std::unordered_map<int, std::string> m{{3, "c"}, {1, "a"}, {2, "b"}};
-  std::vector<int> keys;
-  for (auto* kv : sorted_items(m)) {
-    keys.push_back(kv->first);
-    kv->second += "!";
-  }
-  EXPECT_EQ(keys, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(m.at(2), "b!");
-}
-
-TEST(SortedTest, KeysSortedForMapAndSet) {
-  std::unordered_map<int, int> m{{5, 0}, {4, 0}, {9, 0}};
-  EXPECT_EQ(sorted_keys(m), (std::vector<int>{4, 5, 9}));
-  std::unordered_set<int> s{7, 2, 11};
-  EXPECT_EQ(sorted_keys(s), (std::vector<int>{2, 7, 11}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/testbed.hpp"
 #include "proxy/scheduler.hpp"
@@ -226,6 +227,18 @@ TEST_F(ProxyFixture, SpliceClosesAndReaps) {
   EXPECT_EQ(bed->proxy().stats().splices_closed, 1u);
   EXPECT_EQ(bed->proxy().splice_count(), 0u);
   EXPECT_TRUE(conn->done());
+
+  // A late server -> client segment for the reaped flow finds no splice.
+  const std::uint64_t unmatched = bed->proxy().stats().unmatched_packets;
+  net::Packet late = net::make_packet();
+  late.proto = net::Protocol::Tcp;
+  late.src = server.ip();
+  late.src_port = 8000;
+  late.dst = conn->local().ip;
+  late.dst_port = conn->local().port;
+  late.tcp.ack_flag = true;
+  bed->proxy().wired_sink().handle_packet(std::move(late));
+  EXPECT_EQ(bed->proxy().stats().unmatched_packets, unmatched + 1);
 }
 
 TEST_F(ProxyFixture, ServerSideRttExcludesClientBuffering) {

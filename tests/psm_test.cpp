@@ -2,10 +2,14 @@
 // and the dozing PSM client.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "client/psm_client.hpp"
 #include "exp/testbed.hpp"
+#include "net/psm.hpp"
 #include "proxy/scheduler.hpp"
 #include "transport/udp.hpp"
 
@@ -136,6 +140,61 @@ TEST_F(PsmFixture, PsmSavesLessThanLongProxyIntervals) {
   const double psm_saved = station->energy_saved_fraction(Time::sec(21));
   EXPECT_GT(psm_saved, 0.3);
   EXPECT_LT(psm_saved, 0.85);
+}
+
+// What one PSM cell's first indicating beacon and its release look like.
+struct ParkOrder {
+  std::vector<net::Ipv4Addr> tim;       // first non-empty TIM
+  std::vector<net::Ipv4Addr> released;  // parked frames, in air order
+};
+
+// Three stations registered, and sent one frame each, in descending
+// address order.
+ParkOrder run_three_station_cell(std::uint64_t salt) {
+  const std::uint64_t prev_salt = net::hash_salt();
+  net::set_hash_salt(salt);
+  exp::TestbedParams tp;
+  tp.num_clients = 0;
+  tp.proxy.mode = proxy::ProxyMode::Passthrough;
+  exp::Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(
+                           Time::ms(500))};
+  bed.access_point().enable_psm(Time::ms(100));
+  std::vector<std::unique_ptr<PsmClient>> stations;
+  for (int i = 2; i >= 0; --i) {
+    stations.push_back(std::make_unique<PsmClient>(
+        bed.sim(), bed.medium(), bed.energy_ledger(),
+        exp::testbed_client_ip(i), "psm" + std::to_string(i)));
+    bed.access_point().register_psm_station(stations.back()->ip());
+  }
+  transport::UdpSocket sock{bed.add_server("srv"), 7000};
+  ParkOrder out;
+  bed.medium().add_sniffer([&](const net::SnifferRecord& r) {
+    if (r.pkt.dst_port == net::kBeaconPort && out.tim.empty()) {
+      out.tim = std::static_pointer_cast<const net::BeaconMessage>(r.pkt.data)
+                    ->tim;
+    } else if (r.pkt.dst_port == 7100) {
+      out.released.push_back(r.pkt.dst);
+    }
+  });
+  bed.start(Time::ms(400));
+  bed.sim().at(Time::ms(150), [&] {
+    for (const auto& st : stations) sock.send_to(st->ip(), 7100, 300);
+  });
+  bed.run_until(Time::ms(300));
+  net::set_hash_salt(prev_salt);
+  return out;
+}
+
+TEST(PsmOrder, TimAndReleaseFollowAddressOrderUnderAnySalt) {
+  const std::vector<net::Ipv4Addr> ascending{exp::testbed_client_ip(0),
+                                             exp::testbed_client_ip(1),
+                                             exp::testbed_client_ip(2)};
+  const ParkOrder a = run_three_station_cell(1);
+  EXPECT_EQ(a.tim, ascending);
+  EXPECT_EQ(a.released, ascending);
+  const ParkOrder b = run_three_station_cell(99991);
+  EXPECT_EQ(b.tim, a.tim);
+  EXPECT_EQ(b.released, a.released);
 }
 
 }  // namespace

@@ -161,8 +161,8 @@ void rule_unordered_iter(const FileScan& f,
     }
     if (colon == std::string::npos || close == std::string::npos) continue;
     const std::string range = f.code.substr(colon + 1, close - colon - 1);
-    // A call in the range expression (sorted_items(...), span(), ...)
-    // means the container is already being adapted.
+    // A call in the range expression (span(), ...) means the container is
+    // already being adapted.
     if (range.find('(') != std::string::npos) continue;
     // Last identifier of the range expression is the container name.
     std::size_t e = range.size();
@@ -177,7 +177,8 @@ void rule_unordered_iter(const FileScan& f,
     out.push_back(
         {f.rel, line_of(f.line_starts, here), "unordered-iter",
          "range-for over unordered container '" + name +
-             "'; iterate check::sorted_items/sorted_keys instead"});
+             "'; walk an id-indexed table or an ordered container "
+             "instead"});
   }
 }
 
