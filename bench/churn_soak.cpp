@@ -166,6 +166,10 @@ int main(int argc, char** argv) {
   vsp.trace.fps = 8;
   vsp.trace.gop = 8;
   workload::VideoServer video_server{video_node, vsp};
+  // Paced into the proxy's ingress, as in every scenario run, so the
+  // flat-footprint check covers the paced path under churn.
+  if (net::Channel* ingress = bed.paced_ingress())
+    video_server.pace_into(*ingress);
   std::vector<std::unique_ptr<workload::VideoClient>> apps;
   apps.reserve(static_cast<std::size_t>(clients));
   for (int i = 0; i < clients; ++i) {

@@ -149,6 +149,8 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   a.vsp.adaptive = cfg.video_adaptive;
   a.vsp.trace_seed = cfg.seed * 7919 + 13;
   a.video_server = std::make_unique<workload::VideoServer>(video_node, a.vsp);
+  if (net::Channel* ingress = bed.paced_ingress())
+    a.video_server->pace_into(*ingress);
   a.http_server = std::make_unique<workload::HttpServer>(web_node);
   a.ftp_server = std::make_unique<workload::FtpServer>(web_node);
 

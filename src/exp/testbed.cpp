@@ -36,7 +36,10 @@ Testbed::Testbed(TestbedParams params,
       medium_{sim_, params.wireless},
       ap_{sim_, medium_, params.ap} {
   // Bridge port: all LAN traffic to unknown (wireless) addresses lands here.
+  // A buffering proxy reads its paced datagrams off the port's channel.
   bridge_port_ = lan_.attach_default(proxy_->wired_sink());
+  if (params_.proxy.mode != proxy::ProxyMode::Passthrough)
+    proxy_->set_ingress(&lan_.egress(bridge_port_));
   proxy_->set_wired_tx([this](net::Packet pkt) {
     lan_.send(bridge_port_, std::move(pkt));
   });
@@ -174,7 +177,13 @@ std::vector<net::Ipv4Addr> Testbed::client_ips() const {
   return ips;
 }
 
+void Testbed::run_until(sim::Time t) {
+  sim_.run_until(t);
+  proxy_->settle(t);
+}
+
 void Testbed::finalize_audit(sim::Time horizon) {
+  proxy_->finish();
   publish_metrics();
   ap_.audit();
   proxy_->audit();

@@ -105,10 +105,19 @@ class Testbed {
   // `first_srp`, and start every client daemon.
   void start(sim::Time first_srp = sim::Time::ms(500));
 
-  void run_until(sim::Time t) { sim_.run_until(t); }
+  // Run every event through `t`, then settle the proxy's ingress through
+  // `t`, so proxy queries are exact.
+  void run_until(sim::Time t);
 
-  // Run every component's invariant audit (see src/check/): AP and proxy
-  // packet/byte conservation, per-client energy accounting, and the
+  // The LAN channel into the proxy's bridge port when the proxy buffers
+  // the downlink, null in Passthrough mode (it forwards at arrival).  A
+  // server whose sends are known ahead paces them into it, e.g.
+  // workload::VideoServer::pace_into.
+  net::Channel* paced_ingress() { return proxy_->ingress(); }
+
+  // Finish the proxy (settle its ingress, write its pending Drop records),
+  // then run every component's invariant audit (see src/check/): AP and
+  // proxy packet/byte conservation, per-client energy accounting, and the
   // streaming timeline auditor's horizon check.  Call at the end of a run;
   // aborts (or throws under a test handler) on the first violation.
   void finalize_audit(sim::Time horizon);

@@ -1,15 +1,17 @@
-// FifoRing: the in-flight payloads of a link whose deliveries fire in
+// FifoRing: the in-flight payloads of a link whose deliveries happen in
 // push order.
 //
 // The wired Channel, the access point's forwarding FIFO and the wireless
-// medium each schedule one completion event per transmission, at a time
-// that never decreases (busy_until_ or the last_departure_ clamp), and
-// never cancel one.  The event queue fires equal times in schedule order,
-// so the k-th completion to fire belongs to the k-th transmission pushed.
-// The payload therefore waits here, not in the event's capture: the event
-// captures `this` (and at most a couple of counts) and pops the front,
-// which keeps every capture small enough for a one-cache-line event slot
-// (see sim/callback.hpp).
+// medium each deliver their transmissions at times that never decrease
+// (busy_until_ or the last_departure_ clamp).  Most deliveries are events,
+// none of them cancelled, and the event queue fires equal times in
+// schedule order, so the k-th completion to fire belongs to the k-th
+// transmission pushed.  The payload therefore waits here, not in the
+// event's capture: the event captures `this` (and at most a couple of
+// counts) and pops the front, which keeps every capture small enough for a
+// one-cache-line event slot (see sim/callback.hpp).  The paced datagrams on
+// a lazily read Channel ingress have no event at all: they wait in a ring
+// of their own, with their arrival times, until the reader pops them.
 //
 // Grow-only: capacity doubles when full and never shrinks, so after warmup
 // push and pop never touch the heap.  A popped slot keeps a moved-from T,
@@ -34,6 +36,11 @@ class FifoRing {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
     ++size_;
+  }
+
+  // The i-th oldest payload (0 = the front); i < size().
+  T& operator[](std::size_t i) {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
   }
 
   // Remove and return the oldest payload.

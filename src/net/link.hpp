@@ -1,6 +1,11 @@
 // Wired link models: a serializing unidirectional channel, a full-duplex
 // point-to-point link, and a switched Ethernet LAN with a designated
 // default (bridge) port for transparent-proxy topologies.
+//
+// A channel delivers each packet with an event at its arrival time, except
+// on the ingress of a sink that reads lazily (the buffering proxy's bridge
+// port): there, datagrams from paced sources arrive without events and wait
+// with their arrival times until the sink takes them (see Channel::arm).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +36,17 @@ class PacketSink {
   }
 };
 
+// A sender whose sends are known ahead, such as a video stream replaying
+// its trace.  Instead of a timer per send it arms a Channel with its next
+// due time, and the channel calls emit() when it pulls that send.
+class PacedSource {
+ public:
+  virtual ~PacedSource() = default;
+  // Send what was due at `due` through Channel::transmit_paced, then arm
+  // the next send, if any, no earlier than `due`.
+  virtual void emit(sim::Time due) = 0;
+};
+
 struct WiredParams {
   double rate_bps = 100e6;                       // Fast Ethernet
   sim::Duration propagation = sim::Time::us(5);  // cable + switch latency
@@ -45,6 +61,7 @@ class Channel {
   Channel(sim::Simulator& sim, WiredParams params, PacketSink& sink);
 
   // Queue a packet for transmission; returns false if dropped (queue full).
+  // Armed paced sends due before now go first.
   bool transmit(Packet pkt);
 
   // Queue a whole burst chain as one reservation: one admission check and
@@ -52,6 +69,26 @@ class Channel {
   // nothing at admission (a slot's burst is one unit of work); the chain
   // arrives at the sink via handle_burst.  Empty bursts are a no-op.
   bool transmit_burst(ChunkQueue burst);
+
+  // -- Pacing ------------------------------------------------------------------
+  // The ingress of a sink that reads lazily.  Its paced sources arm their
+  // sends here instead of scheduling timers, and the channel pulls them in
+  // (due, arm order) order, the order their timers would have fired:
+  // before every transmit() and whenever the reader calls pull().  A pulled
+  // send is transmitted as of its due time (transmit_paced) and gets no
+  // delivery event: the datagram waits in the channel with its arrival
+  // time until the reader takes it (take_arrived).  The reader must take
+  // in everything that has arrived before it acts on what it holds.
+  // Sources must outlive the channel's last pull.
+  void arm(PacedSource& src, sim::Time due);
+  // Emit every armed send due before `limit`.
+  void pull(sim::Time limit);
+  // A pulled send, transmitted as of `at` (its due time, <= now).  Returns
+  // false if dropped.
+  bool transmit_paced(Packet pkt, sim::Time at);
+  // Pop the oldest paced datagram that arrived before `limit` into `pkt`
+  // and its arrival time into `arrived`; false when there is none.
+  bool take_arrived(sim::Time limit, Packet& pkt, sim::Time& arrived);
 
   // Fault injection: while down, every transmit is dropped on the floor
   // (counted in packets_dropped).  In-flight packets still arrive — a link
@@ -61,11 +98,27 @@ class Channel {
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t packets_dropped() const { return packets_dropped_; }
-  // Bytes currently waiting (committed but not yet on the wire).
+  // Bytes currently waiting (committed but not yet delivered).  A paced
+  // datagram leaves the count at the first transmit after its arrival, or
+  // when the reader takes it.
   std::uint64_t backlog_bytes() const { return backlog_bytes_; }
 
  private:
+  struct Armed {
+    sim::Time due;
+    std::uint64_t seq;  // arm order breaks ties in due
+    PacedSource* src;
+  };
+  struct Held {
+    Packet pkt;
+    sim::Time arrival;
+  };
+
   sim::Duration tx_time(const Packet& pkt) const;
+  // Drop-tail admission of `n` packets (`wire` bytes) offered at `at`;
+  // on success reserves the wire and returns the arrival time.
+  bool admit(std::uint64_t wire, std::uint64_t n, sim::Duration tx,
+             sim::Time at, sim::Time& arrival);
 
   sim::Simulator& sim_;
   WiredParams params_;
@@ -76,6 +129,14 @@ class Channel {
   // order (see net/fifo_ring.hpp).
   FifoRing<Packet> in_flight_;
   FifoRing<ChunkQueue> bursts_in_flight_;
+  // Pacing: armed sends (a min-heap on (due, seq)) and the pulled
+  // datagrams, in arrival order, that the reader has not taken yet.  The
+  // last `unretired_` of them still count in backlog_bytes_.
+  std::vector<Armed> armed_;
+  std::uint64_t arm_seq_ = 0;
+  sim::Time pulled_ = sim::Time::zero();  // due of the last pulled send
+  FifoRing<Held> held_;
+  std::size_t unretired_ = 0;
   bool down_ = false;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t packets_sent_ = 0;
@@ -130,6 +191,9 @@ class EthernetLan {
 
   // Send from a port.  Returns false if the egress queue dropped it.
   bool send(PortId from, Packet pkt);
+
+  // The egress channel toward a port.
+  Channel& egress(PortId port) { return *egress_[port]; }
 
  private:
   PortId do_attach(PacketSink& sink);

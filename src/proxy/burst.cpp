@@ -12,6 +12,7 @@ namespace pp::proxy {
 
 void BurstSession::open() {
   TransparentProxy& p = proxy_;
+  p.read();
   // The demand set can shrink mid-interval: a client that departed between
   // the SRP and its slot must not have state re-created for a burst nobody
   // is listening to.  Its slot simply goes unused (non-overlap holds).
@@ -152,6 +153,7 @@ void BurstSession::open() {
 
 void BurstSession::close() {
   TransparentProxy& p = proxy_;
+  p.read();
   if (entry_.kind == SlotKind::UdpOnly) return;
   const ClientId id = p.table_.find(entry_.client);
   if (id == kNoClient) return;

@@ -99,6 +99,37 @@ void TransparentProxy::retire_splice(Splice& s) {
   splices_.erase(splices_.find(s.key));  // s (and s.key) die here
 }
 
+void TransparentProxy::read() {
+  take_in(sim_.now());
+  record_drops();
+}
+
+void TransparentProxy::take_in(sim::Time limit) {
+  if (ingress_ == nullptr) return;
+  ingress_->pull(limit);
+  net::Packet pkt;
+  sim::Time at;
+  while (ingress_->take_arrived(limit, pkt, at)) {
+    PP_CHECK_AT(at <= sim_.now(), "proxy.ingress.future_arrival", sim_.now());
+    enqueue_downlink(std::move(pkt), at);
+  }
+}
+
+void TransparentProxy::record_drops() {
+  PP_OBS(if (auto* tl = obs_.timeline()) {
+    for (const PendingDrop& d : pending_drops_)
+      tl->record(sim_.now(), obs::EventKind::Drop, d.client.raw(), d.bytes);
+  });
+  pending_drops_.clear();
+}
+
+void TransparentProxy::settle(sim::Time t) { take_in(t + sim::Time::ns(1)); }
+
+void TransparentProxy::finish() {
+  settle(sim_.now());
+  record_drops();
+}
+
 void TransparentProxy::start(sim::Time first_srp) {
   if (!wired_tx_ || !wireless_tx_ || !wireless_burst_tx_)
     throw std::logic_error("TransparentProxy: transmitters not wired");
@@ -121,6 +152,7 @@ void TransparentProxy::close_all_gates() {
 }
 
 void TransparentProxy::pause() {
+  read();
   if (paused_) return;
   paused_ = true;
   ++stats_.pauses;
@@ -133,6 +165,7 @@ void TransparentProxy::pause() {
 }
 
 void TransparentProxy::resume() {
+  read();
   if (!paused_) return;
   paused_ = false;
   // Re-enter the loop with a fresh SRP: queues drained on the normal path.
@@ -149,6 +182,7 @@ std::uint64_t TransparentProxy::buffered_bytes(net::Ipv4Addr client) const {
 }
 
 void TransparentProxy::register_client(net::Ipv4Addr ip) {
+  read();
   const ClientId id = table_.ensure(ip);
   if (table_.membership(id) == Membership::Joined) return;
   // Re-join: a Draining client that comes back keeps its queue; a Departed
@@ -158,6 +192,7 @@ void TransparentProxy::register_client(net::Ipv4Addr ip) {
 }
 
 void TransparentProxy::deregister_client(net::Ipv4Addr ip) {
+  read();
   const ClientId id = table_.find(ip);
   if (id == kNoClient || table_.membership(id) == Membership::Departed)
     return;
@@ -214,6 +249,7 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
       table_.membership(id) = Membership::Draining;
       table_.drain_timer(id) =
           sim_.after(params_.drain_deadline, [this, ip = table_.ip(id)] {
+            read();
             const ClientId cid = table_.find(ip);
             if (cid != kNoClient &&
                 table_.membership(cid) == Membership::Draining)
@@ -324,35 +360,30 @@ void TransparentProxy::abort_splices(ClientId id) {
   }
 }
 
-void TransparentProxy::enqueue_downlink(net::Packet pkt) {
+void TransparentProxy::enqueue_downlink(net::Packet pkt, sim::Time at) {
+  (void)at;  // obs-only: the queue-depth gauge moves at arrival
   const ClientId id = table_.ensure(pkt.dst);
-  // No membership, no buffering: downlink for a departed client is dropped
-  // at the door (counted with the queue-limit drops).
-  if (table_.membership(id) == Membership::Departed) {
-    ++stats_.queue_drops;
-    PP_OBS(if (auto* tl = obs_.timeline())
-               tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
-                          pkt.payload));
-    return;
-  }
   net::ChunkQueue& q = table_.queue(id);
-  // Admission in payload bytes — the one queue_limit_bytes convention for
-  // application buffering (see net/chunk.hpp).
-  if (q.bytes() + pkt.payload > params_.queue_limit_bytes) {
+  // No membership, no buffering: downlink for a departed client is dropped
+  // at the door, counted with the queue-limit drops.  Admission in payload
+  // bytes — the one queue_limit_bytes convention for application buffering
+  // (see net/chunk.hpp).
+  if (table_.membership(id) == Membership::Departed ||
+      q.bytes() + pkt.payload > params_.queue_limit_bytes) {
     ++stats_.queue_drops;
-    PP_OBS(if (auto* tl = obs_.timeline())
-               tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
-                          pkt.payload));
+    PP_OBS(if (obs_.timeline())
+               pending_drops_.push_back({pkt.dst, pkt.payload}));
     return;
   }
   total_q_bytes_ += pkt.payload;
   q.push(std::move(pkt));
   ++stats_.queued_packets;
-  PP_OBS(if (twg_queue_depth_) twg_queue_depth_->set(
-             sim_.now(), static_cast<double>(total_q_bytes_)));
+  PP_OBS(if (twg_queue_depth_)
+             twg_queue_depth_->set(at, static_cast<double>(total_q_bytes_)));
 }
 
 void TransparentProxy::on_wired_packet(net::Packet pkt) {
+  read();
   if (params_.mode == ProxyMode::Passthrough) {
     wireless_tx_(std::move(pkt));
     return;
@@ -368,10 +399,12 @@ void TransparentProxy::on_wired_packet(net::Packet pkt) {
     return;
   }
   // UDP downlink (and, in BufferedPassthrough, raw TCP) is buffered.
-  enqueue_downlink(std::move(pkt));
+  enqueue_downlink(std::move(pkt), sim_.now());
+  record_drops();
 }
 
 void TransparentProxy::on_wireless_packet(net::Packet pkt) {
+  read();
   // Association control is proxy-terminated in every mode — membership is
   // orthogonal to how the downlink is shaped.
   if (pkt.proto == net::Protocol::Udp && !pkt.is_broadcast() &&
@@ -501,6 +534,7 @@ void TransparentProxy::audit() const {
 }
 
 void TransparentProxy::schedule_tick() {
+  read();
   if (!running_ || paused_) return;
   burst_handles_.clear();
 
@@ -591,6 +625,7 @@ void TransparentProxy::schedule_tick() {
   for (int r = 1; r < params_.schedule_repeats; ++r) {
     const sim::Duration lag = params_.repeat_spacing * r;
     burst_handles_.push_back(sim_.at(srp + lag, [this, msg, lag] {
+      read();
       auto rep = std::make_shared<ScheduleMessage>(*msg);
       rep->repeat_offset = lag;
       net::Packet rbc = control_packet(net::Ipv4Addr::broadcast(),

@@ -15,6 +15,11 @@
 // At each SRP the proxy snapshots all client queues, asks its Scheduler
 // for a burst layout, broadcasts the schedule, and bursts each client's
 // data in its slot, terminating every burst with a marked packet.
+//
+// Like the paper's queuing process, the proxy files intercepted datagrams
+// when it reads, not as each one lands: paced datagrams wait in its
+// ingress channel (see set_ingress), and every proxy event first takes in
+// whatever arrived before it.
 #pragma once
 
 #include <cstdint>
@@ -144,6 +149,23 @@ class TransparentProxy {
   void set_wireless_tx(std::function<void(net::Packet)> tx) {
     wireless_tx_ = std::move(tx);
   }
+  // The LAN channel into the bridge port, whose paced datagrams arrive
+  // without events (see net::Channel::arm).  A read (an SRP tick, a burst
+  // open or close, a repeat or drain timer, any wired or wireless packet,
+  // register/deregister, pause/resume) first takes in every datagram that
+  // arrived before now, in arrival order, as if each had been filed on
+  // arrival.  A datagram that overflows its queue is counted at once; its
+  // timeline Drop record is written at the next read (or at finish()), so
+  // the records do not depend on when settle() ran.  Null (the default) in
+  // Passthrough mode, which forwards at arrival.
+  void set_ingress(net::Channel* ingress) { ingress_ = ingress; }
+  net::Channel* ingress() const { return ingress_; }
+  // Take in every datagram that arrived through `t`, between events (the
+  // testbed calls it after running to `t`): queries are exact afterwards.
+  void settle(sim::Time t);
+  // End of run: settle through now and write the pending Drop records.
+  void finish();
+
   // Batched emission: a burst's raw-datagram chain leaves as one ChunkQueue
   // (one link/medium reservation per slot).  Required, like the two above.
   // Control traffic (schedule broadcasts, spliced TCP segments, markers,
@@ -238,7 +260,14 @@ class TransparentProxy {
 
   void on_wired_packet(net::Packet pkt);
   void on_wireless_packet(net::Packet pkt);
-  void enqueue_downlink(net::Packet pkt);
+  // Every event-driven entry point starts here: take in what arrived
+  // before now and write the pending Drop records.
+  void read();
+  // Take in the ingress datagrams that arrived before `limit`.
+  void take_in(sim::Time limit);
+  void record_drops();
+  // File a downlink datagram that arrived at `at` (<= now).
+  void enqueue_downlink(net::Packet pkt, sim::Time at);
   void on_assoc_packet(const net::Packet& pkt);
   // A proxy-originated UDP control packet (schedule broadcast and its
   // repeats, association replies, empty-burst markers): proxy source, the
@@ -279,6 +308,7 @@ class TransparentProxy {
   std::function<void(net::Packet)> wired_tx_;
   std::function<void(net::Packet)> wireless_tx_;
   std::function<void(net::ChunkQueue)> wireless_burst_tx_;
+  net::Channel* ingress_ = nullptr;
   // Backing store for every per-client queue and burst chain.  shared_ptr:
   // chains still in a link's in-flight ring may outlive the proxy at
   // teardown.
@@ -300,6 +330,13 @@ class TransparentProxy {
   obs::Histogram* hist_interval_us_ = nullptr;
   obs::TimeWeightedGauge* twg_queue_depth_ = nullptr;
   std::uint64_t total_q_bytes_ = 0;  // sum of all clients' pkt_q.bytes()
+  // Drops taken in since the last read, awaiting their timeline records
+  // (filled only while a timeline is attached).
+  struct PendingDrop {
+    net::Ipv4Addr client;
+    std::uint32_t bytes;
+  };
+  std::vector<PendingDrop> pending_drops_;
 
   // SRP-tick scratch, reused every interval so the steady-state schedule
   // loop stays off the heap.

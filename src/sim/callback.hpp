@@ -10,7 +10,8 @@
 // Events carry no packets.  The links that deliver packets (net::Channel,
 // net::AccessPoint, net::WirelessMedium) keep their in-flight payloads in
 // a FIFO ring of their own and schedule events that capture `this` and a
-// count or two (see net/fifo_ring.hpp).  So the buffer is sized for small
+// count or two (see net/fifo_ring.hpp); paced datagrams on a lazily read
+// channel ingress get no event at all.  So the buffer is sized for small
 // captures, and a callback plus its slot's bookkeeping fills one 64-byte
 // cache line.
 #pragma once

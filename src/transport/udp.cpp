@@ -14,6 +14,12 @@ UdpSocket::~UdpSocket() { node_.unbind_udp(port_); }
 void UdpSocket::send_to(net::Ipv4Addr dst, net::Port dst_port,
                         std::uint32_t bytes,
                         std::shared_ptr<const net::Message> data) {
+  node_.send(datagram(dst, dst_port, bytes, std::move(data)));
+}
+
+net::Packet UdpSocket::datagram(net::Ipv4Addr dst, net::Port dst_port,
+                                std::uint32_t bytes,
+                                std::shared_ptr<const net::Message> data) {
   net::Packet pkt = net::make_packet();
   pkt.src = node_.ip();
   pkt.src_port = port_;
@@ -23,7 +29,7 @@ void UdpSocket::send_to(net::Ipv4Addr dst, net::Port dst_port,
   pkt.payload = bytes;
   pkt.data = std::move(data);
   ++sent_;
-  node_.send(std::move(pkt));
+  return pkt;
 }
 
 void UdpSocket::on_datagram(const net::Packet& pkt) {

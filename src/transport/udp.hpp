@@ -28,6 +28,11 @@ class UdpSocket : public net::DatagramHandler {
   // Send `bytes` of payload, optionally carrying an application message.
   void send_to(net::Ipv4Addr dst, net::Port dst_port, std::uint32_t bytes,
                std::shared_ptr<const net::Message> data = nullptr);
+  // The datagram send_to would hand the node, counted as sent, for a
+  // sender that hands it to its first hop itself (a paced source).
+  net::Packet datagram(net::Ipv4Addr dst, net::Port dst_port,
+                       std::uint32_t bytes,
+                       std::shared_ptr<const net::Message> data = nullptr);
 
   // net::DatagramHandler.
   void on_datagram(const net::Packet& pkt) override;

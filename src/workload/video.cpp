@@ -96,38 +96,57 @@ void VideoServer::expect_client(net::Ipv4Addr client, int fidelity_idx) {
 void VideoServer::start_stream(net::Ipv4Addr client) {
   auto it = expected_.find(client);
   if (it == expected_.end()) return;  // unknown client; ignore
+  const sim::Time now = node_.sim().now();
+  // Catch the channel up first, so this stream's first send is armed after
+  // every send that fired before it.
+  if (ingress_ != nullptr) ingress_->pull(now);
   auto s = std::make_unique<Stream>();
+  s->server = this;
   s->client = client;
   s->fidelity_idx = it->second;
-  s->epoch = node_.sim().now();
-  s->last_adapt = node_.sim().now();
+  s->epoch = now;
+  s->last_adapt = now;
   s->stats.current_fidelity = s->fidelity_idx;
   Stream* raw = s.get();
   streams_.emplace(client, std::move(s));
   ++streams_started_;
-  pump(*raw);
+  arm_next(*raw, now);
 }
 
-void VideoServer::pump(Stream& s) {
+void VideoServer::arm_next(Stream& s, sim::Time now) {
   const VideoPacketTrace& trace = trace_for(s.fidelity_idx);
   if (s.next_pkt >= trace.size()) {
     s.stats.finished = true;
     return;
   }
-  const VideoPacket& vp = trace[s.next_pkt];
-  const sim::Time due = s.epoch + vp.offset;
-  s.timer = node_.sim().at(std::max(due, node_.sim().now()), [this, &s] {
-    const VideoPacketTrace& tr = trace_for(s.fidelity_idx);
-    const VideoPacket& pkt = tr[s.next_pkt];
-    auto chunk = std::make_shared<MediaChunk>();
-    chunk->seq = s.seq++;
-    chunk->fidelity = static_cast<std::uint8_t>(s.fidelity_idx);
-    media_.send_to(s.client, kMediaPort, pkt.bytes, std::move(chunk));
-    ++s.stats.packets_sent;
-    s.stats.bytes_sent += pkt.bytes;
-    ++s.next_pkt;
-    pump(s);
-  });
+  const sim::Time due = std::max(s.epoch + trace[s.next_pkt].offset, now);
+  if (ingress_ != nullptr) {
+    ingress_->arm(s, due);
+  } else {
+    node_.sim().at(due, [this, &s] { emit(s, node_.sim().now()); });
+  }
+}
+
+void VideoServer::emit(Stream& s, sim::Time at) {
+  // An adaptation past the end of the lower trace finished the stream
+  // with this send still armed.
+  if (s.stats.finished) return;
+  const VideoPacket& vp = trace_for(s.fidelity_idx)[s.next_pkt];
+  auto chunk = std::make_shared<MediaChunk>();
+  chunk->seq = s.seq++;
+  chunk->fidelity = static_cast<std::uint8_t>(s.fidelity_idx);
+  net::Packet pkt =
+      media_.datagram(s.client, kMediaPort, vp.bytes, std::move(chunk));
+  if (ingress_ != nullptr) {
+    pkt.sent_at = at;
+    ingress_->transmit_paced(std::move(pkt), at);
+  } else {
+    node_.send(std::move(pkt));
+  }
+  ++s.stats.packets_sent;
+  s.stats.bytes_sent += vp.bytes;
+  ++s.next_pkt;
+  arm_next(s, at);
 }
 
 void VideoServer::on_receiver_report(const net::Packet& pkt) {
@@ -137,27 +156,32 @@ void VideoServer::on_receiver_report(const net::Packet& pkt) {
   auto it = streams_.find(pkt.src);
   if (it == streams_.end()) return;
   Stream& s = *it->second;
+  // Catch the channel up first: every send due before now goes out at the
+  // fidelity it was due at.
+  if (ingress_ != nullptr) ingress_->pull(node_.sim().now());
+  if (s.stats.finished) return;
   if (rr->loss_fraction <= params_.adapt_loss_threshold) return;
   if (node_.sim().now() - s.last_adapt < params_.adapt_cooldown) return;
   if (s.fidelity_idx == 0) return;
   // RealServer believes the connection is lossy and adapts the stream to a
   // lower-quality, lower-bandwidth one (Section 4.3).
   const double progress =
-      s.next_pkt < trace_for(s.fidelity_idx).size()
-          ? trace_for(s.fidelity_idx)[s.next_pkt].offset.to_seconds() /
-                params_.trace.duration_s
-          : 1.0;
+      trace_for(s.fidelity_idx)[s.next_pkt].offset.to_seconds() /
+      params_.trace.duration_s;
   --s.fidelity_idx;
   s.stats.current_fidelity = s.fidelity_idx;
   ++s.stats.downshifts;
   s.last_adapt = node_.sim().now();
-  // Resume the lower-fidelity trace at the same point in stream time.
+  // Resume the lower-fidelity trace at the same point in stream time.  The
+  // send already armed carries the lower trace's packet at `pos`; when the
+  // lower trace has nothing left there, the stream is over.
   const VideoPacketTrace& lower = trace_for(s.fidelity_idx);
   std::size_t pos = 0;
   while (pos < lower.size() &&
          lower[pos].offset.to_seconds() < progress * params_.trace.duration_s)
     ++pos;
   s.next_pkt = pos;
+  if (pos == lower.size()) s.stats.finished = true;
 }
 
 const VideoServer::StreamStats* VideoServer::stats_for(

@@ -10,6 +10,11 @@
 // paper's 512 kbps anomaly (Section 4.3): clients send receiver reports,
 // and when reported loss exceeds a threshold the server adapts the stream
 // down to the next lower fidelity.
+//
+// Each stream's sends are known ahead from the trace offsets.  Into a
+// channel that can pull them (the buffering proxy's ingress, see
+// net::Channel::arm) a stream is a paced source and arms no timer; into
+// any other first hop, each send is a timer.  Both call the same emit().
 #pragma once
 
 #include <cstdint>
@@ -92,6 +97,12 @@ class VideoServer {
   // its PLAY request, stream at kFidelities[fidelity_idx].
   void expect_client(net::Ipv4Addr client, int fidelity_idx);
 
+  // Pace every stream into `ingress`, the channel toward the clients that
+  // pulls sends (see net::Channel::arm), instead of timing each send.
+  // Call before any stream starts; the server must outlive the channel's
+  // last pull.
+  void pace_into(net::Channel& ingress) { ingress_ = &ingress; }
+
   struct StreamStats {
     std::uint32_t packets_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -99,28 +110,35 @@ class VideoServer {
     int downshifts = 0;
     bool finished = false;
   };
+  // Current through the last send pulled or timed.
   const StreamStats* stats_for(net::Ipv4Addr client) const;
   int streams_started() const { return streams_started_; }
 
  private:
-  struct Stream {
+  struct Stream : net::PacedSource {
+    VideoServer* server = nullptr;
     net::Ipv4Addr client;
-    int fidelity_idx;
+    int fidelity_idx = 0;
     sim::Time epoch;
     std::size_t next_pkt = 0;
     std::uint32_t seq = 0;
     sim::Time last_adapt;
     StreamStats stats;
-    sim::EventHandle timer;
+
+    void emit(sim::Time due) override { server->emit(*this, due); }
   };
 
   void start_stream(net::Ipv4Addr client);
-  void pump(Stream& s);
+  // Send the stream's next datagram as of `at`, then arm the one after.
+  void emit(Stream& s, sim::Time at);
+  // Arm the stream's next send, no earlier than `now`, or finish it.
+  void arm_next(Stream& s, sim::Time now);
   void on_receiver_report(const net::Packet& pkt);
   const VideoPacketTrace& trace_for(int fidelity_idx);
 
   net::Node& node_;
   VideoServerParams params_;
+  net::Channel* ingress_ = nullptr;  // set by pace_into
   transport::TcpServer control_;
   transport::UdpSocket media_;
   std::unordered_map<net::Ipv4Addr, int, net::Ipv4AddrHash> expected_;

@@ -8,6 +8,7 @@
 // the scenario runner rather than the harness plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "exp/builder.hpp"
@@ -172,6 +173,62 @@ TEST(DeterminismTest, DigestIndependentOfTimelineRetention) {
   EXPECT_EQ(so->timeline.size(), 0u);
   EXPECT_GT(ro->timeline.size(), 0u);
   EXPECT_EQ(so->timeline.dropped(), ro->timeline.size());
+}
+
+// Paced datagrams reach the proxy without events, and a run that stops
+// between events settles them, so a run advanced in slices must be the
+// run advanced in one go: same ScenarioResult, same replay digest.  A
+// saturated bursty ladder cell makes the proxy drop datagrams, whose
+// timeline records wait for the proxy's next read rather than the slice
+// boundary.  Variable intervals keep SRPs off the 500 ms slice grid, so
+// slices end between reads.
+TEST(DeterminismTest, SlicedAdvanceMatchesOneAdvance) {
+  const ScenarioConfig cfg =
+      ScenarioBuilder{}
+          .video(12, 2)  // 256 kbps
+          .video_adaptive(false)
+          .policy(IntervalPolicy::Variable)  // SRPs off the slice grid
+          .duration_s(40.0)
+          .channel(channel::ChannelSpec::ladder(3, 0.85))
+          .seed(1)  // its fades overflow queues: about 700 drops
+          .build();
+  ScenarioRun whole{cfg};
+  whole.advance(whole.horizon());
+  const ScenarioResult a = whole.finish();
+
+  ScenarioRun sliced{cfg};
+  std::uint64_t seen = 0;  // datagrams queued or dropped so far
+  for (Time t = Time::zero(); t < sliced.horizon();) {
+    t = std::min(t + Time::ms(500), sliced.horizon());
+    sliced.advance(t);
+    const proxy::ProxyStats& ps = sliced.bed().proxy().stats();
+    EXPECT_GE(ps.queued_packets + ps.queue_drops, seen);
+    seen = ps.queued_packets + ps.queue_drops;
+  }
+  const ScenarioResult b = sliced.finish();
+
+  ASSERT_GT(a.proxy_stats.queue_drops, 0u);
+  EXPECT_EQ(seen, b.proxy_stats.queued_packets + b.proxy_stats.queue_drops);
+  EXPECT_EQ(a.proxy_stats.queued_packets, b.proxy_stats.queued_packets);
+  EXPECT_EQ(a.proxy_stats.queue_drops, b.proxy_stats.queue_drops);
+  EXPECT_EQ(a.proxy_stats.burst_packets, b.proxy_stats.burst_packets);
+  EXPECT_EQ(a.proxy_stats.udp_bytes_burst, b.proxy_stats.udp_bytes_burst);
+  EXPECT_EQ(a.proxy_stats.schedules_sent, b.proxy_stats.schedules_sent);
+  EXPECT_EQ(a.ap_drops, b.ap_drops);
+  EXPECT_EQ(a.frames_on_air, b.frames_on_air);
+  ASSERT_EQ(a.clients.size(), b.clients.size());
+  for (std::size_t i = 0; i < a.clients.size(); ++i) {
+    EXPECT_EQ(a.clients[i].packets_received, b.clients[i].packets_received);
+    EXPECT_EQ(a.clients[i].bytes_received, b.clients[i].bytes_received);
+    EXPECT_EQ(a.clients[i].delay_samples, b.clients[i].delay_samples);
+    EXPECT_EQ(a.clients[i].mean_delay_ms, b.clients[i].mean_delay_ms);
+    EXPECT_EQ(a.clients[i].energy_mj, b.clients[i].energy_mj);
+    EXPECT_EQ(a.clients[i].sleeps, b.clients[i].sleeps);
+  }
+  const auto ao = whole.bed().observer();
+  const auto bo = sliced.bed().observer();
+  ASSERT_TRUE(ao && bo);
+  EXPECT_EQ(observer_digest(*ao), observer_digest(*bo));
 }
 
 // The acceptance property for the fault layer: a run with the full fault

@@ -157,6 +157,77 @@ TEST(VideoAdaptation, DisabledServerNeverAdapts) {
   EXPECT_EQ(st->downshifts, 0);
 }
 
+// A lossy receiver report, sent from `from` to the server's media port.
+void send_lossy_report(transport::UdpSocket& from, net::Ipv4Addr server) {
+  auto rr = std::make_shared<ReceiverReport>();
+  rr->loss_fraction = 0.5;
+  from.send_to(server, kMediaPort, 64, std::move(rr));
+}
+
+TEST(VideoAdaptation, ReportAfterStreamEndIsIgnored) {
+  NodePair np{5};
+  VideoServerParams params;
+  params.trace.duration_s = 3.0;
+  VideoServer server{np.a, params};
+  server.expect_client(np.b.ip(), 3);  // 512K
+  VideoClient client{np.b, np.a.ip()};
+  client.play(Time::ms(100));
+  np.sim.run_until(Time::sec(10));
+  const auto* st = server.stats_for(np.b.ip());
+  ASSERT_NE(st, nullptr);
+  ASSERT_TRUE(st->finished);
+  transport::UdpSocket reporter{np.b};
+  send_lossy_report(reporter, np.a.ip());
+  np.sim.run_until(Time::sec(11));
+  EXPECT_EQ(st->downshifts, 0);
+  EXPECT_EQ(st->current_fidelity, 3);
+}
+
+// A downshift while the stream is past the lower trace's last packet has
+// nothing left to resume: the stream finishes, and the send already armed
+// goes nowhere.
+TEST(VideoAdaptation, DownshiftPastTheLowerTraceFinishesTheStream) {
+  NodePair np{5};
+  VideoServerParams params;
+  params.trace.duration_s = 3.0;
+  params.trace_seed = 1;  // its 512K trace outlasts its 256K one
+  params.adapt_cooldown = Time::zero();
+  const VideoPacketTrace higher = generate_video_trace(
+      kFidelities[3].effective_kbps, params.trace_seed + 3, params.trace);
+  const VideoPacketTrace lower = generate_video_trace(
+      kFidelities[2].effective_kbps, params.trace_seed + 2, params.trace);
+  // The first higher-fidelity packet later in stream time than the whole
+  // lower trace; the report must land after the one before it goes out.
+  std::size_t k = 0;
+  while (k < higher.size() && higher[k].offset <= lower.back().offset) ++k;
+  ASSERT_GT(k, 0u);
+  ASSERT_LT(k, higher.size());
+  ASSERT_GT(higher[k].offset - higher[k - 1].offset, Time::ms(2));
+
+  VideoServer server{np.a, params};
+  server.expect_client(np.b.ip(), 3);
+  VideoClient client{np.b, np.a.ip()};
+  client.play(Time::ms(100));
+  // The stream's epoch, to within 100 us.
+  Time epoch = Time::zero();
+  while (server.streams_started() == 0) {
+    epoch = epoch + Time::us(100);
+    np.sim.run_until(epoch);
+  }
+  transport::UdpSocket reporter{np.b};
+  const Time at = epoch + higher[k - 1].offset +
+                  (higher[k].offset - higher[k - 1].offset) / 2;
+  np.sim.at(at, [&] { send_lossy_report(reporter, np.a.ip()); });
+  np.sim.run_until(at + Time::ms(1));
+  const auto* st = server.stats_for(np.b.ip());
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->downshifts, 1);
+  EXPECT_TRUE(st->finished);
+  EXPECT_EQ(st->packets_sent, k);
+  np.sim.run_until(Time::sec(10));
+  EXPECT_EQ(st->packets_sent, k);
+}
+
 // -- Web scripts & browsing ----------------------------------------------------------
 
 TEST(WebScript, DeterministicAndSized) {
