@@ -138,7 +138,7 @@ ForwardResult measure_forwarding(double sim_seconds) {
       if (sim.now() >= horizon) return;
       for (int c = 0; c < kClients; ++c) {
         for (int k = 0; k < kPerClientPerInterval; ++k) {
-          net::Packet pkt = net::make_packet();
+          net::Packet pkt;
           pkt.src = net::Ipv4Addr::octets(10, 0, 0, 1);
           pkt.src_port = 5000;
           pkt.dst = net::Ipv4Addr::octets(172, 16, 0,
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   std::vector<proxy::BandwidthEstimator::Sample> samples;
   auto& probes = rep.section("per-frame channel time");
   for (std::uint32_t payload = 40; payload <= 1400; payload += 136) {
-    net::Packet probe = net::make_packet();
+    net::Packet probe;
     probe.payload = payload;
     probe.dst = net::Ipv4Addr::octets(172, 16, 0, 1);
     const double s = medium.airtime_of(probe).to_seconds();

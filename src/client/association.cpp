@@ -50,18 +50,15 @@ sim::Duration AssociationAgent::backoff(int attempt) {
   return sim::Time::ns(static_cast<std::int64_t>(ns * j));
 }
 
-void AssociationAgent::send_control(proxy::AssocKind kind) {
-  auto msg = std::make_shared<proxy::AssocMessage>();
-  msg->kind = kind;
-  msg->seq = ctrl_seq_;
-  net::Packet pkt = net::make_packet();
+void AssociationAgent::send_control(net::AssocKind kind) {
+  net::Packet pkt;
   pkt.src = self_;
   pkt.src_port = proxy::kAssocPort;
   pkt.dst = params_.proxy_ip;
   pkt.dst_port = proxy::kAssocPort;
   pkt.proto = net::Protocol::Udp;
-  pkt.payload = proxy::AssocMessage::kWireBytes;
-  pkt.data = std::move(msg);
+  pkt.payload = proxy::kAssocWireBytes;
+  pkt.set_assoc({kind, /*graceful=*/true, ctrl_seq_});
   pkt.sent_at = sim_.now();
   if (send_) send_(std::move(pkt));
 }
@@ -82,7 +79,7 @@ void AssociationAgent::join() {
 
 void AssociationAgent::send_join() {
   if (attempt_ > 0) ++stats_.join_retries;
-  send_control(proxy::AssocKind::Join);
+  send_control(net::AssocKind::Join);
   timer_ = sim_.after(backoff(attempt_), [this] {
     ++attempt_;
     send_join();  // unbounded: without membership there is nothing else
@@ -101,7 +98,7 @@ void AssociationAgent::leave() {
 
 void AssociationAgent::send_leave() {
   if (attempt_ > 0) ++stats_.leave_retries;
-  send_control(proxy::AssocKind::Leave);
+  send_control(net::AssocKind::Leave);
   timer_ = sim_.after(backoff(attempt_), [this] {
     if (attempt_ >= params_.max_leave_retries) {
       // The proxy's drain deadline bounds its side; ours is bounded here.
@@ -121,9 +118,9 @@ void AssociationAgent::go_down() {
   if (on_down_) on_down_();
 }
 
-void AssociationAgent::on_packet(const proxy::AssocMessage& msg) {
+void AssociationAgent::on_packet(const net::AssocHeader& msg) {
   switch (msg.kind) {
-    case proxy::AssocKind::JoinAck:
+    case net::AssocKind::JoinAck:
       if (state_ != State::Associating || msg.seq != ctrl_seq_) return;
       ++stats_.join_acks;
       timer_.cancel();
@@ -142,13 +139,13 @@ void AssociationAgent::on_packet(const proxy::AssocMessage& msg) {
         send_join();
       });
       break;
-    case proxy::AssocKind::LeaveAck:
+    case net::AssocKind::LeaveAck:
       if (state_ != State::Draining || msg.seq != ctrl_seq_) return;
       ++stats_.leave_acks;
       go_down();
       break;
-    case proxy::AssocKind::Join:
-    case proxy::AssocKind::Leave:
+    case net::AssocKind::Join:
+    case net::AssocKind::Leave:
       break;  // proxy-bound; not expected downlink
   }
 }

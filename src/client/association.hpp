@@ -98,7 +98,7 @@ class AssociationAgent {
   void leave();
 
   // An association control packet addressed to this client arrived.
-  void on_packet(const proxy::AssocMessage& msg);
+  void on_packet(const net::AssocHeader& msg);
   // A schedule broadcast reached this client (SRP cadence acquired).
   void note_schedule();
 
@@ -117,7 +117,7 @@ class AssociationAgent {
   void publish(obs::MetricsRegistry& m) const;
 
  private:
-  void send_control(proxy::AssocKind kind);
+  void send_control(net::AssocKind kind);
   void send_join();
   void send_leave();
   void go_down();

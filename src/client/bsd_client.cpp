@@ -65,8 +65,7 @@ void BsdClient::on_beacon(const net::BeaconMessage& b) {
 void BsdClient::deliver(net::Packet pkt, sim::Duration airtime) {
   charge_receive(airtime);
   if (pkt.is_broadcast() && pkt.dst_port == net::kBeaconPort) {
-    if (const auto* b =
-            dynamic_cast<const net::BeaconMessage*>(pkt.data.get())) {
+    if (const auto* b = pkt.message<net::BeaconMessage>()) {
       on_beacon(*b);
     }
     return;

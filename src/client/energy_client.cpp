@@ -106,11 +106,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
   if (pkt.proto == net::Protocol::Udp && !pkt.is_broadcast() &&
       pkt.dst_port == proxy::kAssocPort &&
       pkt.src_port == proxy::kAssocPort) {
-    if (assoc_) {
-      if (auto msg =
-              std::dynamic_pointer_cast<const proxy::AssocMessage>(pkt.data))
-        assoc_->on_packet(*msg);
-    }
+    if (assoc_ && pkt.app == net::AppKind::Assoc) assoc_->on_packet(pkt.assoc);
     return;
   }
 
@@ -122,8 +118,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
     // received traffic.
     if (assoc_) assoc_->note_schedule();
     if (naive_) return;
-    if (auto msg =
-            std::dynamic_pointer_cast<const proxy::ScheduleMessage>(pkt.data)) {
+    if (auto msg = pkt.share<proxy::ScheduleMessage>()) {
       daemon_.on_schedule(std::move(msg));
     }
     return;

@@ -236,13 +236,13 @@ void AccessPoint::send_beacon() {
   for (const auto& [ip, st] : psm_stations_)
     if (!st.parked.empty()) msg->tim.push_back(ip);
 
-  Packet beacon = make_packet();
+  Packet beacon;
   beacon.dst = Ipv4Addr::broadcast();
   beacon.dst_port = kBeaconPort;
   beacon.src_port = kBeaconPort;
   beacon.proto = Protocol::Udp;
   beacon.payload = 24 + static_cast<std::uint32_t>(msg->tim.size()) * 4;
-  beacon.data = std::move(msg);
+  beacon.set_message<BeaconMessage>(std::move(msg));
   beacon.sent_at = sim_.now();
   ++beacons_sent_;
   medium_.transmit(radio_id_, std::move(beacon));

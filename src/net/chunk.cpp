@@ -41,7 +41,7 @@ ChunkDatagram* ChunkPool::take_datagram() {
 }
 
 void ChunkPool::give_datagram(ChunkDatagram* d) {
-  d->pkt = Packet{};  // drop the payload Message reference now, not at reuse
+  d->pkt.data.reset();  // drop a shared message reference now, not at reuse
   free_dgrams_.push_back(d);
 }
 

@@ -32,12 +32,15 @@
 
 namespace pp::net {
 
-// The underlying refcounted datagram.  `refs` counts the Chunk views alive
-// over it; the packet's storage is released when the last view goes.
+// The underlying refcounted datagram: the packet by value, app header
+// included, in a pool slot.  `refs` counts the Chunk views alive over it;
+// the slot goes back to the pool when the last view goes, releasing the
+// packet's shared message, if it has one, with it.
 struct ChunkDatagram {
   Packet pkt;
   std::uint32_t refs = 0;
 };
+static_assert(sizeof(ChunkDatagram) <= 80, "ChunkDatagram outgrew 80 bytes");
 
 // One view over [offset, offset+length) of a datagram's payload.  A full
 // view has offset 0 and length == pkt.payload; split_front() produces

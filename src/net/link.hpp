@@ -109,10 +109,13 @@ class Channel {
     std::uint64_t seq;  // arm order breaks ties in due
     PacedSource* src;
   };
+  // A pulled datagram waiting for the reader: the flat packet and its
+  // arrival time, nothing on the heap.
   struct Held {
     Packet pkt;
     sim::Time arrival;
   };
+  static_assert(sizeof(Held) <= 80, "Channel::Held outgrew 80 bytes");
 
   sim::Duration tx_time(const Packet& pkt) const;
   // Drop-tail admission of `n` packets (`wire` bytes) offered at `at`;

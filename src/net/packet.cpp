@@ -1,21 +1,13 @@
 #include "net/packet.hpp"
 
-#include <atomic>
 #include <sstream>
 
 namespace pp::net {
 
-Packet make_packet() {
-  static std::atomic<std::uint64_t> next_id{1};
-  Packet p;
-  p.id = next_id.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-
 std::string Packet::str() const {
   // pp-lint: allow(hot-path-alloc): cold debug rendering (trace/log only)
   std::ostringstream os;
-  os << "#" << id << " " << flow().str() << " len=" << payload;
+  os << flow().str() << " len=" << payload;
   if (proto == Protocol::Tcp) {
     os << " seq=" << tcp.seq << " ack=" << tcp.ack;
     if (tcp.syn) os << " SYN";

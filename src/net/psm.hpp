@@ -22,6 +22,8 @@ namespace pp::net {
 inline constexpr Port kBeaconPort = 9010;
 
 struct BeaconMessage : Message {
+  static constexpr AppKind kApp = AppKind::Beacon;
+
   std::uint64_t seq_no = 0;
   sim::Duration beacon_interval;
   // Stations with buffered downlink traffic.

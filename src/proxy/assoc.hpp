@@ -4,7 +4,8 @@
 // client into the demand set (and triggers an immediate SRP renegotiation
 // so the newcomer hears a schedule right away), a Leave drains or drops
 // its queue and removes it.  The exchange is a tiny unicast UDP protocol
-// on a dedicated port — both directions use kAssocPort as source and
+// whose messages ride in the packet's app header (net::AssocHeader), on a
+// dedicated port — both directions use kAssocPort as source and
 // destination so either end classifies control traffic in O(1), exactly
 // like the schedule broadcast uses kSchedulePort.
 //
@@ -23,35 +24,8 @@ namespace pp::proxy {
 // Association control port (client <-> proxy, unicast UDP both ways).
 inline constexpr net::Port kAssocPort = 9010;
 
-enum class AssocKind : std::uint8_t {
-  Join = 1,  // client -> proxy: admit me to the schedule
-  JoinAck,   // proxy -> client: admitted (schedule renegotiation follows)
-  Leave,     // client -> proxy: remove me (graceful: drain my queue first)
-  LeaveAck,  // proxy -> client: departed; it is safe to power the radio off
-};
-
-inline const char* to_string(AssocKind k) {
-  switch (k) {
-    case AssocKind::Join: return "join";
-    case AssocKind::JoinAck: return "join_ack";
-    case AssocKind::Leave: return "leave";
-    case AssocKind::LeaveAck: return "leave_ack";
-  }
-  return "?";
-}
-
-struct AssocMessage : net::Message {
-  AssocKind kind = AssocKind::Join;
-  // Chosen by the client per join()/leave() transition and reused across
-  // retransmissions; the proxy echoes it in the matching ack so a stale
-  // ack from an abandoned handshake is ignored.
-  std::uint64_t seq = 0;
-  // Leave only: drain the queue (bounded by the proxy's drain deadline)
-  // before acking, instead of dropping it immediately.
-  bool graceful = true;
-
-  // Modeled wire size: kind + flags + seq + padding.
-  static constexpr std::uint32_t kWireBytes = 16;
-};
+// Modeled wire size of an association message (net::AssocHeader): kind +
+// flags + seq + padding.
+inline constexpr std::uint32_t kAssocWireBytes = 16;
 
 }  // namespace pp::proxy

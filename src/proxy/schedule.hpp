@@ -32,6 +32,8 @@ struct ScheduleEntry {
 };
 
 struct ScheduleMessage : net::Message {
+  static constexpr net::AppKind kApp = net::AppKind::Schedule;
+
   std::uint64_t seq_no = 0;
   sim::Time srp_time;      // proxy clock when the schedule was sent
   sim::Duration interval;  // next SRP = srp_time + interval

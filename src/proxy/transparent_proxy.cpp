@@ -36,7 +36,7 @@ void TransparentProxy::calibrate(const net::WirelessMedium& medium) {
   samples.reserve(8);
   for (std::uint32_t payload : {40u, 200u, 400u, 600u, 800u, 1000u, 1200u,
                                 1400u}) {
-    net::Packet probe = net::make_packet();
+    net::Packet probe;
     probe.dst = net::Ipv4Addr::octets(172, 16, 0, 200);
     probe.proto = net::Protocol::Udp;
     probe.payload = payload;
@@ -211,12 +211,12 @@ bool TransparentProxy::client_active(net::Ipv4Addr ip) const {
 }
 
 void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
-  const auto msg = std::dynamic_pointer_cast<const AssocMessage>(pkt.data);
-  if (!msg) return;
+  if (pkt.app != net::AppKind::Assoc) return;
+  const net::AssocHeader& msg = pkt.assoc;
   ++stats_.assoc_rx;
   const ClientId id = table_.ensure(pkt.src);
-  switch (msg->kind) {
-    case AssocKind::Join: {
+  switch (msg.kind) {
+    case net::AssocKind::Join: {
       const bool fresh = table_.membership(id) != Membership::Joined;
       if (fresh) {
         table_.drain_timer(id).cancel();
@@ -229,20 +229,20 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
       // Ack first, renegotiate second: the unicast ack enters the downlink
       // path ahead of the fresh broadcast, so the client normally holds a
       // JoinAck by the time the schedule lands.
-      send_assoc(AssocKind::JoinAck, table_.ip(id), msg->seq);
+      send_assoc(net::AssocKind::JoinAck, table_.ip(id), msg.seq);
       if (fresh) renegotiate();
       break;
     }
-    case AssocKind::Leave: {
+    case net::AssocKind::Leave: {
       if (table_.membership(id) == Membership::Departed) {
         // The LeaveAck was lost; the departure already completed.  Re-ack.
-        send_assoc(AssocKind::LeaveAck, table_.ip(id), msg->seq);
+        send_assoc(net::AssocKind::LeaveAck, table_.ip(id), msg.seq);
         break;
       }
-      table_.leave_seq(id) = msg->seq;
+      table_.leave_seq(id) = msg.seq;
       if (table_.membership(id) == Membership::Draining)
         break;  // retransmission
-      if (!msg->graceful) {
+      if (!msg.graceful) {
         finish_leave(id, /*timed_out=*/false);
         break;
       }
@@ -261,28 +261,24 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
       if (table_.membership(id) == Membership::Draining) renegotiate();
       break;
     }
-    case AssocKind::JoinAck:
-    case AssocKind::LeaveAck:
+    case net::AssocKind::JoinAck:
+    case net::AssocKind::LeaveAck:
       break;  // client-bound; not expected on the uplink
   }
 }
 
-void TransparentProxy::send_assoc(AssocKind kind, net::Ipv4Addr client,
+void TransparentProxy::send_assoc(net::AssocKind kind, net::Ipv4Addr client,
                                   std::uint64_t seq) {
   if (!wireless_tx_) return;
-  auto msg = std::make_shared<AssocMessage>();
-  msg->kind = kind;
-  msg->seq = seq;
-  net::Packet pkt =
-      control_packet(client, kAssocPort, AssocMessage::kWireBytes);
-  pkt.data = std::move(msg);
+  net::Packet pkt = control_packet(client, kAssocPort, kAssocWireBytes);
+  pkt.set_assoc({kind, /*graceful=*/true, seq});
   wireless_tx_(std::move(pkt));
 }
 
 net::Packet TransparentProxy::control_packet(net::Ipv4Addr dst,
                                              net::Port port,
                                              std::uint32_t payload) const {
-  net::Packet pkt = net::make_packet();
+  net::Packet pkt;
   pkt.src = params_.proxy_ip;
   pkt.src_port = port;
   pkt.dst = dst;
@@ -330,7 +326,7 @@ void TransparentProxy::finish_leave(ClientId id, bool timed_out) {
   PP_OBS(if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::ClientLeave,
                         table_.ip(id).raw(), dropped));
-  send_assoc(AssocKind::LeaveAck, table_.ip(id), table_.leave_seq(id));
+  send_assoc(net::AssocKind::LeaveAck, table_.ip(id), table_.leave_seq(id));
 }
 
 void TransparentProxy::drop_queue(ClientId id) {
@@ -599,7 +595,7 @@ void TransparentProxy::schedule_tick() {
 
   net::Packet bc = control_packet(net::Ipv4Addr::broadcast(), kSchedulePort,
                                   msg->serialized_bytes());
-  bc.data = msg;
+  bc.set_message<ScheduleMessage>(msg);
   wireless_tx_(std::move(bc));
   ++stats_.schedules_sent;
   PP_OBS(if (hist_interval_us_) {
@@ -630,7 +626,7 @@ void TransparentProxy::schedule_tick() {
       rep->repeat_offset = lag;
       net::Packet rbc = control_packet(net::Ipv4Addr::broadcast(),
                                        kSchedulePort, rep->serialized_bytes());
-      rbc.data = std::move(rep);
+      rbc.set_message<ScheduleMessage>(std::move(rep));
       wireless_tx_(std::move(rbc));
       ++stats_.schedule_repeats_sent;
       PP_OBS(if (auto* tl = obs_.timeline()) tl->record(

@@ -274,7 +274,7 @@ class TransparentProxy {
   // same port at both ends, stamped now.
   net::Packet control_packet(net::Ipv4Addr dst, net::Port port,
                              std::uint32_t payload) const;
-  void send_assoc(AssocKind kind, net::Ipv4Addr client, std::uint64_t seq);
+  void send_assoc(net::AssocKind kind, net::Ipv4Addr client, std::uint64_t seq);
   // Membership changed: collapse the current interval and broadcast a
   // fresh schedule immediately (the k-repeat hardening rides along).
   void renegotiate();

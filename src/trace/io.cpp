@@ -40,14 +40,12 @@ void write_trace(std::ostream& os, const TraceBuffer& buf) {
   for (const TraceRecord& r : buf) {
     put<std::int64_t>(os, r.air_start.count_ns());
     put<std::int64_t>(os, r.airtime.count_ns());
-    put<std::uint64_t>(os, r.pkt_id);
     put<std::uint32_t>(os, r.src.raw());
     put<std::uint32_t>(os, r.dst.raw());
     put<std::uint16_t>(os, r.src_port);
     put<std::uint16_t>(os, r.dst_port);
     put<std::uint32_t>(os, r.payload);
-    const auto* sched =
-        dynamic_cast<const proxy::ScheduleMessage*>(r.data.get());
+    const proxy::ScheduleMessage* sched = r.schedule.get();
     std::uint8_t flags = 0;
     if (r.marked) flags |= kMarked;
     if (r.from_ap) flags |= kFromAp;
@@ -84,7 +82,6 @@ TraceBuffer read_trace(std::istream& is) {
     TraceRecord r;
     r.air_start = sim::Time::ns(get<std::int64_t>(is));
     r.airtime = sim::Time::ns(get<std::int64_t>(is));
-    r.pkt_id = get<std::uint64_t>(is);
     r.src = net::Ipv4Addr{get<std::uint32_t>(is)};
     r.dst = net::Ipv4Addr{get<std::uint32_t>(is)};
     r.src_port = get<std::uint16_t>(is);
@@ -112,7 +109,7 @@ TraceBuffer read_trace(std::istream& is) {
         e.kind = static_cast<proxy::SlotKind>(get<std::uint8_t>(is));
         sched->entries.push_back(e);
       }
-      r.data = std::move(sched);
+      r.schedule = std::move(sched);
     }
     buf.push_back(std::move(r));
   }
@@ -139,10 +136,7 @@ void dump_trace(std::ostream& os, const TraceBuffer& buf) {
        << " " << to_string(r.proto) << " len " << r.payload;
     if (r.marked) os << " [mark]";
     if (!r.delivered) os << " [lost]";
-    if (const auto* sched =
-            dynamic_cast<const proxy::ScheduleMessage*>(r.data.get())) {
-      os << " " << sched->str();
-    }
+    if (r.schedule) os << " " << r.schedule->str();
     os << "\n";
   }
 }

@@ -10,7 +10,9 @@
 
 namespace pp::trace {
 
-inline constexpr char kTraceMagic[8] = {'P', 'P', 'T', 'R', 'A', 'C', 'E', '2'};
+// Format version 3: records carry no packet id, so a trace file is a
+// function of its run's configuration alone.
+inline constexpr char kTraceMagic[8] = {'P', 'P', 'T', 'R', 'A', 'C', 'E', '3'};
 
 // Binary round-trip.
 void write_trace(std::ostream& os, const TraceBuffer& buf);

@@ -7,7 +7,6 @@ MonitoringStation::MonitoringStation(net::WirelessMedium& medium) {
     TraceRecord rec;
     rec.air_start = r.air_start;
     rec.airtime = r.airtime;
-    rec.pkt_id = r.pkt.id;
     rec.src = r.pkt.src;
     rec.src_port = r.pkt.src_port;
     rec.dst = r.pkt.dst;
@@ -17,7 +16,7 @@ MonitoringStation::MonitoringStation(net::WirelessMedium& medium) {
     rec.marked = r.pkt.marked;
     rec.from_ap = r.from_ap;
     rec.delivered = r.delivered;
-    rec.data = r.pkt.data;
+    rec.schedule = r.pkt.share<proxy::ScheduleMessage>();
     bytes_ += r.pkt.payload;
     buffer_.push_back(std::move(rec));
   });

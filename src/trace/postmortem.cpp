@@ -57,10 +57,7 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
       }
       acc.add_transient(energy::WnicMode::Receive, r->airtime);
       if (is_schedule) {
-        if (auto msg = std::dynamic_pointer_cast<const proxy::ScheduleMessage>(
-                r->data)) {
-          daemon.on_schedule(std::move(msg));
-        }
+        if (r->schedule) daemon.on_schedule(r->schedule);
         return;
       }
       ++rep.packets_received;

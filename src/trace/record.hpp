@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "net/addr.hpp"
-#include "net/packet.hpp"
+#include "proxy/schedule.hpp"
 #include "sim/time.hpp"
 
 namespace pp::trace {
@@ -18,7 +18,6 @@ namespace pp::trace {
 struct TraceRecord {
   sim::Time air_start;
   sim::Duration airtime;
-  std::uint64_t pkt_id = 0;
   net::Ipv4Addr src;
   net::Port src_port = 0;
   net::Ipv4Addr dst;
@@ -28,9 +27,9 @@ struct TraceRecord {
   bool marked = false;
   bool from_ap = false;
   bool delivered = false;  // ground truth from the medium
-  // Application message (the schedule), kept by pointer in memory and
-  // serialized structurally by the trace writer.
-  std::shared_ptr<const net::Message> data;
+  // The schedule a broadcast carried, shared with the packet in memory and
+  // serialized structurally by the trace writer; null for other frames.
+  std::shared_ptr<const proxy::ScheduleMessage> schedule;
 
   sim::Time air_end() const { return air_start + airtime; }
   bool is_broadcast() const { return dst.is_broadcast(); }

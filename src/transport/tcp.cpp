@@ -49,7 +49,7 @@ std::uint32_t TcpConnection::advertised_window() const {
 
 void TcpConnection::emit(std::uint64_t seq, std::uint32_t len, bool syn,
                          bool fin, bool is_rtx) {
-  net::Packet pkt = net::make_packet();
+  net::Packet pkt;
   pkt.src = local_.ip;
   pkt.src_port = local_.port;
   pkt.dst = remote_.ip;

@@ -12,22 +12,19 @@ UdpSocket::UdpSocket(net::Node& node, net::Port port)
 UdpSocket::~UdpSocket() { node_.unbind_udp(port_); }
 
 void UdpSocket::send_to(net::Ipv4Addr dst, net::Port dst_port,
-                        std::uint32_t bytes,
-                        std::shared_ptr<const net::Message> data) {
-  node_.send(datagram(dst, dst_port, bytes, std::move(data)));
+                        std::uint32_t bytes) {
+  node_.send(datagram(dst, dst_port, bytes));
 }
 
 net::Packet UdpSocket::datagram(net::Ipv4Addr dst, net::Port dst_port,
-                                std::uint32_t bytes,
-                                std::shared_ptr<const net::Message> data) {
-  net::Packet pkt = net::make_packet();
+                                std::uint32_t bytes) {
+  net::Packet pkt;
   pkt.src = node_.ip();
   pkt.src_port = port_;
   pkt.dst = dst;
   pkt.dst_port = dst_port;
   pkt.proto = net::Protocol::Udp;
   pkt.payload = bytes;
-  pkt.data = std::move(data);
   ++sent_;
   return pkt;
 }

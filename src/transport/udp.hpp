@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -25,14 +24,13 @@ class UdpSocket : public net::DatagramHandler {
 
   void set_receive_fn(ReceiveFn fn) { receive_ = std::move(fn); }
 
-  // Send `bytes` of payload, optionally carrying an application message.
-  void send_to(net::Ipv4Addr dst, net::Port dst_port, std::uint32_t bytes,
-               std::shared_ptr<const net::Message> data = nullptr);
+  // Send `bytes` of payload with no app header.
+  void send_to(net::Ipv4Addr dst, net::Port dst_port, std::uint32_t bytes);
   // The datagram send_to would hand the node, counted as sent, for a
-  // sender that hands it to its first hop itself (a paced source).
+  // sender that sets its app header or hands it to its first hop itself
+  // (a paced source).
   net::Packet datagram(net::Ipv4Addr dst, net::Port dst_port,
-                       std::uint32_t bytes,
-                       std::shared_ptr<const net::Message> data = nullptr);
+                       std::uint32_t bytes);
 
   // net::DatagramHandler.
   void on_datagram(const net::Packet& pkt) override;

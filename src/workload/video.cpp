@@ -132,11 +132,8 @@ void VideoServer::emit(Stream& s, sim::Time at) {
   // with this send still armed.
   if (s.stats.finished) return;
   const VideoPacket& vp = trace_for(s.fidelity_idx)[s.next_pkt];
-  auto chunk = std::make_shared<MediaChunk>();
-  chunk->seq = s.seq++;
-  chunk->fidelity = static_cast<std::uint8_t>(s.fidelity_idx);
-  net::Packet pkt =
-      media_.datagram(s.client, kMediaPort, vp.bytes, std::move(chunk));
+  net::Packet pkt = media_.datagram(s.client, kMediaPort, vp.bytes);
+  pkt.set_media({s.seq++, static_cast<std::uint8_t>(s.fidelity_idx)});
   if (ingress_ != nullptr) {
     pkt.sent_at = at;
     ingress_->transmit_paced(std::move(pkt), at);
@@ -151,8 +148,7 @@ void VideoServer::emit(Stream& s, sim::Time at) {
 
 void VideoServer::on_receiver_report(const net::Packet& pkt) {
   if (!params_.adaptive) return;
-  const auto* rr = dynamic_cast<const ReceiverReport*>(pkt.data.get());
-  if (rr == nullptr) return;
+  if (pkt.app != net::AppKind::Report) return;
   auto it = streams_.find(pkt.src);
   if (it == streams_.end()) return;
   Stream& s = *it->second;
@@ -160,7 +156,7 @@ void VideoServer::on_receiver_report(const net::Packet& pkt) {
   // fidelity it was due at.
   if (ingress_ != nullptr) ingress_->pull(node_.sim().now());
   if (s.stats.finished) return;
-  if (rr->loss_fraction <= params_.adapt_loss_threshold) return;
+  if (pkt.report.loss_fraction <= params_.adapt_loss_threshold) return;
   if (node_.sim().now() - s.last_adapt < params_.adapt_cooldown) return;
   if (s.fidelity_idx == 0) return;
   // RealServer believes the connection is lossy and adapts the stream to a
@@ -214,9 +210,9 @@ void VideoClient::on_media(const net::Packet& pkt) {
   ++stats_.packets;
   ++window_packets_;
   stats_.bytes += pkt.payload;
-  if (const auto* chunk = dynamic_cast<const MediaChunk*>(pkt.data.get())) {
-    stats_.highest_seq = std::max(stats_.highest_seq, chunk->seq);
-    stats_.fidelity_seen = chunk->fidelity;
+  if (pkt.app == net::AppKind::Media) {
+    stats_.highest_seq = std::max(stats_.highest_seq, pkt.media.seq);
+    stats_.fidelity_seen = pkt.media.fidelity;
   }
   maybe_send_report();
 }
@@ -239,12 +235,11 @@ void VideoClient::maybe_send_report() {
   // Sent while the WNIC is already awake (we just received data).
   if (node_.sim().now() - last_report_ < params_.rr_interval) return;
   last_report_ = node_.sim().now();
-  auto rr = std::make_shared<ReceiverReport>();
-  rr->loss_fraction = window_loss_fraction();
-  rr->highest_seq = stats_.highest_seq;
+  net::Packet rr = media_.datagram(server_, kMediaPort, 64);
+  rr.set_report({window_loss_fraction(), stats_.highest_seq});
   window_packets_ = 0;
   window_base_seq_ = stats_.highest_seq;
-  media_.send_to(server_, kMediaPort, 64, std::move(rr));
+  node_.send(std::move(rr));
   ++stats_.reports_sent;
 }
 

@@ -66,18 +66,6 @@ struct VideoTraceParams {
 VideoPacketTrace generate_video_trace(int effective_kbps, std::uint64_t seed,
                                       VideoTraceParams params = {});
 
-// -- Messages --------------------------------------------------------------------
-
-struct MediaChunk : net::Message {
-  std::uint32_t seq = 0;
-  std::uint8_t fidelity = 0;  // index into kFidelities
-};
-
-struct ReceiverReport : net::Message {
-  double loss_fraction = 0;
-  std::uint32_t highest_seq = 0;
-};
-
 // -- Server ----------------------------------------------------------------------
 
 struct VideoServerParams {

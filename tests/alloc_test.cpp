@@ -7,7 +7,8 @@
 // simulator schedules — performs exactly zero heap allocations.  That
 // every capture fits the SBO buffer is a compile-time check in
 // EventCallback itself; a scenario-level test runs a UDP video-streaming
-// workload through it.
+// workload through it, and a warmed-up video stream between two nodes
+// sends and receives its datagrams without touching the heap.
 //
 // The same replacement also tracks the bytes live on the heap, which
 // bounds what an idle client costs once its testbed is built.
@@ -27,6 +28,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "testutil.hpp"
+#include "workload/video.hpp"
 
 namespace {
 
@@ -226,6 +229,27 @@ TEST(Alloc, UdpStreamingScenarioSchedulesEverythingInline) {
   const std::uint64_t queued = m.counter("proxy.queued_packets")->value();
   EXPECT_GT(queued, 500u);
   EXPECT_LT(m.counter("sim.events.scheduled")->value(), queued);
+}
+
+// A datagram is a flat value: its media header rides in the packet, so a
+// warmed-up 512 kbps stream -- server pacing, the wired pipe, the client's
+// receiver reports back -- costs no heap allocation per datagram.
+TEST(Alloc, UdpStreamingWindowAllocatesNothingPerDatagram) {
+  test::NodePair np{3};
+  workload::VideoServer server{np.a};
+  server.expect_client(np.b.ip(), 3);
+  workload::VideoClient client{np.b, np.a.ip()};
+  client.play(Time::ms(100));
+  np.sim.run_until(Time::sec(4));  // PLAY exchanged, rings at depth
+  const std::uint32_t packets_before = client.stats().packets;
+  const std::uint32_t reports_before = client.stats().reports_sent;
+  const std::uint64_t before = g_allocs;
+  np.sim.run_until(Time::sec(12));
+  const std::uint64_t allocs = g_allocs - before;
+  const std::uint32_t datagrams = client.stats().packets - packets_before;
+  EXPECT_GT(datagrams, 300u);
+  EXPECT_GT(client.stats().reports_sent, reports_before);
+  EXPECT_EQ(allocs, 0u) << "over " << datagrams << " datagrams";
 }
 
 // Footprint of the fleet's majority: a cell of idle clients with

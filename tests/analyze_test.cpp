@@ -272,6 +272,19 @@ TEST(FileRules, CleanOnDeterministicIdioms) {
   EXPECT_TRUE(out.empty());
 }
 
+// -- dynamic-cast -------------------------------------------------------------
+
+TEST(DynamicCast, FlagsCastsInSrcOnly) {
+  const ProjectIndex idx = load_fixture("dynamic_cast");
+  std::vector<Finding> out;
+  for (const auto& f : idx.files()) {
+    pp::analyze::run_file_rules(f, nullptr, out);
+  }
+  EXPECT_EQ(count_rule(out, "dynamic-cast"), 2);
+  EXPECT_TRUE(has_finding(out, "dynamic-cast", "src/client/recv.cpp"));
+  EXPECT_FALSE(has_finding(out, "dynamic-cast", "tests/cast_test.cpp"));
+}
+
 // -- whole-project pass over a fixture tree ---------------------------------
 
 TEST(RunAllRules, AggregatesSortsAndAppliesAllows) {

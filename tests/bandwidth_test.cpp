@@ -96,14 +96,14 @@ TEST(BandwidthEstimator, CalibrationAgainstMediumMatchesAirtime) {
   net::WirelessMedium medium{sim};
   std::vector<BandwidthEstimator::Sample> samples;
   for (std::uint32_t payload : {100u, 500u, 900u, 1400u}) {
-    net::Packet p = net::make_packet();
+    net::Packet p;
     p.payload = payload;
     p.dst = net::Ipv4Addr::octets(1, 2, 3, 4);
     samples.push_back({payload, medium.airtime_of(p).to_seconds()});
   }
   BandwidthEstimator est{samples};
   // The medium's airtime IS affine in payload, so the fit is exact.
-  net::Packet probe = net::make_packet();
+  net::Packet probe;
   probe.payload = 777;
   probe.dst = net::Ipv4Addr::octets(1, 2, 3, 4);
   EXPECT_NEAR(est.packet_cost(777).to_seconds(),

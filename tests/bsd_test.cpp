@@ -72,7 +72,7 @@ TEST_F(BsdFixture, AwakeWindowCatchesImmediateResponses) {
   // A request-like TCP uplink opens the awake window; verify by checking
   // the client stays listening right after sending.
   bed->sim().at(Time::ms(2500), [&] {
-    net::Packet syn = net::make_packet();
+    net::Packet syn;
     syn.src = station->ip();
     syn.dst = server->ip();
     syn.src_port = 40000;

@@ -175,7 +175,7 @@ TEST(ChannelModel, FlatLossOnTheMediumIsPerClient) {
     medium.attach_station(a, client_a());
     medium.attach_station(b, client_b());
     const auto downlink_to = [](net::Ipv4Addr dst) {
-      net::Packet p = net::make_packet();
+      net::Packet p;
       p.dst = dst;
       p.payload = 500;
       return p;

@@ -205,14 +205,14 @@ TEST_F(CheckFixture, ChunkQueueMisuseTrips) {
   EXPECT_THROW(q.mark_tail(), CheckError);         // net.chunk.mark_empty
 
   net::ChunkQueue no_pool;
-  EXPECT_THROW(no_pool.push(net::make_packet()), CheckError);
+  EXPECT_THROW(no_pool.push(net::Packet{}), CheckError);
 
-  q.push(net::make_packet());
+  q.push(net::Packet{});
   net::ChunkQueue other{std::make_shared<net::ChunkPool>()};
   EXPECT_THROW(q.pop_front_to(other), CheckError);  // net.chunk.pool_mismatch
 
   // split_front bounds: 0 and >= length are both out of range.
-  net::Packet pkt = net::make_packet();
+  net::Packet pkt;
   pkt.payload = 100;
   net::ChunkQueue s{pool};
   s.push(std::move(pkt));
@@ -226,7 +226,7 @@ TEST_F(CheckFixture, ChunkQueueMisuseTrips) {
 TEST_F(CheckFixture, ChunkConservationAcrossSplitsAndHandoffs) {
   auto pool = std::make_shared<net::ChunkPool>();
   net::ChunkQueue q{pool};
-  net::Packet pkt = net::make_packet();
+  net::Packet pkt;
   pkt.payload = 900;
   q.push(std::move(pkt));
   q.split_front(300);  // 300 | 600

@@ -76,7 +76,7 @@ namespace {
 using sim::Time;
 
 Packet test_packet(std::uint32_t payload, std::uint8_t host = 1) {
-  Packet pkt = make_packet();
+  Packet pkt;
   pkt.src = Ipv4Addr::octets(10, 0, 0, 1);
   pkt.src_port = 5000;
   pkt.dst = Ipv4Addr::octets(172, 16, 0, host);
@@ -95,7 +95,7 @@ TEST(ChunkQueueTest, SoleFullViewMovesPacketOutWithoutCopy) {
   auto pool = std::make_shared<ChunkPool>();
   ChunkQueue q{pool};
   Packet pkt = test_packet(1000);
-  const std::uint64_t id = pkt.id;
+  pkt.set_media({77, 2});
   auto msg = std::make_shared<const TestMessage>();
   pkt.data = msg;
   q.push(std::move(pkt));
@@ -103,7 +103,7 @@ TEST(ChunkQueueTest, SoleFullViewMovesPacketOutWithoutCopy) {
 
   Packet out = q.pop_packet();
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(out.id, id);               // the same packet, moved
+  EXPECT_EQ(out.media.seq, 77u);       // the same packet, moved
   EXPECT_EQ(out.data.get(), msg.get());
   EXPECT_EQ(msg.use_count(), 2);       // ours + out; the datagram released
 }
@@ -211,10 +211,9 @@ TEST(ChunkQueueTest, HandoffPreservesOrderAndTotals) {
   auto pool = std::make_shared<ChunkPool>();
   ChunkQueue src{pool};
   ChunkQueue dst{pool};
-  std::uint64_t ids[3];
-  for (int i = 0; i < 3; ++i) {
-    Packet pkt = test_packet(100 * (static_cast<std::uint32_t>(i) + 1));
-    ids[i] = pkt.id;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    Packet pkt = test_packet(100 * (i + 1));
+    pkt.set_media({i, 0});
     src.push(std::move(pkt));
   }
   src.pop_front_to(dst);  // per-hop handoff moves the view, not the bytes
@@ -226,7 +225,8 @@ TEST(ChunkQueueTest, HandoffPreservesOrderAndTotals) {
   EXPECT_EQ(dst.packets(), 3u);
   EXPECT_EQ(dst.bytes(), 600u);
   dst.audit();
-  for (std::uint64_t id : ids) EXPECT_EQ(dst.pop_packet().id, id);
+  for (std::uint32_t i = 0; i < 3; ++i)
+    EXPECT_EQ(dst.pop_packet().media.seq, i);
 }
 
 TEST(ChunkQueueTest, WireBytesFollowProtocol) {

@@ -29,7 +29,7 @@ std::shared_ptr<proxy::ScheduleMessage> schedule(
 }
 
 net::Packet data_pkt(bool marked, std::uint32_t payload = 1000) {
-  net::Packet p = net::make_packet();
+  net::Packet p;
   p.proto = net::Protocol::Udp;
   p.dst = kSelf;
   p.payload = payload;
@@ -279,7 +279,7 @@ TEST(PowerDaemon, PureControlPacketsDoNotDisturbState) {
   Harness h;
   h.schedule_at(Time::ms(500), schedule(Time::ms(500), Time::ms(500), {}));
   h.sim.at(Time::ms(500), [&] {
-    net::Packet ack = net::make_packet();
+    net::Packet ack;
     ack.proto = net::Protocol::Tcp;
     ack.payload = 0;
     if (h.daemon.awake()) h.daemon.on_data(ack);

@@ -29,7 +29,7 @@ using sim::Time;
 const net::Ipv4Addr kClient = net::Ipv4Addr::octets(172, 16, 0, 1);
 
 net::Packet downlink_to(net::Ipv4Addr dst) {
-  net::Packet p = net::make_packet();
+  net::Packet p;
   p.src = net::Ipv4Addr::octets(10, 0, 0, 1);
   p.dst = dst;
   p.proto = net::Protocol::Udp;
@@ -154,7 +154,7 @@ TEST(DeepFade, TotalLossInsideWindowOnly) {
   // lost too (the fade is on its channel, both directions).
   sim.at(Time::ms(120), [&] {
     medium.transmit(ap_id, downlink_to(other));
-    net::Packet up = net::make_packet();
+    net::Packet up;
     up.src = kClient;
     up.dst = net::Ipv4Addr::octets(10, 0, 0, 1);
     medium.transmit(faded_id, std::move(up));
@@ -233,10 +233,10 @@ TEST(ApStall, FreezesQueueAndReleasesInOrder) {
   net::WirelessMedium medium{sim};
   net::AccessPoint ap{sim, medium};
   struct St : net::WirelessStation {
-    std::vector<std::uint64_t> ids;
+    std::vector<std::uint32_t> seqs;
     bool listening() const override { return true; }
     void deliver(net::Packet p, sim::Duration) override {
-      ids.push_back(p.id);
+      seqs.push_back(p.media.seq);
     }
   } st;
   medium.attach_station(st, kClient);
@@ -244,22 +244,22 @@ TEST(ApStall, FreezesQueueAndReleasesInOrder) {
   ap.set_stalled(true);
   net::Packet a = downlink_to(kClient);
   net::Packet b = downlink_to(kClient);
-  const std::uint64_t id_a = a.id;
-  const std::uint64_t id_b = b.id;
+  a.set_media({1, 0});
+  b.set_media({2, 0});
   sim.at(Time::ms(1), [&] {
     ap.handle_packet(std::move(a));
     ap.handle_packet(std::move(b));
   });
   sim.run_until(Time::ms(100));
-  EXPECT_TRUE(st.ids.empty());
+  EXPECT_TRUE(st.seqs.empty());
   EXPECT_EQ(ap.stalled_frames(), 2u);
   EXPECT_NO_THROW(ap.audit());  // frozen frames still counted as backlog
 
   sim.at(Time::ms(101), [&] { ap.set_stalled(false); });
   sim.run_until(Time::ms(200));
-  ASSERT_EQ(st.ids.size(), 2u);
-  EXPECT_EQ(st.ids[0], id_a);  // FIFO across the stall
-  EXPECT_EQ(st.ids[1], id_b);
+  ASSERT_EQ(st.seqs.size(), 2u);
+  EXPECT_EQ(st.seqs[0], 1u);  // FIFO across the stall
+  EXPECT_EQ(st.seqs[1], 2u);
   EXPECT_EQ(ap.stalled_frames(), 0u);
   EXPECT_NO_THROW(ap.audit());
 }

@@ -6,7 +6,7 @@ namespace pp::proxy {
 namespace {
 
 net::Packet data_segment(std::uint64_t data_seq, std::uint32_t len) {
-  net::Packet p = net::make_packet();
+  net::Packet p;
   p.proto = net::Protocol::Tcp;
   p.payload = len;
   p.tcp.seq = data_seq + 1;  // wire coords: SYN occupies 0
@@ -115,7 +115,7 @@ TEST(BurstMarker, UnarmedNeverMarks) {
 TEST(BurstMarker, SynAndPureAcksIgnored) {
   BurstMarker m;
   m.arm_after(0);
-  net::Packet syn = net::make_packet();
+  net::Packet syn;
   syn.proto = net::Protocol::Tcp;
   syn.tcp.syn = true;
   m.on_egress(syn);
@@ -169,7 +169,7 @@ TEST(BurstMarker, DisarmCancelsPendingMark) {
 TEST(BurstMarker, UdpPacketsIgnored) {
   BurstMarker m;
   m.arm_after(0);
-  net::Packet udp = net::make_packet();
+  net::Packet udp;
   udp.proto = net::Protocol::Udp;
   udp.payload = 500;
   m.on_egress(udp);

@@ -11,6 +11,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/psm.hpp"
 #include "net/wireless.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -19,6 +20,16 @@ namespace pp::net {
 namespace {
 
 using sim::Time;
+
+// Test packets are told apart by a media sequence number, stamped in
+// creation order.
+std::uint32_t g_next_seq = 1;
+Packet numbered() {
+  Packet p;
+  p.set_media({g_next_seq++, 0});
+  return p;
+}
+std::uint32_t seq_of(const Packet& p) { return p.media.seq; }
 
 TEST(Addr, Formatting) {
   EXPECT_EQ(Ipv4Addr::octets(192, 168, 1, 42).str(), "192.168.1.42");
@@ -44,15 +55,30 @@ TEST(Addr, FlowKeyHashDistinguishesPorts) {
   EXPECT_NE(FlowKeyHash{}(a), FlowKeyHash{}(b));
 }
 
-TEST(Packet, UniqueIds) {
-  const Packet a = make_packet();
-  const Packet b = make_packet();
-  EXPECT_NE(a.id, 0u);
-  EXPECT_NE(a.id, b.id);
+// App headers ride by value in copies; a shared message is read back
+// only under its own tag.
+TEST(Packet, AppHeaderRidesInCopies) {
+  Packet p;
+  EXPECT_EQ(p.app, AppKind::None);
+  p.set_report({0.25, 17});
+  const Packet copy = p;
+  EXPECT_EQ(copy.app, AppKind::Report);
+  EXPECT_EQ(copy.report.loss_fraction, 0.25);
+  EXPECT_EQ(copy.report.highest_seq, 17u);
+  EXPECT_EQ(copy.data, nullptr);
+
+  Packet beacon;
+  auto msg = std::make_shared<BeaconMessage>();
+  msg->seq_no = 3;
+  beacon.set_message<BeaconMessage>(msg);
+  ASSERT_NE(beacon.message<BeaconMessage>(), nullptr);
+  EXPECT_EQ(beacon.message<BeaconMessage>()->seq_no, 3u);
+  EXPECT_EQ(beacon.share<BeaconMessage>(), msg);
+  EXPECT_EQ(copy.message<BeaconMessage>(), nullptr);
 }
 
 TEST(Packet, WireSizeIncludesHeaders) {
-  Packet p = make_packet();
+  Packet p;
   p.payload = 1000;
   p.proto = Protocol::Udp;
   EXPECT_EQ(p.wire_size(), 1028u);
@@ -81,7 +107,7 @@ TEST(Channel, SerializesAtLinkRate) {
   params.framing_bytes = 0;
   Channel ch{sim, params, sink};
 
-  Packet p = make_packet();
+  Packet p;
   p.payload = 972;  // 1000 wire bytes with UDP+IP headers
   ch.transmit(p);
   ch.transmit(p);
@@ -98,7 +124,7 @@ TEST(Channel, DropsWhenQueueFull) {
   params.rate_bps = 1e3;  // very slow so the queue backs up
   params.queue_limit_bytes = 3000;
   Channel ch{sim, params, sink};
-  Packet p = make_packet();
+  Packet p;
   p.payload = 1000;
   EXPECT_TRUE(ch.transmit(p));
   EXPECT_TRUE(ch.transmit(p));
@@ -110,7 +136,7 @@ TEST(Channel, BacklogDrainsAfterDelivery) {
   sim::Simulator sim;
   CollectSink sink;
   Channel ch{sim, {}, sink};
-  Packet p = make_packet();
+  Packet p;
   p.payload = 500;
   ch.transmit(p);
   EXPECT_GT(ch.backlog_bytes(), 0u);
@@ -119,13 +145,13 @@ TEST(Channel, BacklogDrainsAfterDelivery) {
   EXPECT_EQ(ch.packets_sent(), 1u);
 }
 
-// A burst chain of `n` packets with consecutive ids, all to `dst`.
+// A burst chain of `n` numbered packets, all to `dst`.
 ChunkQueue make_burst(const std::shared_ptr<ChunkPool>& pool, int n,
                       std::uint32_t payload,
                       Ipv4Addr dst = Ipv4Addr::octets(172, 16, 0, 1)) {
   ChunkQueue q{pool};
   for (int i = 0; i < n; ++i) {
-    Packet p = make_packet();
+    Packet p = numbered();
     p.dst = dst;
     p.payload = payload;
     q.push(std::move(p));
@@ -145,16 +171,16 @@ TEST(Channel, PacketsAndBurstsArriveInPushOrder) {
   params.framing_bytes = 0;
   Channel ch{sim, params, sink};
   auto pool = std::make_shared<ChunkPool>();
-  std::vector<std::uint64_t> order;
+  std::vector<std::uint32_t> order;
   auto packet = [&] {
-    Packet p = make_packet();
+    Packet p = numbered();
     p.payload = 972;  // 1000 wire bytes
-    order.push_back(p.id);
+    order.push_back(seq_of(p));
     ASSERT_TRUE(ch.transmit(std::move(p)));
   };
   auto burst = [&](int n) {
     ChunkQueue b = make_burst(pool, n, 472);  // 500 wire bytes each
-    b.for_each([&](const Chunk& c) { order.push_back(c.data->pkt.id); });
+    b.for_each([&](const Chunk& c) { order.push_back(seq_of(c.data->pkt)); });
     ASSERT_TRUE(ch.transmit_burst(std::move(b)));
   };
   // t=0: packet [0,1000), burst of 2 [1000,2000), packet [2000,3000).
@@ -176,7 +202,7 @@ TEST(Channel, PacketsAndBurstsArriveInPushOrder) {
       Time::us(6005), Time::us(8005), Time::us(8005)};
   ASSERT_EQ(sink.pkts.size(), order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(sink.pkts[i].id, order[i]) << "arrival " << i;
+    EXPECT_EQ(seq_of(sink.pkts[i]), order[i]) << "arrival " << i;
     EXPECT_EQ(sink.times[i], want[i]) << "arrival " << i;
   }
   EXPECT_EQ(ch.backlog_bytes(), 0u);
@@ -192,7 +218,7 @@ TEST(EthernetLan, RoutesByDestinationIp) {
   lan.attach(s2, ip2);
   lan.attach_default(sbridge);
 
-  Packet p = make_packet();
+  Packet p;
   p.src = ip1;
   p.dst = ip2;
   lan.send(p1, p);
@@ -208,7 +234,7 @@ TEST(EthernetLan, UnknownDestinationGoesToDefaultPort) {
   EthernetLan lan{sim};
   const auto p1 = lan.attach(s1, Ipv4Addr::octets(10, 0, 0, 1));
   lan.attach_default(sbridge);
-  Packet p = make_packet();
+  Packet p;
   p.dst = Ipv4Addr::octets(172, 16, 0, 9);  // a wireless-side client
   lan.send(p1, p);
   sim.run();
@@ -250,7 +276,7 @@ struct WirelessFixture : ::testing::Test {
     return p;
   }
   Packet downlink_to(Ipv4Addr dst, std::uint32_t bytes = 1000) {
-    Packet p = make_packet();
+    Packet p = numbered();
     p.src = Ipv4Addr::octets(10, 0, 0, 1);
     p.dst = dst;
     p.payload = bytes;
@@ -288,7 +314,7 @@ TEST_F(WirelessFixture, BroadcastReachesAllListeningStations) {
 }
 
 TEST_F(WirelessFixture, UplinkAlwaysGoesToAccessPoint) {
-  Packet p = make_packet();
+  Packet p;
   p.src = Ipv4Addr::octets(172, 16, 0, 1);
   p.dst = Ipv4Addr::octets(10, 0, 0, 7);  // a wired server
   medium.transmit(c1_id, p);
@@ -353,7 +379,7 @@ TEST_F(WirelessFixture, FramesAndBurstsFinishInPushOrder) {
            Time::seconds(static_cast<double>(bits) / wp.rate_bps);
   };
   struct Want {
-    std::uint64_t id;
+    std::uint32_t seq;
     Time at;
   };
   std::vector<Want> to_c1, to_c2, to_ap;
@@ -364,16 +390,17 @@ TEST_F(WirelessFixture, FramesAndBurstsFinishInPushOrder) {
   };
   auto frame = [&](WirelessMedium::StationId from, Packet p,
                    std::vector<Want>& to) {
-    to.push_back({p.id, reserve(sim.now(), medium.airtime_of(p))});
+    to.push_back({seq_of(p), reserve(sim.now(), medium.airtime_of(p))});
     medium.transmit(from, std::move(p));
   };
   auto burst = [&](Ipv4Addr dst, int n, std::vector<Want>& to) {
     ChunkQueue b = make_burst(pool, n, 700, dst);
     const Time end = reserve(sim.now(), burst_airtime(b));
-    b.for_each([&](const Chunk& c) { to.push_back({c.data->pkt.id, end}); });
+    b.for_each(
+        [&](const Chunk& c) { to.push_back({seq_of(c.data->pkt), end}); });
     medium.transmit_burst(ap_id, std::move(b));
   };
-  Packet up = make_packet();
+  Packet up = numbered();
   up.src = ip1;
   up.dst = Ipv4Addr::octets(10, 0, 0, 1);
   up.payload = 300;
@@ -396,7 +423,7 @@ TEST_F(WirelessFixture, FramesAndBurstsFinishInPushOrder) {
                             const std::vector<Want>& want) {
     ASSERT_EQ(st.delivered.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(st.delivered[i].id, want[i].id) << "arrival " << i;
+      EXPECT_EQ(seq_of(st.delivered[i]), want[i].seq) << "arrival " << i;
       EXPECT_EQ(st.times[i], want[i].at) << "arrival " << i;
     }
   };
@@ -425,7 +452,7 @@ TEST_F(WirelessFixture, RandomLossDropsFraction) {
   auto apid = m2.attach_access_point(ap2);
   m2.attach_station(st, Ipv4Addr::octets(172, 16, 0, 1));
   for (int i = 0; i < 200; ++i) {
-    Packet pkt = make_packet();
+    Packet pkt;
     pkt.dst = Ipv4Addr::octets(172, 16, 0, 1);
     pkt.payload = 100;
     m2.transmit(apid, pkt);
@@ -464,7 +491,7 @@ TEST_F(WirelessFixture, FrameDrawsOnItsClientsRow) {
   ASSERT_EQ(log.ips, (std::vector<Ipv4Addr>{Ipv4Addr::octets(172, 16, 0, 1),
                                             Ipv4Addr::octets(172, 16, 0, 2),
                                             ip3}));
-  Packet up = make_packet();
+  Packet up;
   up.src = Ipv4Addr::octets(172, 16, 0, 1);
   up.dst = Ipv4Addr::octets(10, 0, 0, 7);
   // An uplink from c1 and a downlink to c1 both draw on c1's row (0); the
@@ -494,7 +521,7 @@ TEST(AccessPoint, ForwardsDownlinkInFifoOrder) {
   medium.attach_station(client, Ipv4Addr::octets(172, 16, 0, 1));
 
   for (int i = 0; i < 50; ++i) {
-    Packet p = make_packet();
+    Packet p = numbered();
     p.dst = Ipv4Addr::octets(172, 16, 0, 1);
     p.payload = 100;
     ap.handle_packet(p);
@@ -502,7 +529,7 @@ TEST(AccessPoint, ForwardsDownlinkInFifoOrder) {
   sim.run();
   ASSERT_EQ(client.delivered.size(), 50u);
   for (std::size_t i = 1; i < client.delivered.size(); ++i)
-    EXPECT_LT(client.delivered[i - 1].id, client.delivered[i].id);
+    EXPECT_LT(seq_of(client.delivered[i - 1]), seq_of(client.delivered[i]));
 }
 
 // Single frames and burst chains share the forwarding FIFO's
@@ -532,7 +559,7 @@ TEST(AccessPoint, FramesAndBurstsDepartInPushOrderUnderJitter) {
   // The AP's service-delay draws, replayed from the same seed.
   sim::Rng draws{kSeed};
   Time last = Time::zero();
-  std::vector<std::uint64_t> ids;
+  std::vector<std::uint32_t> seqs;
   std::vector<Time> want;
   std::vector<int> push_of;  // which handle_packet/handle_burst call
   int pushes = 0;
@@ -547,10 +574,10 @@ TEST(AccessPoint, FramesAndBurstsDepartInPushOrderUnderJitter) {
     return t;
   };
   auto frame = [&] {
-    Packet p = make_packet();
+    Packet p = numbered();
     p.dst = ip;
     p.payload = 100;
-    ids.push_back(p.id);
+    seqs.push_back(seq_of(p));
     want.push_back(depart());
     push_of.push_back(pushes);
     ap.handle_packet(std::move(p));
@@ -559,7 +586,7 @@ TEST(AccessPoint, FramesAndBurstsDepartInPushOrderUnderJitter) {
     ChunkQueue b = make_burst(pool, n, 100, ip);
     const Time t = depart();
     b.for_each([&](const Chunk& c) {
-      ids.push_back(c.data->pkt.id);
+      seqs.push_back(seq_of(c.data->pkt));
       want.push_back(t);
       push_of.push_back(pushes);
     });
@@ -577,17 +604,17 @@ TEST(AccessPoint, FramesAndBurstsDepartInPushOrderUnderJitter) {
   sim.at(Time::ms(20), round);
   sim.run();
 
-  ASSERT_EQ(client.delivered.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(client.delivered[i].id, ids[i]) << "arrival " << i;
+  ASSERT_EQ(client.delivered.size(), seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(seq_of(client.delivered[i]), seqs[i]) << "arrival " << i;
     EXPECT_EQ(client.times[i], want[i]) << "arrival " << i;
   }
   // The clamp gave separate pushes equal departure times.
   int clamped = 0;
-  for (std::size_t i = 1; i < ids.size(); ++i)
+  for (std::size_t i = 1; i < seqs.size(); ++i)
     if (want[i] == want[i - 1] && push_of[i] != push_of[i - 1]) ++clamped;
   EXPECT_GT(clamped, 0);
-  EXPECT_EQ(ap.downlink_forwarded(), ids.size());
+  EXPECT_EQ(ap.downlink_forwarded(), seqs.size());
   EXPECT_EQ(ap.backlog_bytes(), 0u);
 }
 
@@ -599,7 +626,7 @@ TEST(AccessPoint, UplinkForwardedToWiredSink) {
   ap.set_uplink_sink(wired);
   FakeStation client;
   auto cid = medium.attach_station(client, Ipv4Addr::octets(172, 16, 0, 1));
-  Packet p = make_packet();
+  Packet p;
   p.src = Ipv4Addr::octets(172, 16, 0, 1);
   p.dst = Ipv4Addr::octets(10, 0, 0, 1);
   medium.transmit(cid, p);
@@ -616,7 +643,7 @@ TEST(AccessPoint, DropsWhenQueueFull) {
   FakeStation client;
   medium.attach_station(client, Ipv4Addr::octets(172, 16, 0, 1));
   for (int i = 0; i < 5; ++i) {
-    Packet p = make_packet();
+    Packet p;
     p.dst = Ipv4Addr::octets(172, 16, 0, 1);
     p.payload = 900;
     ap.handle_packet(p);
@@ -638,7 +665,7 @@ TEST(Node, UdpDemuxByPort) {
   FakeDatagramHandler h5, h6;
   n.bind_udp(5000, h5);
   n.bind_udp(6000, h6);
-  Packet p = make_packet();
+  Packet p;
   p.proto = Protocol::Udp;
   p.dst_port = 6000;
   n.handle_packet(p);
@@ -649,7 +676,7 @@ TEST(Node, UdpDemuxByPort) {
 TEST(Node, UnroutedPacketsCounted) {
   sim::Simulator sim;
   Node n{sim, Ipv4Addr::octets(10, 0, 0, 1), "n"};
-  Packet p = make_packet();
+  Packet p;
   p.proto = Protocol::Udp;
   p.dst_port = 1234;
   n.handle_packet(p);
@@ -668,10 +695,10 @@ class FakeSegmentHandler : public SegmentHandler {
 TEST(Node, NodeWithNoSocketsRoutesNothingUntilBound) {
   sim::Simulator sim;
   Node n{sim, Ipv4Addr::octets(172, 16, 0, 1), "idle"};
-  Packet dgram = make_packet();
+  Packet dgram;
   dgram.proto = Protocol::Udp;
   dgram.dst_port = 5000;
-  Packet syn = make_packet();
+  Packet syn;
   syn.proto = Protocol::Tcp;
   syn.src = Ipv4Addr::octets(10, 0, 0, 1);
   syn.src_port = 40000;
@@ -711,7 +738,7 @@ TEST(Node, SendStampsTimestamp) {
   Packet out;
   n.set_transmitter([&](Packet p) { out = std::move(p); });
   sim.after(Time::ms(5), [&] {
-    Packet p = make_packet();
+    Packet p;
     n.send(std::move(p));
   });
   sim.run();

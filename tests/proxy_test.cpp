@@ -34,7 +34,7 @@ TEST_F(ProxyFixture, CalibrationFitsMediumCostModel) {
   const auto& est = bed->proxy().estimator();
   EXPECT_TRUE(est.fitted());
   // The fit must match the medium's actual airtime for a UDP packet.
-  net::Packet p = net::make_packet();
+  net::Packet p;
   p.payload = 1000;
   p.dst = bed->client_ip(0);
   EXPECT_NEAR(est.packet_cost(1000).to_seconds(),
@@ -230,7 +230,7 @@ TEST_F(ProxyFixture, SpliceClosesAndReaps) {
 
   // A late server -> client segment for the reaped flow finds no splice.
   const std::uint64_t unmatched = bed->proxy().stats().unmatched_packets;
-  net::Packet late = net::make_packet();
+  net::Packet late;
   late.proto = net::Protocol::Tcp;
   late.src = server.ip();
   late.src_port = 8000;

@@ -19,7 +19,6 @@ TraceRecord make_record(std::int64_t us, bool from_ap = true) {
   TraceRecord r;
   r.air_start = Time::us(us);
   r.airtime = Time::us(900);
-  r.pkt_id = static_cast<std::uint64_t>(us);
   r.src = net::Ipv4Addr::octets(10, 0, 0, 1);
   r.src_port = 554;
   r.dst = net::Ipv4Addr::octets(172, 16, 0, 1);
@@ -68,15 +67,14 @@ TEST(TraceIo, ScheduleMessagesRoundTrip) {
   TraceRecord r = make_record(0);
   r.dst = net::Ipv4Addr::broadcast();
   r.dst_port = proxy::kSchedulePort;
-  r.data = sched;
+  r.schedule = sched;
   TraceBuffer buf{r};
 
   std::stringstream ss;
   write_trace(ss, buf);
   const TraceBuffer back = read_trace(ss);
   ASSERT_EQ(back.size(), 1u);
-  const auto* got =
-      dynamic_cast<const proxy::ScheduleMessage*>(back[0].data.get());
+  const proxy::ScheduleMessage* got = back[0].schedule.get();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->seq_no, 42u);
   EXPECT_EQ(got->srp_time, Time::ms(500));
@@ -124,6 +122,21 @@ TEST(TraceIo, TextDumpContainsKeyFields) {
   EXPECT_NE(s.find("10.0.0.1:554"), std::string::npos);
   EXPECT_NE(s.find("[mark]"), std::string::npos);
   EXPECT_NE(s.find("[lost]"), std::string::npos);
+}
+
+// A trace file is a function of its run's configuration alone: the same
+// scenario run twice in one process writes the same bytes.
+TEST(TraceIo, SameConfigWritesSameBytes) {
+  const exp::ScenarioConfig cfg = exp::ScenarioBuilder::fig6().build();
+  std::string bytes[2];
+  for (std::string& b : bytes) {
+    const exp::ScenarioResult res = exp::run_scenario(cfg);
+    ASSERT_GT(res.trace.size(), 1000u);
+    std::ostringstream os;
+    write_trace(os, res.trace);
+    b = os.str();
+  }
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "trace files differ";
 }
 
 // -- Monitoring + postmortem over a live scenario ---------------------------------

@@ -37,19 +37,19 @@ TEST(UdpSocket, UnbindsOnDestruction) {
 }
 
 TEST(UdpSocket, CarriesApplicationMessage) {
-  struct Hello : net::Message {
-    int value = 42;
-  };
   NodePair np;
   UdpSocket sa{np.a, 1000};
   UdpSocket sb{np.b, 2000};
-  int seen = 0;
+  std::uint32_t seen = 0;
   sb.set_receive_fn([&](const net::Packet& p) {
-    if (auto* m = dynamic_cast<const Hello*>(p.data.get())) seen = m->value;
+    if (p.app == net::AppKind::Media) seen = p.media.seq;
   });
-  sa.send_to(np.b.ip(), 2000, 100, std::make_shared<Hello>());
+  net::Packet pkt = sa.datagram(np.b.ip(), 2000, 100);
+  pkt.set_media({42, 1});
+  np.a.send(std::move(pkt));
   np.sim.run();
-  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(seen, 42u);
+  EXPECT_EQ(sa.datagrams_sent(), 1u);
 }
 
 TEST(UdpSocket, LossDropsDatagramsSilently) {

@@ -157,11 +157,13 @@ TEST(VideoAdaptation, DisabledServerNeverAdapts) {
   EXPECT_EQ(st->downshifts, 0);
 }
 
-// A lossy receiver report, sent from `from` to the server's media port.
-void send_lossy_report(transport::UdpSocket& from, net::Ipv4Addr server) {
-  auto rr = std::make_shared<ReceiverReport>();
-  rr->loss_fraction = 0.5;
-  from.send_to(server, kMediaPort, 64, std::move(rr));
+// A lossy receiver report, sent from `from` on `node` to the server's
+// media port.
+void send_lossy_report(net::Node& node, transport::UdpSocket& from,
+                       net::Ipv4Addr server) {
+  net::Packet rr = from.datagram(server, kMediaPort, 64);
+  rr.set_report({0.5, 0});
+  node.send(std::move(rr));
 }
 
 TEST(VideoAdaptation, ReportAfterStreamEndIsIgnored) {
@@ -177,7 +179,7 @@ TEST(VideoAdaptation, ReportAfterStreamEndIsIgnored) {
   ASSERT_NE(st, nullptr);
   ASSERT_TRUE(st->finished);
   transport::UdpSocket reporter{np.b};
-  send_lossy_report(reporter, np.a.ip());
+  send_lossy_report(np.b, reporter, np.a.ip());
   np.sim.run_until(Time::sec(11));
   EXPECT_EQ(st->downshifts, 0);
   EXPECT_EQ(st->current_fidelity, 3);
@@ -217,7 +219,7 @@ TEST(VideoAdaptation, DownshiftPastTheLowerTraceFinishesTheStream) {
   transport::UdpSocket reporter{np.b};
   const Time at = epoch + higher[k - 1].offset +
                   (higher[k].offset - higher[k - 1].offset) / 2;
-  np.sim.at(at, [&] { send_lossy_report(reporter, np.a.ip()); });
+  np.sim.at(at, [&] { send_lossy_report(np.b, reporter, np.a.ip()); });
   np.sim.run_until(at + Time::ms(1));
   const auto* st = server.stats_for(np.b.ip());
   ASSERT_NE(st, nullptr);

@@ -4,7 +4,8 @@
 //
 //   * file rules see a single FileScan — the determinism families
 //     (wall-clock, randomness, unordered-iter, raw-new/raw-delete,
-//     naked-duration) plus check-side-effect.
+//     naked-duration) plus check-side-effect and dynamic-cast (src/ only:
+//     a packet's tag, not RTTI, says what it carries).
 //   * project rules see the whole ProjectIndex — rng-stream-unique,
 //     obs-name-consistency, layer-dag, hot-path-alloc need the cross-file
 //     symbol/include view.
@@ -47,6 +48,7 @@ void rule_unordered_iter(const FileScan& f,
                          std::vector<Finding>& out);
 void rule_naked_duration(const FileScan& f, std::vector<Finding>& out);
 void rule_check_side_effect(const FileScan& f, std::vector<Finding>& out);
+void rule_dynamic_cast(const FileScan& f, std::vector<Finding>& out);
 
 // All single-file rules against one file (collecting unordered vars from
 // `sibling_code` too when non-null).

@@ -1,5 +1,5 @@
 // Single-file rule families: the determinism/resource rules plus
-// check-side-effect.  See rules.hpp for the roster.
+// check-side-effect and dynamic-cast.  See rules.hpp for the roster.
 #include <algorithm>
 #include <cctype>
 
@@ -302,6 +302,22 @@ void rule_check_side_effect(const FileScan& f, std::vector<Finding>& out) {
   }
 }
 
+void rule_dynamic_cast(const FileScan& f, std::vector<Finding>& out) {
+  if (f.rel.compare(0, 4, "src/") != 0) return;
+  for (const char* cast : {"dynamic_cast", "dynamic_pointer_cast"}) {
+    std::size_t pos = 0;
+    const std::string word = cast;
+    while ((pos = f.code.find(word, pos)) != std::string::npos) {
+      const std::size_t here = pos;
+      pos += word.size();
+      if (!token_at(f.code, here, word)) continue;
+      out.push_back({f.rel, line_of(f.line_starts, here), "dynamic-cast",
+                     word + " recovers a type at run time; tag the value "
+                            "(as net::Packet::app does) instead"});
+    }
+  }
+}
+
 void run_file_rules(const FileScan& f, const std::string* sibling_code,
                     std::vector<Finding>& out) {
   std::set<std::string> unordered_vars;
@@ -312,6 +328,7 @@ void run_file_rules(const FileScan& f, const std::string* sibling_code,
   rule_unordered_iter(f, unordered_vars, out);
   rule_naked_duration(f, out);
   rule_check_side_effect(f, out);
+  rule_dynamic_cast(f, out);
 }
 
 }  // namespace pp::analyze
