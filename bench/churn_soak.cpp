@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   net::set_hash_salt(99991);
   const std::uint64_t d2 = exp::run_digest(cfg);
   net::set_hash_salt(0);
-  expect_ok(d1 != 0, "digest is non-zero");
+  expect_ok(d1 != 0, "replay digest folded the result");
   expect_ok(d1 == d2, "digests identical across hash salts");
   std::printf("  digest %016llx\n", static_cast<unsigned long long>(d1));
 
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     prev = live_now;
   }
   const std::int64_t live_after = prev;
-  bed.finalize_audit(horizon);
+  bed.finalize_audit();
 
   const sim::EventQueue::Stats& qs = bed.sim().queue_stats();
   const proxy::ProxyStats& ps = bed.proxy().stats();

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
       expect_ok(again.digest == serial.digest,
                 "repeated serial digest bit-identical");
     }
-    expect_ok(serial.digest != 0, "replay digest available (obs enabled)");
+    expect_ok(serial.digest != 0, "replay digest folded the results");
     expect_ok(serial.backbone > 0, "backbone carried cross-cell traffic");
 
     const double eps = par.wall_s > 0

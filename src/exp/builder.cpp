@@ -239,8 +239,8 @@ ScenarioConfig ScenarioBuilder::build() const {
     }
     if (w.start < sim::Time{}) fail("fault window starts before t=0");
     if (w.end() > horizon) {
-      fail("fault window outlives the horizon (the auditor requires every "
-           "window to recover before end of run)");
+      fail("fault window outlives the horizon (the fault plan's audit "
+           "requires every window to recover before end of run)");
     }
     const bool per_client = w.kind == fault::FaultKind::DeepFade ||
                             w.kind == fault::FaultKind::ClientChurn;
@@ -336,7 +336,8 @@ ScenarioBuilder ScenarioBuilder::fault_battery(int clients, double duration_s,
     using sim::Time;
     // SRPs fire at 500 ms + k * 500 ms; blackout the broadcast instant for
     // client (k mod clients).  Stop early enough that every window closes
-    // before the horizon (the auditor requires recovery by end of run).
+    // before the horizon (the fault plan's audit requires recovery by end
+    // of run).
     for (int k = 0;; ++k) {
       const Time srp = Time::ms(500 + 500 * k);
       if (srp.to_seconds() >= duration_s - 0.1) break;

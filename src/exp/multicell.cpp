@@ -113,23 +113,18 @@ MultiCellResult MultiCellTestbed::run(unsigned threads) {
   }
   run_parallel(tasks, threads);
 
-  // Teardown: finalize, collect and fold the per-cell observer digests
-  // serially in cell-id order, so the results are independent of worker
-  // count.
+  // Teardown: finalize, collect and digest the cells serially in cell-id
+  // order, so the results are independent of worker count.
   MultiCellResult res;
   res.cells.reserve(cells_.size());
   res.backbone_messages = messages_sent(cfg_, horizon);
-  std::uint64_t digest = kFnvOffset;
-  bool any_obs = false;
+  std::uint64_t digest = kDigestBasis;
   for (auto& cp : cells_) {
     res.cells.push_back(cp->run().finish());
     res.events_total += cp->run().bed().sim().events_fired();
-    if (auto obs = cp->run().bed().observer()) {
-      digest = fnv1a_u64(digest, observer_digest(*obs));
-      any_obs = true;
-    }
+    digest = fold_word(digest, result_digest(res.cells.back()));
   }
-  res.digest = any_obs ? digest : 0;
+  res.digest = fold_word(digest, res.backbone_messages);
   return res;
 }
 

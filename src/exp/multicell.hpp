@@ -54,8 +54,8 @@ struct MultiCellConfig {
 
 struct MultiCellResult {
   std::vector<ScenarioResult> cells;
-  // FNV-1a fold of the per-cell observer digests in cell-id order; 0 when
-  // observability is compiled out.  Bit-identical across worker counts.
+  // Fold of the cells' result digests in cell-id order, then
+  // backbone_messages.  Bit-identical across worker counts.
   std::uint64_t digest = 0;
   // Messages sent at or before the horizon (some arrive after it).
   std::uint64_t backbone_messages = 0;

@@ -135,8 +135,8 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   Testbed& bed = *bed_;
   // The sniffer costs a trace record per frame; attach it only when asked.
   if (cfg.keep_trace) bed.monitor();
-  // The timeline still streams to the auditor and its digest; retain the
-  // events only for a caller that keeps the observer.
+  // The timeline still counts its events (observer_digest reads the
+  // count); retain them only for a caller that keeps the observer.
   if (!cfg.keep_obs)
     if (auto* tl = bed.timeline()) tl->set_capacity(0);
   apps_ = std::make_unique<Apps>();
@@ -216,7 +216,7 @@ ScenarioResult ScenarioRun::finish() {
   Apps& a = *apps_;
   const sim::Time horizon = this->horizon();
 
-  bed.finalize_audit(horizon);
+  bed.finalize_audit();
   if (auto* m = bed.metrics()) m->finalize(horizon);
 
   ScenarioResult res;

@@ -72,8 +72,7 @@ struct ScenarioConfig {
   double web_think_mean_s = 4.0;
   bool keep_trace = false;  // retain the monitoring-station trace
   // Retain the metrics registry + timeline events in the result.  Without
-  // it the timeline is still streamed to the auditor and the replay digest,
-  // but none of its events are kept.
+  // it the timeline only counts its events and keeps none of them.
   bool keep_obs = false;
   // Per-client observability: each client publishes its awake time-gauge
   // and streams its power transitions into the timeline.  On by default;

@@ -136,10 +136,6 @@ Testbed::Testbed(TestbedParams params,
 #if PP_OBS_ENABLED
   if (params_.observe) {
     observer_ = std::make_shared<obs::Observer>();
-    // Stream every timeline event through the invariant auditor (time
-    // monotonicity, sleep/wake alternation) as it is recorded.
-    auditor_ = std::make_unique<check::Auditor>();
-    observer_->timeline.set_sink(auditor_.get());
     const obs::Hook hook = observer_->hook();
     medium_.set_obs(hook);
     ap_.set_obs(hook);
@@ -182,7 +178,7 @@ void Testbed::run_until(sim::Time t) {
   proxy_->settle(t);
 }
 
-void Testbed::finalize_audit(sim::Time horizon) {
+void Testbed::finalize_audit() {
   proxy_->finish();
   publish_metrics();
   ap_.audit();
@@ -196,7 +192,7 @@ void Testbed::finalize_audit(sim::Time horizon) {
         "energy.accountant.client" + std::to_string(i);
     acc.audit(sim_.now(), component.c_str());
   }
-  if (auditor_) auditor_->finalize(horizon);
+  if (fault_) fault_->audit();
 }
 
 void Testbed::publish_metrics() {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "channel/model.hpp"
-#include "check/audit.hpp"
 #include "client/energy_client.hpp"
 #include "fault/plan.hpp"
 #include "net/access_point.hpp"
@@ -117,10 +116,10 @@ class Testbed {
 
   // Finish the proxy (settle its ingress, write its pending Drop records),
   // then run every component's invariant audit (see src/check/): AP and
-  // proxy packet/byte conservation, per-client energy accounting, and the
-  // streaming timeline auditor's horizon check.  Call at the end of a run;
-  // aborts (or throws under a test handler) on the first violation.
-  void finalize_audit(sim::Time horizon);
+  // proxy packet/byte conservation, per-client energy accounting, and no
+  // fault window left open.  Call at the end of a run; aborts (or throws
+  // under a test handler) on the first violation.
+  void finalize_audit();
 
   // Write every counter into the metrics registry, once, from the
   // components' own stats: the engine's sim.events.*, the medium, AP,
@@ -130,8 +129,6 @@ class Testbed {
   // the audit.
   void publish_metrics();
 
-  // The streaming timeline auditor (null when not observing).
-  check::Auditor* auditor() { return auditor_.get(); }
   // The fault plan (null when params.fault is empty).
   fault::FaultPlan* fault_plan() { return fault_.get(); }
   // The channel model (null when params.channel has no rungs).
@@ -151,7 +148,6 @@ class Testbed {
   std::unique_ptr<fault::FaultPlan> fault_;
   std::unique_ptr<channel::ChannelModel> channel_;
   std::shared_ptr<obs::Observer> observer_;
-  std::unique_ptr<check::Auditor> auditor_;
   // Fleet-wide flat energy state; every client's accountant is a row
   // handle into this ledger.  Must outlive clients_ (declared before it).
   energy::EnergyLedger energy_ledger_;

@@ -72,7 +72,7 @@ std::vector<FaultWindow> expand_churn_storm(
 
   // Each flapping client alternates: home stagger, then away/home cycles.
   // Every away window must close strictly before the storm does, so the
-  // auditor's end-of-run recovery demand always holds.
+  // plan's end-of-run audit (no window left open) always holds.
   const sim::Time storm_end = storm.start + storm.duration;
   for (std::size_t i = 0; i < n_flap; ++i) {
     sim::Time t = storm.start + draw(storm.min_home, storm.max_home);
@@ -161,6 +161,10 @@ void FaultPlan::apply(const FaultWindow& w, bool on) {
       if (churn_) churn_(w.client, on);
       break;
   }
+}
+
+void FaultPlan::audit() const {
+  PP_CHECK_AT(depth_.empty(), "fault.window.open", sim_.now());
 }
 
 bool FaultPlan::active(FaultKind kind) const {

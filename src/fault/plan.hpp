@@ -3,8 +3,10 @@
 // Constructed from a FaultSpec, a FaultPlan schedules every fault window
 // on the simulator, applies and reverts the component effect at the window
 // edges (deep fade on the medium, AP stall, link flap, proxy pause, client
-// churn), and records FaultStart/FaultEnd timeline events that the
-// check::Auditor pairs up.  It draws no random numbers: window edges are
+// churn), and records FaultStart/FaultEnd timeline events.  It checks its
+// own pairing: a recovery needs an open window of its kind, and audit()
+// demands every window closed by the end of the run.  It draws no random
+// numbers: window edges are
 // pure data, so a faulted run stays a pure function of its config and
 // replay digests keep holding under different hash salts.  Frame
 // corruption is the medium's loss model, never the plan's.
@@ -66,6 +68,10 @@ class FaultPlan {
 
   // Schedule every window on the simulator.  Call once, before running.
   void arm();
+  // End-of-run check: every window that opened has recovered (an outage
+  // that never recovers leaves frozen queues behind the conservation
+  // audits).  Trips `fault.window.open`.
+  void audit() const;
 
   // Window counters, plus the attached medium's fade losses.
   FaultStats stats() const;

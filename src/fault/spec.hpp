@@ -34,7 +34,7 @@ enum class FaultKind : std::uint8_t {
 const char* to_string(FaultKind k);
 
 // A closed interval of misbehaviour: [start, start + duration).  Windows
-// must close before the run's horizon -- the check::Auditor verifies every
+// must close before the run's horizon -- FaultPlan::audit() verifies every
 // activation has a matching recovery by end of run.
 struct FaultWindow {
   FaultKind kind = FaultKind::DeepFade;
@@ -59,7 +59,7 @@ struct ChurnStorm {
   double flap_fraction = 0.25;  // fraction of the fleet that flaps
   // Per-cycle bounds: each flapping client alternates away/home periods
   // drawn uniformly from these ranges; windows always close before the
-  // storm ends (the auditor demands recovery by end of run).
+  // storm ends (FaultPlan::audit() demands recovery by end of run).
   sim::Duration min_away = sim::Time::ms(1500);
   sim::Duration max_away = sim::Time::ms(4000);
   sim::Duration min_home = sim::Time::ms(1500);

@@ -59,7 +59,7 @@ struct FlowKey {
 // behaviour must not depend on unordered iteration order, and this is how
 // that contract is enforced: the determinism harness runs each scenario
 // under two different salts — which permute bucket order everywhere — and
-// diffs the resulting timeline digests (see exp::run_digest).  Defaults to
+// diffs the resulting replay digests (see exp::run_digest).  Defaults to
 // 0; tests and tools set it before building any topology.
 std::uint64_t hash_salt();
 void set_hash_salt(std::uint64_t salt);

@@ -575,10 +575,13 @@ void TransparentProxy::schedule_tick() {
 
   BuiltSchedule built = scheduler_->build(demands, estimator_);
 
-  // Slot non-overlap invariant: no two bursts of one interval may share
-  // channel time, or clients would sleep through each other's data
-  // (TcpOnly pairs are exempt — see slots_conflict).
+  // Slot invariants: every burst spans non-negative time, and no two
+  // bursts of one interval may share channel time, or clients would sleep
+  // through each other's data (TcpOnly pairs are exempt — see
+  // slots_conflict).
   for (std::size_t i = 0; i < built.entries.size(); ++i) {
+    PP_CHECK_AT(built.entries[i].duration >= sim::Time::zero(),
+                "proxy.schedule.entry_duration", sim_.now());
     for (std::size_t j = i + 1; j < built.entries.size(); ++j) {
       PP_CHECK_AT(!slots_conflict(built.entries[i], built.entries[j]),
                   "proxy.schedule.slot_overlap", sim_.now());

@@ -24,7 +24,6 @@
 #include "exp/builder.hpp"
 #include "exp/scenario.hpp"
 #include "net/packet.hpp"
-#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -221,14 +220,13 @@ TEST(Alloc, UdpStreamingScenarioSchedulesEverythingInline) {
                                 .policy(exp::IntervalPolicy::Fixed500)
                                 .seed(7)
                                 .duration_s(8.0)  // streams start at t=2s
-                                .keep_obs()
                                 .build();
-  const exp::ScenarioResult res = exp::run_scenario(cfg);
-  ASSERT_NE(res.obs, nullptr);
-  obs::MetricsRegistry& m = res.obs->metrics;
-  const std::uint64_t queued = m.counter("proxy.queued_packets")->value();
+  exp::ScenarioRun run{cfg};
+  run.advance(run.horizon());
+  const exp::ScenarioResult res = run.finish();
+  const std::uint64_t queued = res.proxy_stats.queued_packets;
   EXPECT_GT(queued, 500u);
-  EXPECT_LT(m.counter("sim.events.scheduled")->value(), queued);
+  EXPECT_LT(run.bed().sim().queue_stats().scheduled, queued);
 }
 
 // A datagram is a flat value: its media header rides in the packet, so a

@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "check/audit.hpp"
 #include "check/check.hpp"
 #include "energy/wnic.hpp"
+#include "exp/testbed.hpp"
 #include "net/chunk.hpp"
 #include "net/packet.hpp"
-#include "obs/timeline.hpp"
+#include "proxy/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp.hpp"
 
@@ -74,61 +74,33 @@ TEST_F(CheckFixture, SchedulingIntoThePastTrips) {
   EXPECT_THROW(sim.at(Time::ms(5), [] {}), CheckError);
 }
 
-// -- Timeline auditor ------------------------------------------------------------
+// -- Proxy schedule ---------------------------------------------------------------
 
-TEST_F(CheckFixture, AuditorAcceptsMonotoneEvents) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  tl.record(Time::ms(1), obs::EventKind::ScheduleBroadcast);
-  tl.record(Time::ms(1), obs::EventKind::Drop, 7);
-  tl.span(Time::ms(2), Time::ms(3), obs::EventKind::Burst, 7, 100);
-  a.finalize(Time::ms(10));
-  EXPECT_EQ(a.events_audited(), 3u);
-}
+// A policy that hands out a slot ending before it starts.
+struct NegativeSlotScheduler : proxy::Scheduler {
+  proxy::BuiltSchedule build(const std::vector<proxy::ClientDemand>& demands,
+                             const proxy::BandwidthEstimator&) override {
+    proxy::BuiltSchedule b;
+    b.interval = Time::ms(500);
+    for (const auto& d : demands)
+      b.entries.push_back({d.ip, Time::ms(10), Time::ms(1) - Time::ms(2)});
+    return b;
+  }
+};
 
-TEST_F(CheckFixture, AuditorRejectsTimeRegression) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  tl.record(Time::ms(5), obs::EventKind::ScheduleBroadcast);
-  EXPECT_THROW(tl.record(Time::ms(4), obs::EventKind::Drop), CheckError);
-}
-
-TEST_F(CheckFixture, AuditorRejectsNegativeSpan) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  EXPECT_THROW(
-      tl.span(Time::ms(5), Time::ms(1) - Time::ms(2), obs::EventKind::Burst),
-      CheckError);
-}
-
-TEST_F(CheckFixture, AuditorRejectsDoubleSleep) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  tl.record(Time::ms(1), obs::EventKind::Sleep, 42);
-  tl.record(Time::ms(2), obs::EventKind::Wake, 42);
-  tl.record(Time::ms(3), obs::EventKind::Sleep, 42);
-  EXPECT_THROW(tl.record(Time::ms(4), obs::EventKind::Sleep, 42),
-               CheckError);
-}
-
-TEST_F(CheckFixture, AuditorRejectsWakeWhileAwake) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  // Clients boot awake: an initial Wake is a violation.
-  EXPECT_THROW(tl.record(Time::ms(1), obs::EventKind::Wake, 42), CheckError);
-}
-
-TEST_F(CheckFixture, AuditorRejectsEventsBeyondHorizon) {
-  Auditor a;
-  obs::Timeline tl;
-  tl.set_sink(&a);
-  tl.record(Time::ms(500), obs::EventKind::Drop);
-  EXPECT_THROW(a.finalize(Time::ms(400)), CheckError);
+TEST_F(CheckFixture, ScheduleEntryWithNegativeDurationTrips) {
+  exp::TestbedParams tp;
+  tp.num_clients = 1;
+  exp::Testbed bed{tp, std::make_unique<NegativeSlotScheduler>()};
+  bed.start(Time::ms(500));
+  try {
+    bed.run_until(Time::ms(600));
+    FAIL() << "the first SRP did not trip";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("proxy.schedule.entry_duration"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // -- Energy accounting -----------------------------------------------------------

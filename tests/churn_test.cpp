@@ -214,7 +214,7 @@ TEST(ChurnEndToEnd, SetAwayTearsDownAndRejoins) {
   bed.sim().at(Time::sec(3), [&] { bed.client(0).set_away(true); });
   bed.sim().at(Time::sec(6), [&] { bed.client(0).set_away(false); });
   bed.run_until(Time::sec(9));
-  bed.finalize_audit(Time::sec(9));
+  bed.finalize_audit();
 
   const client::AssociationAgent* a = bed.client(0).assoc();
   ASSERT_NE(a, nullptr);

@@ -37,31 +37,65 @@ struct ScopedHashSalt {
 
 // -- Digest primitives -------------------------------------------------------------
 
-TEST(DigestTest, TimelineDigestIsValueSensitive) {
-  obs::Timeline a;
-  obs::Timeline b;
-  a.record(Time::ms(1), obs::EventKind::Drop, /*subject=*/1, /*value=*/10);
-  b.record(Time::ms(1), obs::EventKind::Drop, /*subject=*/1, /*value=*/11);
-  EXPECT_NE(timeline_digest(a), timeline_digest(b));
-  EXPECT_EQ(timeline_digest(a), timeline_digest(a));
+// A two-client result with every folded struct non-trivial.
+ScenarioResult sample_result() {
+  ScenarioResult r;
+  r.horizon = Time::seconds(20.0);
+  r.ap_drops = 3;
+  r.frames_on_air = 1200;
+  r.proxy_stats.schedules_sent = 40;
+  r.proxy_stats.churn_dropped_bytes = 7;
+  r.fault_stats.windows_activated = 2;
+  for (std::uint8_t i = 1; i <= 2; ++i) {
+    ClientResult c;
+    c.ip = net::Ipv4Addr::octets(172, 16, 0, i);
+    c.role = i;
+    c.saved_pct = 60.0 + i;
+    c.packets_received = 100u * i;
+    c.assoc_retries = i;
+    r.clients.push_back(c);
+  }
+  return r;
 }
 
-TEST(DigestTest, TimelineDigestIsOrderSensitive) {
-  obs::Timeline a;
-  obs::Timeline b;
-  a.record(Time::ms(1), obs::EventKind::Sleep, 1);
-  a.record(Time::ms(1), obs::EventKind::Sleep, 2);
-  b.record(Time::ms(1), obs::EventKind::Sleep, 2);
-  b.record(Time::ms(1), obs::EventKind::Sleep, 1);
-  EXPECT_NE(timeline_digest(a), timeline_digest(b));
+TEST(DigestTest, ResultDigestIsValueSensitive) {
+  const ScenarioResult base = sample_result();
+  const std::uint64_t d = result_digest(base);
+  EXPECT_EQ(result_digest(sample_result()), d);
+  const std::vector<void (*)(ScenarioResult&)> edits{
+      [](ScenarioResult& r) { r.clients[1].packets_received += 1; },
+      [](ScenarioResult& r) { r.clients[0].saved_pct += 1e-9; },
+      [](ScenarioResult& r) { r.clients[0].video_fidelity_final = 2; },
+      [](ScenarioResult& r) { r.clients[1].assoc_retries += 1; },
+      [](ScenarioResult& r) { r.proxy_stats.schedules_sent += 1; },
+      [](ScenarioResult& r) { r.proxy_stats.churn_dropped_bytes += 1; },
+      [](ScenarioResult& r) { r.fault_stats.fade_losses += 1; },
+      [](ScenarioResult& r) { r.ap_drops += 1; },
+      [](ScenarioResult& r) { r.frames_on_air += 1; },
+      [](ScenarioResult& r) { r.clients.pop_back(); },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    ScenarioResult r = sample_result();
+    edits[i](r);
+    EXPECT_NE(result_digest(r), d) << "edit " << i;
+  }
 }
 
-TEST(DigestTest, TimelineDigestIsTimeSensitive) {
-  obs::Timeline a;
-  obs::Timeline b;
-  a.record(Time::ms(1), obs::EventKind::Wake, 1);
-  b.record(Time::ms(2), obs::EventKind::Wake, 1);
-  EXPECT_NE(timeline_digest(a), timeline_digest(b));
+TEST(DigestTest, ResultDigestIsOrderSensitive) {
+  ScenarioResult a = sample_result();
+  ScenarioResult b = a;
+  std::swap(b.clients[0], b.clients[1]);
+  EXPECT_NE(result_digest(a), result_digest(b));
+}
+
+TEST(DigestTest, ResultDigestIsTimeSensitive) {
+  ScenarioResult a = sample_result();
+  ScenarioResult b = a;
+  b.horizon = a.horizon + Time::ns(1);
+  EXPECT_NE(result_digest(a), result_digest(b));
+  b = a;
+  b.clients[0].mean_delay_ms = -0.0;  // equal to 0.0, but not bit-identical
+  EXPECT_NE(result_digest(a), result_digest(b));
 }
 
 TEST(DigestTest, MetricsDigestIsSensitiveToCountersAndHistograms) {
@@ -99,8 +133,6 @@ TEST(HashSaltTest, ScopedSaltRestores) {
 }
 
 // -- End-to-end determinism --------------------------------------------------------
-
-#if PP_OBS_ENABLED
 
 // A short mixed scenario: video + web + ftp touches every subsystem the
 // digest folds (schedules, bursts, PSM, TCP splices) in ~seconds of sim
@@ -152,20 +184,22 @@ TEST(DeterminismTest, DigestIsSensitiveToConfig) {
   EXPECT_NE(run_digest(a), run_digest(b));
 }
 
-// The timeline digest is folded as events are recorded, so dropping the
-// retained events (keep_obs off) must not move it.
+// Neither digest reads the retained events, so dropping them (keep_obs
+// off) moves neither.
 TEST(DeterminismTest, DigestIndependentOfTimelineRetention) {
   ScopedHashSalt s{1};
   ScenarioConfig cfg = short_mixed_config();
   cfg.keep_obs = false;
   ScenarioRun streamed{cfg};
   streamed.advance(streamed.horizon());
-  streamed.finish();
+  const std::uint64_t sd = result_digest(streamed.finish());
   cfg.keep_obs = true;
   ScenarioRun retained{cfg};
   retained.advance(retained.horizon());
-  retained.finish();
+  EXPECT_EQ(result_digest(retained.finish()), sd);
+  EXPECT_EQ(run_digest(cfg), sd);
 
+#if PP_OBS_ENABLED
   const auto so = streamed.bed().observer();
   const auto ro = retained.bed().observer();
   ASSERT_TRUE(so && ro);
@@ -173,11 +207,30 @@ TEST(DeterminismTest, DigestIndependentOfTimelineRetention) {
   EXPECT_EQ(so->timeline.size(), 0u);
   EXPECT_GT(ro->timeline.size(), 0u);
   EXPECT_EQ(so->timeline.dropped(), ro->timeline.size());
+#endif
+}
+
+// The replay digest is the result's: the monitoring trace, the observer
+// and a metric nobody publishes leave it where it was.
+TEST(DeterminismTest, DigestIgnoresTraceObserverAndExtraCounters) {
+  ScopedHashSalt s{1};
+  ScenarioConfig cfg = short_mixed_config();
+  const std::uint64_t d = run_digest(cfg);
+  EXPECT_NE(d, 0u);
+  cfg.keep_obs = true;
+  cfg.keep_trace = true;
+  ScenarioRun run{cfg, [](Testbed& bed) {
+                    if (auto* m = bed.metrics()) m->counter("test.extra")->inc();
+                  }};
+  run.advance(run.horizon());
+  const ScenarioResult res = run.finish();
+  EXPECT_GT(res.trace.size(), 0u);
+  EXPECT_EQ(result_digest(res), d);
 }
 
 // Paced datagrams reach the proxy without events, and a run that stops
 // between events settles them, so a run advanced in slices must be the
-// run advanced in one go: same ScenarioResult, same replay digest.  A
+// run advanced in one go: same ScenarioResult, same digests.  A
 // saturated bursty ladder cell makes the proxy drop datagrams, whose
 // timeline records wait for the proxy's next read rather than the slice
 // boundary.  Variable intervals keep SRPs off the 500 ms slice grid, so
@@ -225,10 +278,13 @@ TEST(DeterminismTest, SlicedAdvanceMatchesOneAdvance) {
     EXPECT_EQ(a.clients[i].energy_mj, b.clients[i].energy_mj);
     EXPECT_EQ(a.clients[i].sleeps, b.clients[i].sleeps);
   }
+  EXPECT_EQ(result_digest(a), result_digest(b));
+#if PP_OBS_ENABLED
   const auto ao = whole.bed().observer();
   const auto bo = sliced.bed().observer();
   ASSERT_TRUE(ao && bo);
   EXPECT_EQ(observer_digest(*ao), observer_digest(*bo));
+#endif
 }
 
 // The acceptance property for the fault layer: a run with the full fault
@@ -360,20 +416,14 @@ TEST(DeterminismTest, DigestIsSensitiveToChannelSpec) {
 
 // -- Pinned digests (reference toolchain) ------------------------------------------
 
-// Bit-exact fingerprints of the example scenarios.  Re-pinned for the
-// chunk-queue data path (salt 0005): batched burst emission draws one AP
-// service delay per burst instead of per frame and lands a slot's frames
-// inside one medium reservation, which legitimately moves delivery times
-// and the RNG draw order.  Any further diff here means a change altered
-// replay behaviour.  Values match tools/digest/pp_digest under
-// PP_HASH_SEED=1 on the reference toolchain.
+// Bit-exact fingerprints of the example scenarios.  Any diff here means a
+// change altered what a run produced.  Values match tools/digest/pp_digest
+// under PP_HASH_SEED=1 on the reference toolchain.
 //
-// LegacyScenariosUnchanged re-pinned once, on purpose: flat wireless loss
-// became the one-rung ChannelSpec::flat(0.01), so each client's loss draws
-// come from its own channel stream instead of the simulator's shared
-// stream (which the AP's service delay still uses), and the runs now
-// publish channel.state.* counters.  Runs whose loss was already a
-// channel spec, or zero, did not move.
+// Every pin moved once, on purpose, when the replay digest became
+// result_digest (a fold of the ScenarioResult) instead of a fold of the
+// observer's timeline and counters; every ScenarioResult was bit-identical
+// across that change.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 
 ScenarioConfig digest_base() {
@@ -388,29 +438,23 @@ TEST(PinnedDigestTest, LegacyScenariosUnchanged) {
   ScopedHashSalt s{1};
   ScenarioConfig all_video = digest_base();
   all_video.roles = {1, 1, 2, 3};
-  EXPECT_EQ(run_digest(all_video), 0xd50f74671c59f98eull);
+  EXPECT_EQ(run_digest(all_video), 0x19a4882910c21571ull);
 
   ScenarioConfig mixed = digest_base();
   mixed.roles = {1, 2, kRoleWeb, kRoleFtp};
   mixed.policy = IntervalPolicy::Variable;
-  EXPECT_EQ(run_digest(mixed), 0xe55154ce1771e707ull);
+  EXPECT_EQ(run_digest(mixed), 0x66629a144a24372aull);
 
   ScenarioConfig web = digest_base();
   web.roles = {kRoleWeb, kRoleWeb};
   web.policy = IntervalPolicy::Fixed100;
-  EXPECT_EQ(run_digest(web), 0x6456d2ca5d6e4d7cull);
+  EXPECT_EQ(run_digest(web), 0xdbd8ebc95a43ef10ull);
 }
 
-// Re-pinned once, on purpose (salt 0007): Gilbert-Elliott loss moved from
-// the fault layer's shared-stream, per-attempt chain to the two_state
-// ChannelSpec preset (per-client streams, 20 ms tick); faulted runs with
-// flat loss now draw it from the medium's own stream instead of the fault
-// stream; and the fault.ge_losses/fault.fade_losses counters left the
-// registry.  Unfaulted and channel-ladder digests did not move.
 TEST(PinnedDigestTest, FaultedScenariosUnchangedAcrossGeDelegation) {
   ScopedHashSalt s{1};
   // The full fault battery (faulted_config above).
-  EXPECT_EQ(run_digest(faulted_config()), 0x14c032dcff28b525ull);
+  EXPECT_EQ(run_digest(faulted_config()), 0x6b8566650a226d4cull);
 
   // Pure Gilbert-Elliott corruption, no windows (pp_digest's ge_faulted).
   ScenarioConfig ge = digest_base();
@@ -418,12 +462,10 @@ TEST(PinnedDigestTest, FaultedScenariosUnchangedAcrossGeDelegation) {
   ge.duration_s = 15.0;
   ge.web_pages = 3;
   ge.channel = channel::ChannelSpec::two_state(0.01, 0.05, 0.001, 0.85);
-  EXPECT_EQ(run_digest(ge), 0x44ca6f2d3c6b1675ull);
+  EXPECT_EQ(run_digest(ge), 0xc36a835fefc94d69ull);
 }
 
 #endif  // __GLIBCXX__ && __x86_64__
-
-#endif  // PP_OBS_ENABLED
 
 }  // namespace
 }  // namespace pp::exp

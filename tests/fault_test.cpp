@@ -1,15 +1,15 @@
 // Fault-injection layer tests: the named churn stream, the Gilbert-Elliott
 // channel preset, deep fades on the medium, component effects (AP stall,
 // link flap, proxy pause), graceful degradation end-to-end through the
-// wireless medium, and the auditor's fault-window pairing invariant.
+// wireless medium, and the fault plan's window pairing audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "channel/model.hpp"
-#include "check/audit.hpp"
 #include "check/check.hpp"
 #include "exp/builder.hpp"
 #include "exp/scenario.hpp"
@@ -264,35 +264,47 @@ TEST(ApStall, FreezesQueueAndReleasesInOrder) {
   EXPECT_NO_THROW(ap.audit());
 }
 
-// -- Auditor pairing ---------------------------------------------------------------
+// -- Window pairing ----------------------------------------------------------------
 
-TEST(AuditorFaults, EndWithoutStartTrips) {
+TEST(FaultPlanAudit, NestedWindowsRecoverAndPass) {
   check::ScopedFailureHandler guard{check::throwing_handler};
-  check::Auditor a;
-  const obs::TimelineEvent e{Time::ms(1), Time::zero(),
-                             obs::EventKind::FaultEnd, 1, 2};
-  EXPECT_THROW(a.on_event(e), check::CheckError);
+  sim::Simulator sim{1};
+  FaultSpec spec;
+  // Two overlapping windows of one kind nest; another kind is independent.
+  spec.ap_stall(Time::ms(100), Time::ms(300))
+      .ap_stall(Time::ms(200), Time::ms(300))
+      .link_flap(Time::ms(250), Time::ms(100));
+  FaultPlan plan{sim, spec};
+  plan.arm();
+  sim.run_until(Time::ms(420));
+  EXPECT_TRUE(plan.active(FaultKind::ApStall));
+  EXPECT_FALSE(plan.active(FaultKind::LinkFlap));
+  EXPECT_THROW(plan.audit(), check::CheckError);
+  sim.run_until(Time::ms(500));
+  EXPECT_FALSE(plan.active(FaultKind::ApStall));
+  EXPECT_NO_THROW(plan.audit());
+  EXPECT_EQ(plan.stats().windows_recovered, 3u);
 }
 
-TEST(AuditorFaults, UnclosedWindowTripsAtFinalize) {
+// A window still open when the run ends trips the testbed's end-of-run
+// audit, with observability compiled in or out.
+TEST(FaultPlanAudit, WindowOpenAtFinalizeTrips) {
   check::ScopedFailureHandler guard{check::throwing_handler};
-  check::Auditor a;
-  a.on_event({Time::ms(1), Time::zero(), obs::EventKind::FaultStart, 1, 2});
-  EXPECT_THROW(a.finalize(Time::ms(10)), check::CheckError);
-}
-
-TEST(AuditorFaults, PairedAndNestedWindowsPass) {
-  check::ScopedFailureHandler guard{check::throwing_handler};
-  check::Auditor a;
-  // Two overlapping windows of the same (subject, kind) nest.
-  a.on_event({Time::ms(1), Time::zero(), obs::EventKind::FaultStart, 1, 2});
-  a.on_event({Time::ms(2), Time::zero(), obs::EventKind::FaultStart, 1, 2});
-  a.on_event({Time::ms(3), Time::zero(), obs::EventKind::FaultEnd, 1, 2});
-  a.on_event({Time::ms(4), Time::zero(), obs::EventKind::FaultEnd, 1, 2});
-  // Distinct kinds are independent keys.
-  a.on_event({Time::ms(5), Time::zero(), obs::EventKind::FaultStart, 0, 3});
-  a.on_event({Time::ms(6), Time::zero(), obs::EventKind::FaultEnd, 0, 3});
-  EXPECT_NO_THROW(a.finalize(Time::ms(10)));
+  exp::TestbedParams tp;
+  tp.num_clients = 1;
+  tp.fault.ap_stall(Time::sec(1), Time::sec(10));
+  exp::Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(
+                           Time::ms(500))};
+  bed.start(Time::ms(500));
+  bed.run_until(Time::sec(2));
+  try {
+    bed.finalize_audit();
+    FAIL() << "the open window did not trip";
+  } catch (const check::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("fault.window.open"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // -- End-to-end through the testbed ------------------------------------------------
@@ -416,8 +428,8 @@ TEST(FaultEndToEnd, ScheduleRepeatsAreDeduplicated) {
 
 // The acceptance scenario: a Gilbert-Elliott bad-state burst spanning
 // multiple SRPs plus an AP stall window, with k-repeat and escalation on.
-// Completing finish() means every conservation audit (AP, proxy, energy,
-// auditor pairing) passed under the throwing handler.
+// Completing finish() means every end-of-run audit (AP, proxy, energy,
+// fault windows) passed under the throwing handler.
 TEST(FaultEndToEnd, CombinedGeBurstAndApStallPassesAllAudits) {
   check::ScopedFailureHandler guard{check::throwing_handler};
   exp::ScenarioBuilder b;

@@ -62,20 +62,16 @@ TEST(MultiCell, BackboneCarriesTrafficBetweenCells) {
   EXPECT_GT(idle_bytes, 0u);
 }
 
-// The exact traffic the fleet delivers, pinned.  The message count and
-// the delivered totals do not depend on observability, so they also hold
-// with PP_OBS_DISABLED; the replay digest is pinned only when obs is in.
-// Re-pinned once, on purpose: the cells' default flat 1% loss became the
-// one-rung ChannelSpec::flat(0.01), drawn from per-client channel streams
-// instead of the simulator's shared stream, which moves which frames are
-// lost (bytes, packets, digest); the backbone message counts did not move.
+// The exact traffic the fleet delivers, pinned; none of it depends on
+// observability.  The digests moved once, on purpose, when the replay
+// digest became a fold of the cells' results; the traffic did not.
 TEST(MultiCell, BackboneTrafficIsPinned) {
   struct Pin {
     int fanout;
     std::uint64_t messages, bytes, packets, digest;
   };
-  for (const Pin& pin : {Pin{1, 101, 365941, 583, 0x36e4480a513281ecULL},
-                         Pin{5, 505, 334480, 767, 0x096e48a78f34d842ULL}}) {
+  for (const Pin& pin : {Pin{1, 101, 365941, 583, 0xbdb0a206b4ed177cULL},
+                         Pin{5, 505, 334480, 767, 0x3771dfd5f9f6df93ULL}}) {
     MultiCellConfig mc = small_fleet();
     mc.cross.fanout = pin.fanout;
     const MultiCellResult res = run_multicell(mc, 1);
@@ -89,16 +85,14 @@ TEST(MultiCell, BackboneTrafficIsPinned) {
     EXPECT_EQ(res.backbone_messages, pin.messages) << "fanout " << pin.fanout;
     EXPECT_EQ(bytes, pin.bytes) << "fanout " << pin.fanout;
     EXPECT_EQ(packets, pin.packets) << "fanout " << pin.fanout;
-#if PP_OBS_ENABLED
     EXPECT_EQ(res.digest, pin.digest) << "fanout " << pin.fanout;
-#endif
   }
 }
 
 TEST(MultiCell, DigestIndependentOfWorkerCount) {
   const MultiCellConfig mc = small_fleet();
   const std::uint64_t serial = run_multicell(mc, 1).digest;
-  ASSERT_NE(serial, 0u) << "observability disabled; digest test is vacuous";
+  ASSERT_NE(serial, 0u);
   for (const unsigned threads : {2u, 4u, 8u}) {
     EXPECT_EQ(serial, run_multicell(mc, threads).digest)
         << "digest diverged at " << threads << " workers";

@@ -155,22 +155,22 @@ TEST(Timeline, RecordsAndCapsAtCapacity) {
   EXPECT_EQ(tl.events()[2].value, 2u);
 }
 
-// The digest folds events as they are recorded, so an event past the
+// The observer digest counts every recorded event, so an event past the
 // retention capacity still moves it.
 TEST(Timeline, DigestCoversEventsPastCapacity) {
-  Timeline a;
-  Timeline b;
-  a.set_capacity(2);
-  b.set_capacity(2);
-  for (Timeline* tl : {&a, &b}) {
-    tl->record(Time::ms(1), EventKind::Wake, 7, 1);
-    tl->record(Time::ms(2), EventKind::Sleep, 7, 2);
+  Observer a;
+  Observer b;
+  a.timeline.set_capacity(2);
+  b.timeline.set_capacity(2);
+  for (Observer* o : {&a, &b}) {
+    o->timeline.record(Time::ms(1), EventKind::Wake, 7, 1);
+    o->timeline.record(Time::ms(2), EventKind::Sleep, 7, 2);
   }
-  a.record(Time::ms(3), EventKind::Wake, 7, 3);
-  b.record(Time::ms(3), EventKind::Wake, 7, 4);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(b.dropped(), 1u);
-  EXPECT_NE(exp::timeline_digest(a), exp::timeline_digest(b));
+  EXPECT_EQ(exp::observer_digest(a), exp::observer_digest(b));
+  a.timeline.record(Time::ms(3), EventKind::Wake, 7, 3);
+  EXPECT_EQ(a.timeline.size(), 2u);
+  EXPECT_EQ(a.timeline.dropped(), 1u);
+  EXPECT_NE(exp::observer_digest(a), exp::observer_digest(b));
 }
 
 TEST(Timeline, EventKindNamesRoundTrip) {
@@ -288,6 +288,41 @@ TEST(Export, SubjectStrRendersDottedQuadOrDash) {
 }
 
 #if PP_OBS_ENABLED
+// The retained timeline of a run with churn, a deep fade and an AP stall
+// obeys what the radios did: each client's power records alternate Sleep,
+// Wake, Sleep, ... (clients boot awake, and a daemon only records a state
+// change), and no record lies past the horizon.
+TEST(ObsIntegration, RetainedTimelineAlternatesSleepWakeWithinHorizon) {
+  exp::ScenarioBuilder b;
+  b.video(3, 1).web(1).ftp(1).duration_s(14.0).keep_obs();
+  b.fault_spec()
+      .fade(exp::testbed_client_ip(0), Time::ms(3000), Time::ms(1500))
+      .ap_stall(Time::ms(6000), Time::ms(700))
+      .churn_storm(Time::seconds(2.0), Time::seconds(10.0), 0.4);
+  const auto res = exp::run_scenario(b.build());
+  ASSERT_NE(res.obs, nullptr);
+  ASSERT_EQ(res.obs->timeline.dropped(), 0u);
+
+  std::map<std::uint32_t, EventKind> last;  // client -> last power record
+  std::size_t power_records = 0;
+  for (const TimelineEvent& e : res.obs->timeline.events()) {
+    EXPECT_GE(e.dur, Time::zero()) << to_string(e.kind);
+    EXPECT_LE(e.at + e.dur, res.horizon) << to_string(e.kind);
+    if (e.kind != EventKind::Sleep && e.kind != EventKind::Wake) continue;
+    ++power_records;
+    const auto it = last.find(e.subject);
+    const EventKind expected = it == last.end() || it->second == EventKind::Wake
+                                   ? EventKind::Sleep
+                                   : EventKind::Wake;
+    EXPECT_EQ(e.kind, expected)
+        << subject_str(e.subject) << " at " << e.at.to_seconds();
+    last[e.subject] = e.kind;
+  }
+  EXPECT_EQ(last.size(), res.clients.size());
+  EXPECT_GT(power_records, 100u);
+  EXPECT_GT(res.proxy_stats.leaves, 0u);  // the storm took clients away
+}
+
 // End-to-end: a short scenario populates the registry with the metrics the
 // report tooling depends on, and they survive a JSONL round trip.
 TEST(ObsIntegration, ScenarioExportsTopLineMetrics) {

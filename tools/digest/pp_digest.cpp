@@ -8,6 +8,9 @@
 //   PP_HASH_SEED=1 pp_digest > a.txt
 //   PP_HASH_SEED=2 pp_digest > b.txt
 //   diff a.txt b.txt
+//
+// Exits 1 if any digest is 0: two empty digests would compare equal and
+// check nothing.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -74,9 +77,11 @@ int main() {
   scenarios[5].cfg.policy = IntervalPolicy::Opportunistic500;
   scenarios[6].cfg.policy = IntervalPolicy::Probabilistic500;
 
+  int rc = 0;
   for (const Named& s : scenarios) {
     const std::uint64_t d = pp::exp::run_digest(s.cfg);
     std::printf("%s %016" PRIx64 "\n", s.name, d);
+    if (d == 0) rc = 1;
   }
-  return 0;
+  return rc;
 }
