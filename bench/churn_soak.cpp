@@ -6,12 +6,12 @@
 // pure function of the config.  run_scenario's finalize_audit re-checks
 // byte/energy conservation and departed-state cleanliness on both runs.
 //
-// Phase B (footprint): the same storm driven directly on a Testbed with
-// observability detached and UDP video load on every client.  After a
-// warmup quarter of the horizon the live heap-block count must stay flat
-// (no per-cycle leak, bounded memory).  Every event capture fits the SBO
-// buffer by construction (a compile-time check), so the scheduling path
-// never touches the heap.
+// Phase B (footprint): the same storm driven directly on a default Testbed
+// (observability streams detached) with UDP video load on every client.
+// After a warmup quarter of the horizon the live heap-block count must
+// stay flat (no per-cycle leak, bounded memory).  Every event capture fits
+// the SBO buffer by construction (a compile-time check), so the scheduling
+// path never touches the heap.
 //
 // --smoke shrinks the horizon for the bench-smoke ctest label; full runs
 // scale with --seconds/--clients to reach 1e8+ events of sustained churn.
@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
   exp::TestbedParams tp;
   tp.seed = 7;
   tp.num_clients = clients;
-  tp.observe = false;
   tp.channel = channel::ChannelSpec::flat(0.01);
   tp.fault.churn_storm(Time::seconds(2.0), Time::seconds(seconds - 2.0),
                        0.25);

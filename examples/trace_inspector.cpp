@@ -3,6 +3,8 @@
 // configurations — the paper's offline methodology as a tool.
 //
 // Usage: trace_inspector [output.pptrace]
+// An argument that starts with '-' is not a path: it prints the usage and
+// exits 2, so `trace_inspector --help` writes no file.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -13,6 +15,10 @@
 
 int main(int argc, char** argv) {
   using namespace pp;
+  if (argc > 1 && argv[1][0] == '-') {
+    std::fprintf(stderr, "usage: %s [output.pptrace]\n", argv[0]);
+    return 2;
+  }
   const std::string path = argc > 1 ? argv[1] : "/tmp/powerproxy.pptrace";
 
   const exp::ScenarioConfig cfg = exp::ScenarioBuilder{}

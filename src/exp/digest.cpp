@@ -85,17 +85,11 @@ std::uint64_t metrics_digest(const obs::MetricsRegistry& m) {
     h = fold_string(h, name);
     h = fold_word(h, ctr.value());
   }
-  for (const auto& [name, hist] : m.histograms()) {
-    h = fold_string(h, name);
-    h = fold_word(h, hist.count());
-    h = fold_word(h, hist.sum());
-  }
   return h;
 }
 
 std::uint64_t observer_digest(const obs::Observer& o) {
-  return fold_word(metrics_digest(o.metrics),
-                   o.timeline.size() + o.timeline.dropped());
+  return metrics_digest(o.metrics);
 }
 
 std::uint64_t run_digest(const ScenarioConfig& cfg) {

@@ -35,14 +35,16 @@ inline std::uint64_t fold_word(std::uint64_t h, std::uint64_t v) {
 // pattern), so keep_trace and keep_obs do not move it.
 std::uint64_t result_digest(const ScenarioResult& r);
 
-// Digest of all counters and histogram buckets (maps are ordered by name).
+// Digest of every counter's name and value (the map is ordered by name).
 // Skips "sim."-prefixed engine meta-counters: they report how the event
 // engine executed (allocation/pruning behaviour), not what the simulated
-// system did.
+// system did.  Histograms and time gauges are left out: they exist only
+// when the streams are attached (keep_obs), and a digest must not move
+// with that choice.
 std::uint64_t metrics_digest(const obs::MetricsRegistry& m);
-// The observer's consistency check: the metrics registry plus the number
-// of timeline events recorded (retained or not).  Equal for two runs of a
-// scenario however they were sliced or how much of the timeline they kept.
+// The observer's consistency check: its published counters.  Equal for two
+// runs of a scenario however they were sliced and whether or not they
+// attached the streams.
 std::uint64_t observer_digest(const obs::Observer& o);
 
 // Run `cfg` to its horizon and digest its result.

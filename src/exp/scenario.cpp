@@ -123,6 +123,7 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   tp.client.daemon.honor_reuse = cfg.honor_reuse;
   tp.client.naive = cfg.naive_clients;
   tp.client.daemon.escalation.enabled = cfg.miss_escalation;
+  tp.observe = cfg.keep_obs;
   tp.per_client_obs = cfg.per_client_obs;
   tp.proxy.mode = cfg.proxy_mode;
   tp.proxy.cost_model_scale = cfg.cost_model_scale;
@@ -135,10 +136,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
   Testbed& bed = *bed_;
   // The sniffer costs a trace record per frame; attach it only when asked.
   if (cfg.keep_trace) bed.monitor();
-  // The timeline still counts its events (observer_digest reads the
-  // count); retain them only for a caller that keeps the observer.
-  if (!cfg.keep_obs)
-    if (auto* tl = bed.timeline()) tl->set_capacity(0);
   apps_ = std::make_unique<Apps>();
   Apps& a = *apps_;
 

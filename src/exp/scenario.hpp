@@ -71,12 +71,13 @@ struct ScenarioConfig {
   int web_pages = 20;
   double web_think_mean_s = 4.0;
   bool keep_trace = false;  // retain the monitoring-station trace
-  // Retain the metrics registry + timeline events in the result.  Without
-  // it the timeline only counts its events and keeps none of them.
+  // Attach the time gauges, histograms and timeline to the run and retain
+  // the observer in the result.  Without it the run records no stream;
+  // its counters are still published into bed().metrics() at finish().
   bool keep_obs = false;
-  // Per-client observability: each client publishes its awake time-gauge
-  // and streams its power transitions into the timeline.  On by default;
-  // scale runs (100k clients) turn it off and keep only the streaming
+  // Per-client observability: each client publishes its counters and,
+  // under keep_obs, its awake time-gauge and power-transition events.  On
+  // by default; scale runs (100k clients) turn it off and keep only the
   // cell-level counters — per-client results still come from the clients'
   // own counters, which are always maintained.
   bool per_client_obs = true;
@@ -148,8 +149,8 @@ struct ScenarioResult {
   std::uint64_t frames_on_air = 0;
   // Fault-layer stats (zeroed when cfg.fault is empty).
   fault::FaultStats fault_stats{};
-  // Populated when keep_obs: the full metrics registry (time gauges already
-  // finalized at `horizon`) and event timeline from the run.
+  // Populated when keep_obs: the counters, time gauges (finalized at
+  // `horizon`), histograms and event timeline from the run.
   std::shared_ptr<obs::Observer> obs;
 };
 

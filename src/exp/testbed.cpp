@@ -134,8 +134,10 @@ Testbed::Testbed(TestbedParams params,
   }
 
 #if PP_OBS_ENABLED
+  // The registry always exists, so publish_metrics has somewhere to write
+  // the counters; the live streams are attached only on request.
+  observer_ = std::make_shared<obs::Observer>();
   if (params_.observe) {
-    observer_ = std::make_shared<obs::Observer>();
     const obs::Hook hook = observer_->hook();
     medium_.set_obs(hook);
     ap_.set_obs(hook);

@@ -49,15 +49,16 @@ struct TestbedParams {
   // medium, and a ladder's per-client state reaches the proxy at each SRP.
   // No rungs (the default) = lossless.  Deep fades in `fault` override it.
   channel::ChannelSpec channel{};
-  // Attach a MetricsRegistry + Timeline to every component.  Disable to
-  // run with all instrumentation hooks detached (near-zero overhead; see
-  // bench/micro_obs_overhead.cpp for the compile-time-off path).
-  bool observe = true;
-  // Attach the observer hook to every individual client (awake time-gauge
-  // per client, per-client timeline events).  At 100k clients that is the
-  // dominant observability cost, so scale runs disable it and keep the
-  // cell-level streams (proxy, AP, medium) only.  No effect when
-  // `observe` is false.
+  // Attach the live streams (time gauges, histograms, timeline events) to
+  // every component.  Off by default: the observer and its counters exist
+  // regardless (see publish_metrics), and the streams cost an update per
+  // frame and per queued packet that only a reader of them needs
+  // (ScenarioConfig::keep_obs; bench/micro_obs_overhead.cpp measures it).
+  bool observe = false;
+  // Per-client instrumentation: each client's counters at publish_metrics
+  // and, when `observe` is set, its awake time-gauge and timeline events.
+  // At 100k clients that is the dominant observability cost, so scale runs
+  // disable it and keep the cell-level counters and streams only.
   bool per_client_obs = true;
 };
 
@@ -82,8 +83,10 @@ class Testbed {
   // destroyed before the testbed.
   energy::EnergyLedger& energy_ledger() { return energy_ledger_; }
 
-  // The unified observer (null when params.observe is false or the build
-  // defines PP_OBS_DISABLED).  Shared so results can outlive the testbed.
+  // The unified observer: always present unless the build defines
+  // PP_OBS_DISABLED (then null).  It holds the published counters, and the
+  // streams only when params.observe is set.  Shared so results can
+  // outlive the testbed.
   std::shared_ptr<obs::Observer> observer() { return observer_; }
   obs::MetricsRegistry* metrics() {
     return observer_ ? &observer_->metrics : nullptr;
@@ -124,7 +127,7 @@ class Testbed {
   // Write every counter into the metrics registry, once, from the
   // components' own stats: the engine's sim.events.*, the medium, AP,
   // proxy (with its scheduler and splices), fault plan, channel model, and
-  // (under per_client_obs) every client.  No-op when not observing;
+  // (under per_client_obs) every client.  No-op when obs is compiled out;
   // idempotent.  Called by finalize_audit; exposed for drivers that skip
   // the audit.
   void publish_metrics();

@@ -5,8 +5,10 @@
 // TCP records stalls, queues record drops.  Events carry a subject (an
 // IPv4 address as a raw u32, 0 for "the system") and a free u64 value
 // whose meaning depends on the kind (bytes, entry count, ...).  The
-// timeline is a recording only: nothing reads it during a run, and keeping
-// the events is bounded by set_capacity().
+// timeline is a recording only: nothing reads it during a run.  A testbed
+// hooks it to the components only when a caller keeps the observer
+// (ScenarioConfig::keep_obs); otherwise it stays empty.  Its retained
+// events are bounded by set_capacity().
 //
 // Deliberately not dependent on pp_net: instrumented components in every
 // layer include this header, and the lowest of them (the medium) sits in
@@ -70,8 +72,8 @@ class Timeline {
   // Events recorded but not retained (the capacity was hit); size() +
   // dropped() counts every recorded event.
   std::uint64_t dropped() const { return dropped_; }
-  // Bound the retained events; existing events are kept.  Capacity 0
-  // retains none of them and only counts them in dropped().
+  // Bound the retained events; existing events are kept, and events past
+  // the bound are only counted in dropped().
   void set_capacity(std::size_t max_events) { capacity_ = max_events; }
 
  private:

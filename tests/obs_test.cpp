@@ -155,26 +155,8 @@ TEST(Timeline, RecordsAndCapsAtCapacity) {
   EXPECT_EQ(tl.events()[2].value, 2u);
 }
 
-// The observer digest counts every recorded event, so an event past the
-// retention capacity still moves it.
-TEST(Timeline, DigestCoversEventsPastCapacity) {
-  Observer a;
-  Observer b;
-  a.timeline.set_capacity(2);
-  b.timeline.set_capacity(2);
-  for (Observer* o : {&a, &b}) {
-    o->timeline.record(Time::ms(1), EventKind::Wake, 7, 1);
-    o->timeline.record(Time::ms(2), EventKind::Sleep, 7, 2);
-  }
-  EXPECT_EQ(exp::observer_digest(a), exp::observer_digest(b));
-  a.timeline.record(Time::ms(3), EventKind::Wake, 7, 3);
-  EXPECT_EQ(a.timeline.size(), 2u);
-  EXPECT_EQ(a.timeline.dropped(), 1u);
-  EXPECT_NE(exp::observer_digest(a), exp::observer_digest(b));
-}
-
 TEST(Timeline, EventKindNamesRoundTrip) {
-  for (int i = 0; i <= static_cast<int>(EventKind::ScheduleMissed); ++i) {
+  for (int i = 0; i <= static_cast<int>(EventKind::ClientLeave); ++i) {
     const auto k = static_cast<EventKind>(i);
     EventKind back{};
     ASSERT_TRUE(event_kind_from_string(to_string(k), back)) << to_string(k);
@@ -507,16 +489,59 @@ TEST(ObsIntegration, ChurnCountersPublishedOnlyWhenNonzero) {
   }
 }
 
+// A bare Testbed attaches no stream by default, yet its observer exists and
+// receives every counter at publish_metrics.
 TEST(ObsIntegration, ObserveFalseDetachesEverything) {
   exp::TestbedParams tp;
   tp.num_clients = 1;
-  tp.observe = false;
+  ASSERT_FALSE(tp.observe);
   exp::Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(
                            sim::Time::ms(500))};
-  EXPECT_EQ(bed.observer(), nullptr);
-  EXPECT_EQ(bed.metrics(), nullptr);
+  ASSERT_NE(bed.observer(), nullptr);
   bed.start();
   bed.run_until(Time::seconds(2));  // runs fine with hooks detached
+  bed.publish_metrics();
+  const MetricsRegistry& m = *bed.metrics();
+  EXPECT_FALSE(m.counters().empty());
+  ASSERT_NE(m.find_counter("proxy.schedules_sent"), nullptr);
+  EXPECT_EQ(m.find_counter("proxy.schedules_sent")->value(),
+            bed.proxy().stats().schedules_sent);
+  EXPECT_TRUE(m.time_gauges().empty());
+  EXPECT_TRUE(m.histograms().empty());
+  EXPECT_EQ(bed.timeline()->size() + bed.timeline()->dropped(), 0u);
+}
+
+// A default run publishes the same counters, with the same values and the
+// same observer digest, as the run that keeps its observer; it attaches no
+// time gauge, histogram or timeline.
+TEST(ObsIntegration, DefaultRunPublishesCountersOnly) {
+  const auto counters_of = [](const MetricsRegistry& m) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, ctr] : m.counters()) out[name] = ctr.value();
+    return out;
+  };
+  exp::ScenarioConfig cfg = all_components_config();
+  cfg.keep_obs = false;
+  exp::ScenarioRun plain{cfg};
+  plain.advance(plain.horizon());
+  const exp::ScenarioResult pr = plain.finish();
+  EXPECT_EQ(pr.obs, nullptr);
+  const auto po = plain.bed().observer();
+  ASSERT_NE(po, nullptr);
+  EXPECT_TRUE(po->metrics.time_gauges().empty());
+  EXPECT_TRUE(po->metrics.histograms().empty());
+  EXPECT_EQ(po->timeline.size() + po->timeline.dropped(), 0u);
+
+  cfg.keep_obs = true;
+  const exp::ScenarioResult kr = exp::run_scenario(cfg);
+  ASSERT_NE(kr.obs, nullptr);
+  EXPECT_FALSE(kr.obs->metrics.time_gauges().empty());
+  EXPECT_FALSE(kr.obs->metrics.histograms().empty());
+  EXPECT_GT(kr.obs->timeline.size(), 0u);
+
+  EXPECT_FALSE(po->metrics.counters().empty());
+  EXPECT_EQ(counters_of(po->metrics), counters_of(kr.obs->metrics));
+  EXPECT_EQ(exp::observer_digest(*po), exp::observer_digest(*kr.obs));
 }
 #endif
 

@@ -113,6 +113,7 @@ TEST_F(ProxyFixture, QueueDropAccountingMatchesMonitoringStation) {
   tp.num_clients = 1;
   // TestbedParams' default air is lossless, so the count is exact.
   tp.proxy.queue_limit_bytes = 2000;
+  tp.observe = true;  // the drop timeline is read below
   exp::Testbed bed{tp, std::make_unique<FixedIntervalScheduler>(Time::sec(1))};
   net::Node& server = bed.add_server("srv");
   transport::UdpSocket sock{server, 7000};
