@@ -115,11 +115,6 @@ int main(int argc, char** argv) {
               duration_s);
   const auto results = pp::bench::run_battery(configs, opts);
   const auto& res = results[0];
-  if (!res.obs) {
-    std::fprintf(stderr,
-                 "no observer attached (built with PP_OBS_DISABLED?)\n");
-    return 1;
-  }
   const obs::Report rep = obs::snapshot(res.obs->metrics, &res.obs->timeline);
 
   // -- Fault windows ---------------------------------------------------------------

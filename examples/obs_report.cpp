@@ -110,11 +110,6 @@ int main(int argc, char** argv) {
   std::printf("running %.0f s mixed scenario (2 video + 1 web + 1 ftp)...\n",
               duration_s);
   const auto res = exp::run_scenario(cfg);
-  if (!res.obs) {
-    std::fprintf(stderr,
-                 "no observer attached (built with PP_OBS_DISABLED?)\n");
-    return 1;
-  }
 
   // Export, then work from the re-imported report only.
   const obs::Report live = obs::snapshot(res.obs->metrics, &res.obs->timeline);

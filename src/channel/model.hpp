@@ -18,7 +18,7 @@
 #include "channel/spec.hpp"
 #include "net/ip_index.hpp"
 #include "net/wireless.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "sim/rng.hpp"
 
 namespace pp::channel {

@@ -30,7 +30,7 @@
 #include <functional>
 
 #include "net/packet.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "proxy/assoc.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"

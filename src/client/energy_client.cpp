@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::client {
 
@@ -65,13 +64,13 @@ void EnergyAwareClient::set_away(bool away) {
   }
 }
 
-void EnergyAwareClient::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = std::make_unique<Obs>(Obs{hook});
-         if (auto* m = hook.metrics()) {
-           obs_->twg_awake = m->time_gauge("client." + ip().str() + ".awake");
-           obs_->twg_awake->set(sim_.now(), listening() ? 1.0 : 0.0);
-         } daemon_.set_obs(hook, ip().raw()));
+void EnergyAwareClient::set_obs(obs::Observer* ob) {
+  if (ob) {
+    obs_ = std::make_unique<Obs>(
+        Obs{ob, ob->metrics.time_gauge("client." + ip().str() + ".awake")});
+    obs_->twg_awake->set(sim_.now(), listening() ? 1.0 : 0.0);
+  }
+  daemon_.set_obs(ob, ip().raw());
 }
 
 void EnergyAwareClient::publish(obs::MetricsRegistry& m) const {
@@ -80,14 +79,11 @@ void EnergyAwareClient::publish(obs::MetricsRegistry& m) const {
 }
 
 void EnergyAwareClient::record_power_state(bool awake) {
-  (void)awake;
-  PP_OBS(if (!obs_) return;
-         if (obs_->twg_awake)
-             obs_->twg_awake->set(sim_.now(), awake ? 1.0 : 0.0);
-         if (auto* tl = obs_->hook.timeline())
-             tl->record(sim_.now(),
-                        awake ? obs::EventKind::Wake : obs::EventKind::Sleep,
-                        ip().raw()));
+  if (!obs_) return;
+  obs_->twg_awake->set(sim_.now(), awake ? 1.0 : 0.0);
+  obs_->ob->timeline.record(
+      sim_.now(), awake ? obs::EventKind::Wake : obs::EventKind::Sleep,
+      ip().raw());
 }
 
 bool EnergyAwareClient::listening() const {

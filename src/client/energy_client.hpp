@@ -13,7 +13,7 @@
 #include "client/power_daemon.hpp"
 #include "client/radio_station.hpp"
 #include "energy/wnic.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "proxy/schedule.hpp"
 #include "sim/simulator.hpp"
 
@@ -56,7 +56,7 @@ class EnergyAwareClient : public RadioStation {
 
   // Attach the per-client awake duty-cycle gauge ("client.<ip>.awake")
   // and sleep/wake timeline events; also hooks the daemon.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob);
   // Add the daemon's and the association agent's counts to the client.*
   // counters.
   void publish(obs::MetricsRegistry& m) const;
@@ -76,7 +76,7 @@ class EnergyAwareClient : public RadioStation {
   // Observability handles, allocated by set_obs: null for a fleet's
   // clients, which run with per-client observability off.
   struct Obs {
-    obs::Hook hook;
+    obs::Observer* ob = nullptr;
     obs::TimeWeightedGauge* twg_awake = nullptr;
   };
   std::unique_ptr<Obs> obs_;

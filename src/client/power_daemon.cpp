@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::client {
 
@@ -64,12 +63,10 @@ void PowerDaemon::reset() {
   blind_coasts_ = 0;
 }
 
-void PowerDaemon::set_obs(obs::Hook hook, std::uint32_t subject) {
-  (void)hook;
-  (void)subject;
-  PP_OBS(auto* m = hook.metrics();
-         obs_ = std::make_unique<Obs>(Obs{
-             hook, subject, m ? m->histogram("client.outage_us") : nullptr}));
+void PowerDaemon::set_obs(obs::Observer* ob, std::uint32_t subject) {
+  if (ob)
+    obs_ = std::make_unique<Obs>(
+        Obs{ob, subject, ob->metrics.histogram("client.outage_us")});
 }
 
 void PowerDaemon::publish(obs::MetricsRegistry& m) const {
@@ -86,14 +83,12 @@ void PowerDaemon::settle_first_wait() {
 void PowerDaemon::note_resync() {
   if (consecutive_misses_ == 0) return;
   ++stats_.resyncs;
-  PP_OBS(if (obs_) {
-    if (obs_->hist_outage_us)
-      obs_->hist_outage_us->observe(static_cast<std::uint64_t>(
-          (sim_.now() - first_miss_at_).count_us()));
-    if (auto* tl = obs_->hook.timeline())
-      tl->record(sim_.now(), obs::EventKind::Resync, obs_->subject,
-                 consecutive_misses_);
-  });
+  if (obs_) {
+    obs_->hist_outage_us->observe(static_cast<std::uint64_t>(
+        (sim_.now() - first_miss_at_).count_us()));
+    obs_->ob->timeline.record(sim_.now(), obs::EventKind::Resync,
+                              obs_->subject, consecutive_misses_);
+  }
   consecutive_misses_ = 0;
   cur_grace_ = cfg_.schedule_grace;
 }
@@ -301,9 +296,9 @@ void PowerDaemon::on_schedule_grace_expired() {
   } else {
     ++stats_.repeat_misses;
   }
-  PP_OBS(if (auto* tl = obs_ ? obs_->hook.timeline() : nullptr)
-             tl->record(sim_.now(), obs::EventKind::ScheduleMissed,
-                        obs_->subject));
+  if (obs_)
+    obs_->ob->timeline.record(sim_.now(), obs::EventKind::ScheduleMissed,
+                              obs_->subject);
   // The early portion of the wait was ordinary early-transition waste; the
   // rest accrues as missed-schedule waste until a schedule shows up.
   if (waiting_first_) {

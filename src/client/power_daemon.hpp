@@ -29,7 +29,7 @@
 
 #include "client/delay_comp.hpp"
 #include "net/packet.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "proxy/schedule.hpp"
 #include "sim/simulator.hpp"
 
@@ -142,7 +142,7 @@ class PowerDaemon {
 
   // Record missed-schedule and resync events keyed to `subject` (the
   // client's IP), and the outage-length histogram.
-  void set_obs(obs::Hook hook, std::uint32_t subject);
+  void set_obs(obs::Observer* ob, std::uint32_t subject);
   // Add this daemon's missed schedules and resyncs to the client.*
   // counters.
   void publish(obs::MetricsRegistry& m) const;
@@ -210,7 +210,7 @@ class PowerDaemon {
   // Observability handles, allocated by set_obs: a fleet's daemons run
   // without them and pay one null pointer.
   struct Obs {
-    obs::Hook hook;
+    obs::Observer* ob = nullptr;
     std::uint32_t subject = 0;
     obs::Histogram* hist_outage_us = nullptr;
   };

@@ -38,18 +38,12 @@ void PsmClient::doze_until(sim::Time t) {
     awake_ = false;
     set_wnic_mode(energy::WnicMode::Sleep);
   }
-  wake_timer_ = sim_.at(t, [this] {
-    wake();
-    // If the beacon never shows, stay awake until one does.
-    grace_timer_.cancel();
-    grace_timer_ = sim_.at(sim_.now() + params_.early + params_.beacon_grace,
-                           [this] { ++beacons_missed_; });
-  });
+  // If the beacon never shows, the radio stays awake until one does.
+  wake_timer_ = sim_.at(t, [this] { wake(); });
 }
 
 void PsmClient::on_beacon(const net::BeaconMessage& b) {
   ++beacons_received_;
-  grace_timer_.cancel();
   last_beacon_arrival_ = sim_.now();
   beacon_interval_ = b.beacon_interval;
   if (b.indicates(ip())) {

@@ -21,7 +21,6 @@ namespace pp::client {
 
 struct PsmParams {
   sim::Duration early = sim::Time::ms(2);  // wake this long before a beacon
-  sim::Duration beacon_grace = sim::Time::ms(20);
   sim::Duration min_sleep = sim::Time::ms(4);
   sim::Duration activity_hold = sim::Time::ms(50);
 };
@@ -36,7 +35,6 @@ class PsmClient : public RadioStation {
   void start() {}
 
   std::uint64_t beacons_received() const { return beacons_received_; }
-  std::uint64_t beacons_missed() const { return beacons_missed_; }
 
   // net::WirelessStation.
   bool listening() const override { return awake_; }
@@ -54,9 +52,7 @@ class PsmClient : public RadioStation {
   sim::Duration beacon_interval_ = sim::Time::ms(100);
   sim::Time hold_until_;
   sim::EventHandle wake_timer_;
-  sim::EventHandle grace_timer_;
   std::uint64_t beacons_received_ = 0;
-  std::uint64_t beacons_missed_ = 0;
 };
 
 }  // namespace pp::client

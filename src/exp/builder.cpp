@@ -174,6 +174,9 @@ ScenarioBuilder& ScenarioBuilder::keep_obs(bool on) {
 ScenarioConfig ScenarioBuilder::build() const {
   const ScenarioConfig& c = cfg_;
   if (c.roles.empty()) fail("no clients (roles is empty)");
+  static_assert(kMaxTestbedClients == 65534);
+  if (c.roles.size() > static_cast<std::size_t>(kMaxTestbedClients))
+    fail("roles has more clients than a testbed can address (65534)");
   bool any_video = false, any_tcp = false;
   for (const int r : c.roles) {
     if (is_video_role(r)) {

@@ -214,7 +214,7 @@ ScenarioResult ScenarioRun::finish() {
   const sim::Time horizon = this->horizon();
 
   bed.finalize_audit();
-  if (auto* m = bed.metrics()) m->finalize(horizon);
+  bed.metrics()->finalize(horizon);
 
   ScenarioResult res;
   res.horizon = horizon;

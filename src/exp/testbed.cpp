@@ -9,7 +9,7 @@ namespace pp::exp {
 net::Ipv4Addr testbed_client_ip(int i) {
   // 16-bit client index spread over the third and fourth octets: clients
   // 0..254 keep their historical 172.16.0.<i+1> addresses; larger fleets
-  // spill into 172.16.1.x and beyond (65534 clients max per testbed).
+  // spill into 172.16.1.x and beyond (kMaxTestbedClients per testbed).
   const std::uint32_t n = static_cast<std::uint32_t>(i) + 1;
   return net::Ipv4Addr::octets(172, 16, static_cast<std::uint8_t>(n >> 8),
                                static_cast<std::uint8_t>(n & 0xff));
@@ -24,11 +24,19 @@ int testbed_client_index(net::Ipv4Addr ip) {
   return i >= 0 && testbed_client_ip(i) == ip ? i : -1;
 }
 
+// Past kMaxTestbedClients the addresses wrap onto earlier clients', which
+// the proxy's address index cannot tell apart.
+const TestbedParams& checked(const TestbedParams& params) {
+  PP_CHECK(params.num_clients >= 0 && params.num_clients <= kMaxTestbedClients,
+           "exp.testbed.client_count");
+  return params;
+}
+
 }  // namespace
 
 Testbed::Testbed(TestbedParams params,
                  std::unique_ptr<proxy::Scheduler> scheduler)
-    : params_{params},
+    : params_{checked(params)},
       sim_{params.seed},
       lan_{sim_, params.lan},
       proxy_{std::make_unique<proxy::TransparentProxy>(
@@ -133,20 +141,18 @@ Testbed::Testbed(TestbedParams params,
         "client" + std::to_string(i), params_.client));
   }
 
-#if PP_OBS_ENABLED
   // The registry always exists, so publish_metrics has somewhere to write
   // the counters; the live streams are attached only on request.
   observer_ = std::make_shared<obs::Observer>();
   if (params_.observe) {
-    const obs::Hook hook = observer_->hook();
-    medium_.set_obs(hook);
-    ap_.set_obs(hook);
-    proxy_->set_obs(hook);
-    if (fault_) fault_->set_obs(hook);
+    obs::Observer* ob = observer_.get();
+    medium_.set_obs(ob);
+    ap_.set_obs(ob);
+    proxy_->set_obs(ob);
+    if (fault_) fault_->set_obs(ob);
     if (params_.per_client_obs)
-      for (auto& c : clients_) c->set_obs(hook);
+      for (auto& c : clients_) c->set_obs(ob);
   }
-#endif
 }
 
 trace::MonitoringStation& Testbed::monitor() {
@@ -200,8 +206,7 @@ void Testbed::finalize_audit() {
 void Testbed::publish_metrics() {
   if (metrics_published_) return;
   metrics_published_ = true;
-  auto* m = metrics();
-  if (m == nullptr) return;
+  obs::MetricsRegistry* m = metrics();
   // Engine meta-counters.  The "sim." prefix is load-bearing: replay
   // digests skip it (see exp/digest.cpp), so these can move with engine
   // tuning without perturbing behavioral fingerprints.

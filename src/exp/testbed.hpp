@@ -32,9 +32,12 @@
 
 namespace pp::exp {
 
+// Clients one testbed can address (see testbed_client_ip).
+inline constexpr int kMaxTestbedClients = 65534;
+
 struct TestbedParams {
   std::uint64_t seed = 1;
-  int num_clients = 10;
+  int num_clients = 10;  // at most kMaxTestbedClients
   net::WiredParams lan{};          // 100 Mbps Fast Ethernet
   net::WiredParams proxy_ap{};     // proxy <-> AP link
   net::WirelessParams wireless{};  // shared 11 Mbps medium
@@ -83,17 +86,13 @@ class Testbed {
   // destroyed before the testbed.
   energy::EnergyLedger& energy_ledger() { return energy_ledger_; }
 
-  // The unified observer: always present unless the build defines
-  // PP_OBS_DISABLED (then null).  It holds the published counters, and the
-  // streams only when params.observe is set.  Shared so results can
-  // outlive the testbed.
+  // The unified observer, never null.  It holds the published counters,
+  // and the streams only when params.observe is set.  Shared so results
+  // can outlive the testbed.  metrics() and timeline() point into it and
+  // are never null either.
   std::shared_ptr<obs::Observer> observer() { return observer_; }
-  obs::MetricsRegistry* metrics() {
-    return observer_ ? &observer_->metrics : nullptr;
-  }
-  obs::Timeline* timeline() {
-    return observer_ ? &observer_->timeline : nullptr;
-  }
+  obs::MetricsRegistry* metrics() { return &observer_->metrics; }
+  obs::Timeline* timeline() { return &observer_->timeline; }
 
   // Add a wired server (10.0.0.<n>).  Must precede start().
   net::Node& add_server(const std::string& name);
@@ -127,9 +126,8 @@ class Testbed {
   // Write every counter into the metrics registry, once, from the
   // components' own stats: the engine's sim.events.*, the medium, AP,
   // proxy (with its scheduler and splices), fault plan, channel model, and
-  // (under per_client_obs) every client.  No-op when obs is compiled out;
-  // idempotent.  Called by finalize_audit; exposed for drivers that skip
-  // the audit.
+  // (under per_client_obs) every client.  Idempotent.  Called by
+  // finalize_audit; exposed for drivers that skip the audit.
   void publish_metrics();
 
   // The fault plan (null when params.fault is empty).
@@ -163,7 +161,7 @@ class Testbed {
 
 // Client address helper: 16-bit index over the low two octets —
 // 172.16.<(i+1)>>8>.<(i+1)&0xff>; the first 255 clients keep the
-// historical 172.16.0.<i+1> form.
+// historical 172.16.0.<i+1> form.  Distinct for i in [0, kMaxTestbedClients).
 net::Ipv4Addr testbed_client_ip(int i);
 
 }  // namespace pp::exp

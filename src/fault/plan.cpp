@@ -5,8 +5,7 @@
 
 #include "check/check.hpp"
 #include "net/access_point.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::fault {
 
@@ -95,11 +94,9 @@ void FaultPlan::attach_wired_link(net::Channel& downlink,
   link_up_ = &uplink;
 }
 
-void FaultPlan::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    hist_window_us_ = m->histogram("fault.window_us");
-  });
+void FaultPlan::set_obs(obs::Observer* ob) {
+  obs_ = ob;
+  if (obs_) hist_window_us_ = obs_->metrics.histogram("fault.window_us");
 }
 
 void FaultPlan::publish(obs::MetricsRegistry& m) const {
@@ -122,9 +119,9 @@ void FaultPlan::activate(const FaultWindow& w) {
   // System-wide kinds nest (only the outermost edge applies); per-client
   // windows target distinct clients, so every window's own edges fire.
   if (depth == 1 || per_client(w.kind)) apply(w, true);
-  PP_OBS(if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::FaultStart, w.client.raw(),
-                        static_cast<std::uint64_t>(w.kind)));
+  if (obs_)
+    obs_->timeline.record(sim_.now(), obs::EventKind::FaultStart,
+                          w.client.raw(), static_cast<std::uint64_t>(w.kind));
 }
 
 void FaultPlan::recover(const FaultWindow& w) {
@@ -135,11 +132,11 @@ void FaultPlan::recover(const FaultWindow& w) {
   const bool closed = --it->second == 0;
   if (closed) depth_.erase(it);
   if (closed || per_client(w.kind)) apply(w, false);
-  PP_OBS(if (hist_window_us_) hist_window_us_->observe(
-             static_cast<std::uint64_t>(w.duration.count_us()));
-         if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::FaultEnd, w.client.raw(),
-                        static_cast<std::uint64_t>(w.kind)));
+  if (obs_) {
+    hist_window_us_->observe(static_cast<std::uint64_t>(w.duration.count_us()));
+    obs_->timeline.record(sim_.now(), obs::EventKind::FaultEnd, w.client.raw(),
+                          static_cast<std::uint64_t>(w.kind));
+  }
 }
 
 void FaultPlan::apply(const FaultWindow& w, bool on) {

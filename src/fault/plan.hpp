@@ -19,7 +19,7 @@
 #include "fault/spec.hpp"
 #include "net/link.hpp"
 #include "net/wireless.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -62,7 +62,7 @@ class FaultPlan {
 
   // Attach the window-length histogram and FaultStart/FaultEnd timeline
   // events.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob);
   // Write the fault.windows_* counters from the plan's own counts.
   void publish(obs::MetricsRegistry& m) const;
 
@@ -98,7 +98,7 @@ class FaultPlan {
   std::map<FaultKind, int> depth_;
 
   FaultStats stats_;
-  obs::Hook obs_;
+  obs::Observer* obs_ = nullptr;
   obs::Histogram* hist_window_us_ = nullptr;
 };
 

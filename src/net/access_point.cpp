@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::net {
 
@@ -51,17 +50,17 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
   // One admission check for the chain: a slot's burst is one unit of work.
   if (backlog_bytes_ + wire > params_.queue_limit_bytes) {
     dropped_ += n;
-    PP_OBS(if (auto* tl = obs_.timeline())
-               burst.for_each([&](const Chunk& c) {
-                 tl->record(sim_.now(), obs::EventKind::Drop,
-                            c.data->pkt.dst.raw(), c.length);
-               }));
+    if (obs_)
+      burst.for_each([&](const Chunk& c) {
+        obs_->timeline.record(sim_.now(), obs::EventKind::Drop,
+                              c.data->pkt.dst.raw(), c.length);
+      });
     return;  // the chain releases its views on destruction
   }
   backlog_bytes_ += wire;
   backlog_packets_ += n;
-  PP_OBS(if (twg_backlog_)
-             twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_)));
+  if (twg_backlog_)
+    twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
   // One service-delay draw for the whole burst: the slot's frames leave
   // the AP back-to-back, so base delay + jitter (+ spike) is paid once.
   sim::Time depart = sim_.now() + service_delay();
@@ -74,25 +73,23 @@ void AccessPoint::handle_burst(ChunkQueue burst) {
     backlog_bytes_ -= wire;
     backlog_packets_ -= n;
     forwarded_ += n;
-    PP_OBS(if (twg_backlog_) twg_backlog_->set(
-               sim_.now(), static_cast<double>(backlog_bytes_)));
+    if (twg_backlog_)
+      twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
     medium_.transmit_burst(radio_id_, departing_bursts_.pop());
   });
 }
 
 void AccessPoint::note_drop(const Packet& pkt) {
-  (void)pkt;
-  PP_OBS(if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
-                        pkt.payload));
+  if (obs_)
+    obs_->timeline.record(sim_.now(), obs::EventKind::Drop, pkt.dst.raw(),
+                          pkt.payload);
 }
 
-void AccessPoint::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    twg_backlog_ = m->time_gauge("ap.backlog_bytes");
-    twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
-  });
+void AccessPoint::set_obs(obs::Observer* ob) {
+  obs_ = ob;
+  if (obs_ == nullptr) return;
+  twg_backlog_ = obs_->metrics.time_gauge("ap.backlog_bytes");
+  twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
 }
 
 void AccessPoint::publish(obs::MetricsRegistry& m) const {
@@ -108,8 +105,8 @@ void AccessPoint::forward_downlink(Packet pkt) {
   }
   backlog_bytes_ += pkt.wire_size();
   ++backlog_packets_;
-  PP_OBS(if (twg_backlog_)
-             twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_)));
+  if (twg_backlog_)
+    twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
   if (stalled_) {
     stalled_q_.push_back(std::move(pkt));
     return;
@@ -155,8 +152,8 @@ void AccessPoint::dispatch_downlink(Packet pkt) {
     backlog_bytes_ -= wire;
     --backlog_packets_;
     ++forwarded_;
-    PP_OBS(if (twg_backlog_) twg_backlog_->set(
-               sim_.now(), static_cast<double>(backlog_bytes_)));
+    if (twg_backlog_)
+      twg_backlog_->set(sim_.now(), static_cast<double>(backlog_bytes_));
     medium_.transmit(radio_id_, departing_.pop());
   });
 }
@@ -203,10 +200,9 @@ void AccessPoint::disassociate(Ipv4Addr ip) {
     ++dropped_;
     ++assoc_flushed_;
     const Chunk* c = q.front();
-    PP_OBS(if (auto* tl = obs_.timeline())
-               tl->record(sim_.now(), obs::EventKind::Drop,
-                          c->data->pkt.dst.raw(), c->length));
-    (void)c;
+    if (obs_)
+      obs_->timeline.record(sim_.now(), obs::EventKind::Drop,
+                            c->data->pkt.dst.raw(), c->length);
     q.drop_front();
   }
 }

@@ -17,7 +17,7 @@
 #include "net/link.hpp"
 #include "net/psm.hpp"
 #include "net/wireless.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::net {
@@ -72,7 +72,7 @@ class AccessPoint : public PacketSink, public WirelessStation {
   std::uint64_t stalled_frames() const { return stalled_q_.size(); }
 
   // Attach the backlog depth gauge and the drop timeline events.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob);
   // Write the drop/forward counters from this AP's own counts.
   void publish(obs::MetricsRegistry& m) const;
 
@@ -127,7 +127,7 @@ class AccessPoint : public PacketSink, public WirelessStation {
   bool stalled_ = false;
   std::deque<Packet> stalled_q_;
 
-  obs::Hook obs_;
+  obs::Observer* obs_ = nullptr;
   obs::TimeWeightedGauge* twg_backlog_ = nullptr;
 
   // PSM state, one entry per station ever registered.  Parked queues are

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::net {
 
@@ -45,12 +45,10 @@ void WirelessMedium::set_loss_model(ChannelLossModel* model) {
     if (i != ap_) stations_[i].row = model->row_of(stations_[i].ip);
 }
 
-void WirelessMedium::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    hist_airtime_us_ = m->histogram("net.frame_airtime_us");
-    hist_burst_frames_ = m->histogram("net.burst_frames");
-  });
+void WirelessMedium::set_obs(obs::Observer* ob) {
+  if (ob == nullptr) return;
+  hist_airtime_us_ = ob->metrics.histogram("net.frame_airtime_us");
+  hist_burst_frames_ = ob->metrics.histogram("net.burst_frames");
 }
 
 void WirelessMedium::publish(obs::MetricsRegistry& m) const {
@@ -89,8 +87,8 @@ void WirelessMedium::transmit(StationId sender, Packet pkt) {
   const sim::Time end = start + airtime;
   busy_until_ = end;
   ++frames_sent_;
-  PP_OBS(if (hist_airtime_us_) hist_airtime_us_->observe(
-             static_cast<std::uint64_t>(airtime.count_us())));
+  if (hist_airtime_us_)
+    hist_airtime_us_->observe(static_cast<std::uint64_t>(airtime.count_us()));
   stations_[sender].station->on_air(start, airtime);
   frames_.push(FrameInFlight{sender, start, airtime, std::move(pkt)});
   sim_.at(end + params_.propagation, [this] {
@@ -123,7 +121,7 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
   busy_until_ = end;
   frames_sent_ += n;
   ++bursts_;
-  PP_OBS(if (hist_burst_frames_) {
+  if (hist_burst_frames_) {
     hist_burst_frames_->observe(n);
     burst.for_each([this](const Chunk& c) {
       hist_airtime_us_->observe(static_cast<std::uint64_t>(
@@ -134,7 +132,7 @@ void WirelessMedium::transmit_burst(StationId sender, ChunkQueue burst) {
                               params_.rate_bps))
               .count_us()));
     });
-  });
+  }
   stations_[sender].station->on_air(start, airtime);
   bursts_in_flight_.push(BurstInFlight{start, std::move(burst)});
   sim_.at(end + params_.propagation, [this] {

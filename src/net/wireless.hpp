@@ -22,7 +22,7 @@
 #include "net/fifo_ring.hpp"
 #include "net/ip_index.hpp"
 #include "net/packet.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::net {
@@ -137,7 +137,7 @@ class WirelessMedium {
   const WirelessParams& params() const { return params_; }
 
   // Attach the airtime and burst-size histograms to an observer.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob);
   // Write the frame and burst counters from the medium's own counts.
   void publish(obs::MetricsRegistry& m) const;
 
@@ -205,7 +205,6 @@ class WirelessMedium {
   std::uint64_t fade_losses_ = 0;
   ChannelLossModel* loss_model_ = nullptr;
 
-  obs::Hook obs_;
   obs::Histogram* hist_airtime_us_ = nullptr;
   obs::Histogram* hist_burst_frames_ = nullptr;
 };

@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 #include "proxy/transparent_proxy.hpp"
 
 namespace pp::proxy {
@@ -42,9 +41,9 @@ void BurstSession::open() {
       p.total_q_bytes_ -= payload;
       ++p.stats_.burst_packets;
     }
-    PP_OBS(if (p.twg_queue_depth_ && !chain.empty())
-               p.twg_queue_depth_->set(
-                   p.sim_.now(), static_cast<double>(p.total_q_bytes_)));
+    if (p.twg_queue_depth_ && !chain.empty())
+      p.twg_queue_depth_->set(p.sim_.now(),
+                              static_cast<double>(p.total_q_bytes_));
   }
 
   // Phase 2: plan the TCP allowance for the remaining slot time.
@@ -140,10 +139,11 @@ void BurstSession::open() {
   if (p.table_.membership(id) == Membership::Draining)
     p.stats_.churn_drained_bytes += burst_bytes;
 
-  PP_OBS(if (p.hist_burst_bytes_) p.hist_burst_bytes_->observe(burst_bytes);
-         if (auto* tl = p.obs_.timeline())
-             tl->span(p.sim_.now(), entry_.duration, obs::EventKind::Burst,
-                      entry_.client.raw(), burst_bytes));
+  if (p.obs_) {
+    p.hist_burst_bytes_->observe(burst_bytes);
+    p.obs_->timeline.span(p.sim_.now(), entry_.duration, obs::EventKind::Burst,
+                          entry_.client.raw(), burst_bytes);
+  }
 
   // A graceful leaver whose last queued byte just went out departs now
   // rather than waiting for the drain deadline.  (May destroy this burst's
@@ -166,9 +166,9 @@ void BurstSession::emit_empty_marker() {
   net::Packet pkt = p.control_packet(entry_.client, kSchedulePort, 16);
   pkt.marked = true;
   ++p.stats_.empty_burst_markers;
-  PP_OBS(if (auto* tl = p.obs_.timeline())
-             tl->record(p.sim_.now(), obs::EventKind::EmptyBurstMarker,
-                        entry_.client.raw()));
+  if (p.obs_)
+    p.obs_->timeline.record(p.sim_.now(), obs::EventKind::EmptyBurstMarker,
+                            entry_.client.raw());
   p.wireless_tx_(std::move(pkt));
 }
 

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "channel/observer.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "proxy/bandwidth.hpp"
 #include "proxy/schedule.hpp"
 #include "sim/time.hpp"

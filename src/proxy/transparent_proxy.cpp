@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 #include "proxy/burst.hpp"
 
 namespace pp::proxy {
@@ -46,15 +45,15 @@ void TransparentProxy::calibrate(const net::WirelessMedium& medium) {
   estimator_.fit(samples);
 }
 
-void TransparentProxy::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
-    hist_burst_us_ = m->histogram("proxy.burst_duration_us");
-    hist_burst_bytes_ = m->histogram("proxy.burst_bytes");
-    hist_interval_us_ = m->histogram("proxy.schedule_interval_us");
-    twg_queue_depth_ = m->time_gauge("proxy.queue_depth_bytes");
-    twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
-  });
+void TransparentProxy::set_obs(obs::Observer* ob) {
+  obs_ = ob;
+  if (obs_ == nullptr) return;
+  obs::MetricsRegistry& m = obs_->metrics;
+  hist_burst_us_ = m.histogram("proxy.burst_duration_us");
+  hist_burst_bytes_ = m.histogram("proxy.burst_bytes");
+  hist_interval_us_ = m.histogram("proxy.schedule_interval_us");
+  twg_queue_depth_ = m.time_gauge("proxy.queue_depth_bytes");
+  twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
 }
 
 void TransparentProxy::publish(obs::MetricsRegistry& m) const {
@@ -116,10 +115,10 @@ void TransparentProxy::take_in(sim::Time limit) {
 }
 
 void TransparentProxy::record_drops() {
-  PP_OBS(if (auto* tl = obs_.timeline()) {
+  if (obs_)
     for (const PendingDrop& d : pending_drops_)
-      tl->record(sim_.now(), obs::EventKind::Drop, d.client.raw(), d.bytes);
-  });
+      obs_->timeline.record(sim_.now(), obs::EventKind::Drop, d.client.raw(),
+                            d.bytes);
   pending_drops_.clear();
 }
 
@@ -201,8 +200,8 @@ void TransparentProxy::deregister_client(net::Ipv4Addr ip) {
   abort_splices(id);
   table_.membership(id) = Membership::Departed;
   ++stats_.leaves;
-  PP_OBS(if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::ClientLeave, ip.raw()));
+  if (obs_)
+    obs_->timeline.record(sim_.now(), obs::EventKind::ClientLeave, ip.raw());
 }
 
 bool TransparentProxy::client_active(net::Ipv4Addr ip) const {
@@ -222,9 +221,9 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
         table_.drain_timer(id).cancel();
         table_.membership(id) = Membership::Joined;
         ++stats_.joins;
-        PP_OBS(if (auto* tl = obs_.timeline())
-                   tl->record(sim_.now(), obs::EventKind::ClientJoin,
-                              table_.ip(id).raw()));
+        if (obs_)
+          obs_->timeline.record(sim_.now(), obs::EventKind::ClientJoin,
+                                table_.ip(id).raw());
       }
       // Ack first, renegotiate second: the unicast ack enters the downlink
       // path ahead of the fresh broadcast, so the client normally holds a
@@ -318,14 +317,13 @@ void TransparentProxy::finish_leave(ClientId id, bool timed_out) {
   (void)timed_out;
   table_.drain_timer(id).cancel();
   const std::uint64_t dropped = table_.queue(id).bytes();
-  (void)dropped;  // obs-only: the ClientLeave record carries it
   drop_queue(id);
   abort_splices(id);
   table_.membership(id) = Membership::Departed;
   ++stats_.leaves;
-  PP_OBS(if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::ClientLeave,
-                        table_.ip(id).raw(), dropped));
+  if (obs_)
+    obs_->timeline.record(sim_.now(), obs::EventKind::ClientLeave,
+                          table_.ip(id).raw(), dropped);
   send_assoc(net::AssocKind::LeaveAck, table_.ip(id), table_.leave_seq(id));
 }
 
@@ -339,8 +337,8 @@ void TransparentProxy::drop_queue(ClientId id) {
   }
   stats_.churn_dropped_bytes += bytes;
   PP_CHECK_AT(q.bytes() == 0, "proxy.churn.queue_drop", sim_.now());
-  PP_OBS(if (bytes > 0 && twg_queue_depth_) twg_queue_depth_->set(
-             sim_.now(), static_cast<double>(total_q_bytes_)));
+  if (bytes > 0 && twg_queue_depth_)
+    twg_queue_depth_->set(sim_.now(), static_cast<double>(total_q_bytes_));
 }
 
 void TransparentProxy::abort_splices(ClientId id) {
@@ -357,7 +355,6 @@ void TransparentProxy::abort_splices(ClientId id) {
 }
 
 void TransparentProxy::enqueue_downlink(net::Packet pkt, sim::Time at) {
-  (void)at;  // obs-only: the queue-depth gauge moves at arrival
   const ClientId id = table_.ensure(pkt.dst);
   net::ChunkQueue& q = table_.queue(id);
   // No membership, no buffering: downlink for a departed client is dropped
@@ -367,15 +364,14 @@ void TransparentProxy::enqueue_downlink(net::Packet pkt, sim::Time at) {
   if (table_.membership(id) == Membership::Departed ||
       q.bytes() + pkt.payload > params_.queue_limit_bytes) {
     ++stats_.queue_drops;
-    PP_OBS(if (obs_.timeline())
-               pending_drops_.push_back({pkt.dst, pkt.payload}));
+    if (obs_) pending_drops_.push_back({pkt.dst, pkt.payload});
     return;
   }
   total_q_bytes_ += pkt.payload;
   q.push(std::move(pkt));
   ++stats_.queued_packets;
-  PP_OBS(if (twg_queue_depth_)
-             twg_queue_depth_->set(at, static_cast<double>(total_q_bytes_)));
+  if (twg_queue_depth_)
+    twg_queue_depth_->set(at, static_cast<double>(total_q_bytes_));
 }
 
 void TransparentProxy::on_wired_packet(net::Packet pkt) {
@@ -456,10 +452,8 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
       /*passive=*/false);
 
   sp->client_side->set_send_gate(false);  // data flows only in bursts
-  PP_OBS(if (obs_) {
-    sp->client_side->set_obs(obs_);
-    sp->server_side->set_obs(obs_);
-  });
+  sp->client_side->set_obs(obs_);
+  sp->server_side->set_obs(obs_);
 
   sp->server_side->set_on_deliver([sp](std::uint64_t n) { sp->buffered += n; });
   sp->server_side->set_on_remote_fin([this, sp] {
@@ -601,15 +595,15 @@ void TransparentProxy::schedule_tick() {
   bc.set_message<ScheduleMessage>(msg);
   wireless_tx_(std::move(bc));
   ++stats_.schedules_sent;
-  PP_OBS(if (hist_interval_us_) {
+  if (obs_) {
     hist_interval_us_->observe(
         static_cast<std::uint64_t>(built.interval.count_us()));
     for (const ScheduleEntry& entry : msg->entries)
       hist_burst_us_->observe(
           static_cast<std::uint64_t>(entry.duration.count_us()));
-  } if (auto* tl = obs_.timeline())
-        tl->record(sim_.now(), obs::EventKind::ScheduleBroadcast, 0,
-                   msg->entries.size()));
+    obs_->timeline.record(sim_.now(), obs::EventKind::ScheduleBroadcast, 0,
+                          msg->entries.size());
+  }
 
   const sim::Time srp = sim_.now();
 
@@ -632,9 +626,9 @@ void TransparentProxy::schedule_tick() {
       rbc.set_message<ScheduleMessage>(std::move(rep));
       wireless_tx_(std::move(rbc));
       ++stats_.schedule_repeats_sent;
-      PP_OBS(if (auto* tl = obs_.timeline()) tl->record(
-          sim_.now(), obs::EventKind::ScheduleRepeat, 0,
-          static_cast<std::uint64_t>(lag.count_us())));
+      if (obs_)
+        obs_->timeline.record(sim_.now(), obs::EventKind::ScheduleRepeat, 0,
+                              static_cast<std::uint64_t>(lag.count_us()));
     }));
   }
 

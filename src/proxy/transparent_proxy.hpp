@@ -32,7 +32,7 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/wireless.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "proxy/assoc.hpp"
 #include "proxy/bandwidth.hpp"
 #include "proxy/client_table.hpp"
@@ -214,7 +214,7 @@ class TransparentProxy {
   // Attach the schedule/burst histograms, the queue-depth gauge and the
   // timeline.  Also forwarded to the TCP connections of every splice
   // created afterwards.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob);
   // Write the proxy counters from stats(): the proxy.churn.* ones only
   // when nonzero, the tcp.* ones (from splice_tcp_stats()) only once a
   // splice exists, and the scheduler's own.
@@ -324,7 +324,7 @@ class TransparentProxy {
   std::unordered_map<net::FlowKey, std::unique_ptr<Splice>, net::FlowKeyHash>
       splices_;
 
-  obs::Hook obs_;
+  obs::Observer* obs_ = nullptr;
   obs::Histogram* hist_burst_us_ = nullptr;
   obs::Histogram* hist_burst_bytes_ = nullptr;
   obs::Histogram* hist_interval_us_ = nullptr;

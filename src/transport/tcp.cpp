@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::transport {
 
@@ -180,11 +180,6 @@ void TcpConnection::arm_rtx_timer() {
   rtx_timer_ = sim_.after(rto_, [this] { on_rtx_timeout(); });
 }
 
-void TcpConnection::set_obs(obs::Hook hook) {
-  (void)hook;
-  PP_OBS(obs_ = hook);
-}
-
 void TcpConnection::cancel_rtx_timer() { rtx_timer_.cancel(); }
 
 void TcpConnection::on_rtx_timeout() {
@@ -194,9 +189,9 @@ void TcpConnection::on_rtx_timeout() {
   if (!syn_out && !fin_out && bytes_in_flight() == 0) return;  // all acked
 
   ++stats_.timeouts;
-  PP_OBS(if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::TcpStall,
-                        remote_.ip.raw(), stats_.timeouts));
+  if (obs_)
+    obs_->timeline.record(sim_.now(), obs::EventKind::TcpStall,
+                          remote_.ip.raw(), stats_.timeouts);
   if (timing_) timing_ = false;  // Karn: retransmitted samples are invalid
   if (!syn_out) {
     const std::uint64_t flight = std::max<std::uint64_t>(

@@ -26,7 +26,7 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "obs/hooks.hpp"
+#include "obs/fwd.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::transport {
@@ -124,7 +124,7 @@ class TcpConnection : public net::SegmentHandler {
 
   // Record RTO-stall timeline events.  The retransmission and timeout
   // counts live in stats(); the proxy publishes its splices' totals.
-  void set_obs(obs::Hook hook);
+  void set_obs(obs::Observer* ob) { obs_ = ob; }
 
   // -- Introspection -----------------------------------------------------------
   TcpState state() const { return state_; }
@@ -143,7 +143,6 @@ class TcpConnection : public net::SegmentHandler {
   std::uint64_t bytes_in_flight() const { return snd_nxt_data_ - snd_una_data_; }
   std::uint64_t bytes_acked() const { return snd_una_data_; }
   std::uint64_t cwnd() const { return cwnd_; }
-  std::uint64_t peer_window() const { return peer_wnd_; }
   sim::Duration srtt() const { return srtt_; }
   const TcpStats& stats() const { return stats_; }
 
@@ -226,7 +225,7 @@ class TcpConnection : public net::SegmentHandler {
   TcpStats stats_;
   bool closed_notified_ = false;
 
-  obs::Hook obs_;
+  obs::Observer* obs_ = nullptr;
 };
 
 // -- Node conveniences ---------------------------------------------------------

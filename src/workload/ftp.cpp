@@ -2,7 +2,7 @@
 
 namespace pp::workload {
 
-FtpServer::FtpServer(net::Node& node) : node_{node}, server_{node, kFtpPort} {
+FtpServer::FtpServer(net::Node& node) : server_{node, kFtpPort} {
   server_.set_on_accept([this](transport::TcpConnection& c) {
     const net::Ipv4Addr client = c.remote().ip;
     auto sent = std::make_shared<bool>(false);
@@ -11,7 +11,6 @@ FtpServer::FtpServer(net::Node& node) : node_{node}, server_{node, kFtpPort} {
       auto it = files_.find(client);
       if (it == files_.end()) return;
       *sent = true;
-      ++started_;
       c.send(it->second);
       c.close();
     });

@@ -21,13 +21,9 @@ class FtpServer {
 
   void add_file(net::Ipv4Addr client, std::uint64_t bytes);
 
-  std::uint64_t transfers_started() const { return started_; }
-
  private:
-  net::Node& node_;
   transport::TcpServer server_;
   std::unordered_map<net::Ipv4Addr, std::uint64_t, net::Ipv4AddrHash> files_;
-  std::uint64_t started_ = 0;
 };
 
 struct FtpClientStats {

@@ -37,7 +37,7 @@ std::uint64_t script_bytes(const std::vector<PageVisit>& script) {
 
 // -- Server ----------------------------------------------------------------------
 
-HttpServer::HttpServer(net::Node& node) : node_{node}, server_{node, kHttpPort} {
+HttpServer::HttpServer(net::Node& node) : server_{node, kHttpPort} {
   server_.set_on_accept([this](transport::TcpConnection& c) {
     const net::Ipv4Addr client = c.remote().ip;
     auto responded = std::make_shared<bool>(false);
@@ -50,7 +50,6 @@ HttpServer::HttpServer(net::Node& node) : node_{node}, server_{node, kHttpPort} 
       *responded = true;
       const std::uint32_t bytes = it->second.front();
       it->second.pop_front();
-      ++served_;
       c.send(bytes);
       c.close();
     });

@@ -58,14 +58,10 @@ class HttpServer {
   void add_script(net::Ipv4Addr client, const std::vector<PageVisit>& script);
   void push_response(net::Ipv4Addr client, std::uint32_t bytes);
 
-  std::uint64_t requests_served() const { return served_; }
-
  private:
-  net::Node& node_;
   transport::TcpServer server_;
   std::unordered_map<net::Ipv4Addr, std::deque<std::uint32_t>, net::Ipv4AddrHash>
       pending_;
-  std::uint64_t served_ = 0;
 };
 
 // -- Client ----------------------------------------------------------------------

@@ -10,7 +10,6 @@
 #include "exp/builder.hpp"
 #include "exp/digest.hpp"
 #include "exp/parallel.hpp"
-#include "obs/hooks.hpp"
 
 namespace pp::exp {
 namespace {
@@ -30,6 +29,22 @@ ScenarioBuilder tiny(std::uint64_t seed, double duration_s = 4.0) {
 
 TEST(Builder, RejectsEmptyRoles) {
   EXPECT_THROW(ScenarioBuilder{}.build(), std::invalid_argument);
+}
+
+// Client addresses are 16-bit indices: past kMaxTestbedClients they wrap
+// onto earlier clients' addresses, which the proxy cannot tell apart.
+TEST(Builder, RejectsMoreClientsThanAddresses) {
+  EXPECT_NO_THROW(ScenarioBuilder{}.video(65'534, 0).build());
+  try {
+    ScenarioBuilder{}.video(65'535, 0).build();
+    ADD_FAILURE() << "65535 clients built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("roles"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ScenarioBuilder{}.roles(std::vector<int>(65'536, kRoleIdle))
+                   .build(),
+               std::invalid_argument);
 }
 
 TEST(Builder, RejectsUnknownFidelity) {

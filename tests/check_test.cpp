@@ -103,6 +103,24 @@ TEST_F(CheckFixture, ScheduleEntryWithNegativeDurationTrips) {
   }
 }
 
+// Client addresses wrap past kMaxTestbedClients, so the testbed refuses
+// such a fleet before it builds anything.
+TEST_F(CheckFixture, TestbedClientCountOutOfRangeTrips) {
+  for (const int n : {-1, exp::kMaxTestbedClients + 1}) {
+    exp::TestbedParams tp;
+    tp.num_clients = n;
+    try {
+      exp::Testbed bed{
+          tp, std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(500))};
+      FAIL() << n << " clients built";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("exp.testbed.client_count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // -- Energy accounting -----------------------------------------------------------
 
 TEST_F(CheckFixture, EnergyAuditPassesOnConsistentTimeline) {

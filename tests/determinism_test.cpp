@@ -10,14 +10,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 
 #include "exp/builder.hpp"
 #include "exp/digest.hpp"
 #include "exp/scenario.hpp"
 #include "net/addr.hpp"
-#include "obs/hooks.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/observer.hpp"
 
 namespace pp::exp {
 namespace {
@@ -186,32 +185,6 @@ TEST(DeterminismTest, DigestIsSensitiveToConfig) {
   EXPECT_NE(run_digest(a), run_digest(b));
 }
 
-// Neither digest reads the streams, so running without them (keep_obs
-// off, the default) moves neither.
-TEST(DeterminismTest, DigestIndependentOfTimelineRetention) {
-  ScopedHashSalt s{1};
-  ScenarioConfig cfg = short_mixed_config();
-  cfg.keep_obs = false;
-  ScenarioRun streamed{cfg};
-  streamed.advance(streamed.horizon());
-  const std::uint64_t sd = result_digest(streamed.finish());
-  cfg.keep_obs = true;
-  ScenarioRun retained{cfg};
-  retained.advance(retained.horizon());
-  EXPECT_EQ(result_digest(retained.finish()), sd);
-  EXPECT_EQ(run_digest(cfg), sd);
-
-#if PP_OBS_ENABLED
-  const auto so = streamed.bed().observer();
-  const auto ro = retained.bed().observer();
-  ASSERT_TRUE(so && ro);
-  EXPECT_EQ(observer_digest(*so), observer_digest(*ro));
-  EXPECT_EQ(so->timeline.size(), 0u);
-  EXPECT_EQ(so->timeline.dropped(), 0u);
-  EXPECT_GT(ro->timeline.size(), 0u);
-#endif
-}
-
 // The replay digest is the result's: the monitoring trace, the observer
 // and a metric nobody publishes leave it where it was.
 TEST(DeterminismTest, DigestIgnoresTraceObserverAndExtraCounters) {
@@ -222,7 +195,7 @@ TEST(DeterminismTest, DigestIgnoresTraceObserverAndExtraCounters) {
   cfg.keep_obs = true;
   cfg.keep_trace = true;
   ScenarioRun run{cfg, [](Testbed& bed) {
-                    if (auto* m = bed.metrics()) m->counter("test.extra")->inc();
+                    bed.metrics()->counter("test.extra")->inc();
                   }};
   run.advance(run.horizon());
   const ScenarioResult res = run.finish();
@@ -281,12 +254,8 @@ TEST(DeterminismTest, SlicedAdvanceMatchesOneAdvance) {
     EXPECT_EQ(a.clients[i].sleeps, b.clients[i].sleeps);
   }
   EXPECT_EQ(result_digest(a), result_digest(b));
-#if PP_OBS_ENABLED
-  const auto ao = whole.bed().observer();
-  const auto bo = sliced.bed().observer();
-  ASSERT_TRUE(ao && bo);
-  EXPECT_EQ(observer_digest(*ao), observer_digest(*bo));
-#endif
+  EXPECT_EQ(observer_digest(*whole.bed().observer()),
+            observer_digest(*sliced.bed().observer()));
 }
 
 // The acceptance property for the fault layer: a run with the full fault
@@ -380,7 +349,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PolicyDeterminismTest,
 // deep fade, an AP stall and a storm flapping a quarter of the cell, builds,
 // passes every end-of-run audit (run_scenario finalizes them), and replays
 // identically under a different hash salt.
-TEST(DeterminismTest, ChannelFaultsAndChurnComposeAndDigestIsSaltInvariant) {
+ScenarioConfig channel_fault_churn_config() {
   ScenarioBuilder b = ScenarioBuilder{}
                           .video(3, 1)
                           .video(2, 2)
@@ -392,7 +361,11 @@ TEST(DeterminismTest, ChannelFaultsAndChurnComposeAndDigestIsSaltInvariant) {
       .fade(testbed_client_ip(0), Time::ms(3000), Time::ms(1500))
       .ap_stall(Time::ms(6000), Time::ms(700))
       .churn_storm(Time::seconds(2.0), Time::seconds(10.0), 0.25);
-  const ScenarioConfig cfg = b.build();
+  return b.build();
+}
+
+TEST(DeterminismTest, ChannelFaultsAndChurnComposeAndDigestIsSaltInvariant) {
+  const ScenarioConfig cfg = channel_fault_churn_config();
   std::uint64_t d1 = 0;
   std::uint64_t d2 = 0;
   {
@@ -415,6 +388,67 @@ TEST(DeterminismTest, DigestIsSensitiveToChannelSpec) {
   b.channel = channel::ChannelSpec::ladder(3, 0.3);  // calmer ladder
   EXPECT_NE(run_digest(a), run_digest(b));
 }
+
+// -- Observer retention ------------------------------------------------------------
+
+// Neither digest reads the streams, so attaching every gauge, histogram
+// and timeline (keep_obs) moves neither: each config runs once without
+// the streams (the default) and once with them.
+struct RetentionCase {
+  const char* name;
+  ScenarioConfig (*config)();
+};
+
+// The case's name is its printed value, so the test names stay stable.
+void PrintTo(const RetentionCase& c, std::ostream* os) { *os << c.name; }
+
+class ObsRetentionTest : public ::testing::TestWithParam<RetentionCase> {};
+
+TEST_P(ObsRetentionTest, DigestIndependentOfTimelineRetention) {
+  ScopedHashSalt s{1};
+  ScenarioConfig cfg = GetParam().config();
+  cfg.keep_obs = false;
+  ScenarioRun streamed{cfg};
+  streamed.advance(streamed.horizon());
+  const std::uint64_t sd = result_digest(streamed.finish());
+  EXPECT_NE(sd, 0u);
+  cfg.keep_obs = true;
+  ScenarioRun retained{cfg};
+  retained.advance(retained.horizon());
+  EXPECT_EQ(result_digest(retained.finish()), sd);
+  EXPECT_EQ(run_digest(cfg), sd);
+
+  const auto so = streamed.bed().observer();
+  const auto ro = retained.bed().observer();
+  EXPECT_EQ(observer_digest(*so), observer_digest(*ro));
+  EXPECT_EQ(so->timeline.size(), 0u);
+  EXPECT_EQ(so->timeline.dropped(), 0u);
+  EXPECT_GT(ro->timeline.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ObsRetention, ObsRetentionTest,
+    ::testing::Values(
+        RetentionCase{"ShortMixed", short_mixed_config},
+        RetentionCase{"Faulted", faulted_config},
+        RetentionCase{"ChannelFaultsAndChurn", channel_fault_churn_config},
+        RetentionCase{"Fig7Slotted",
+                      [] {
+                        return ScenarioBuilder::fig7(2, 0.33)
+                            .duration_s(10.0)
+                            .build();
+                      }},
+        RetentionCase{"Opportunistic500",
+                      [] {
+                        return channel_policy_config(
+                            IntervalPolicy::Opportunistic500);
+                      }},
+        RetentionCase{"BufferedPassthrough",
+                      [] {
+                        return short_mixed_builder()
+                            .proxy_mode(proxy::ProxyMode::BufferedPassthrough)
+                            .build();
+                      }}));
 
 // -- Pinned digests (reference toolchain) ------------------------------------------
 

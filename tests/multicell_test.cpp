@@ -11,7 +11,6 @@
 #include "exp/multicell.hpp"
 #include "exp/scenario.hpp"
 #include "net/addr.hpp"
-#include "obs/hooks.hpp"
 
 namespace pp::exp {
 namespace {

@@ -8,7 +8,6 @@
 #include "exp/digest.hpp"
 #include "exp/scenario.hpp"
 #include "obs/export.hpp"
-#include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/timeline.hpp"
@@ -166,20 +165,6 @@ TEST(Timeline, EventKindNamesRoundTrip) {
   EXPECT_FALSE(event_kind_from_string("no_such_kind", out));
 }
 
-TEST(Hook, DetachedHookIsFalsy) {
-  Hook h;
-  EXPECT_FALSE(h);
-#if PP_OBS_ENABLED
-  EXPECT_EQ(h.metrics(), nullptr);
-  EXPECT_EQ(h.timeline(), nullptr);
-  Observer ob;
-  Hook attached = ob.hook();
-  EXPECT_TRUE(attached);
-  EXPECT_EQ(attached.metrics(), &ob.metrics);
-  EXPECT_EQ(attached.timeline(), &ob.timeline);
-#endif
-}
-
 TEST(Export, JsonlRoundTripPreservesEverything) {
   MetricsRegistry reg;
   reg.counter("proxy.schedules_sent")->inc(280);
@@ -269,7 +254,6 @@ TEST(Export, SubjectStrRendersDottedQuadOrDash) {
   EXPECT_EQ(subject_str(0xAC100001u), "172.16.0.1");
 }
 
-#if PP_OBS_ENABLED
 // The retained timeline of a run with churn, a deep fade and an AP stall
 // obeys what the radios did: each client's power records alternate Sleep,
 // Wake, Sleep, ... (clients boot awake, and a daemon only records a state
@@ -499,7 +483,7 @@ TEST(ObsIntegration, ObserveFalseDetachesEverything) {
                            sim::Time::ms(500))};
   ASSERT_NE(bed.observer(), nullptr);
   bed.start();
-  bed.run_until(Time::seconds(2));  // runs fine with hooks detached
+  bed.run_until(Time::seconds(2));  // runs fine with the observer detached
   bed.publish_metrics();
   const MetricsRegistry& m = *bed.metrics();
   EXPECT_FALSE(m.counters().empty());
@@ -543,7 +527,6 @@ TEST(ObsIntegration, DefaultRunPublishesCountersOnly) {
   EXPECT_EQ(counters_of(po->metrics), counters_of(kr.obs->metrics));
   EXPECT_EQ(exp::observer_digest(*po), exp::observer_digest(*kr.obs));
 }
-#endif
 
 }  // namespace
 }  // namespace pp::obs
